@@ -34,9 +34,9 @@ from .parser import (
     ParseError, parse_program, parse_term, parse_ty, load_file, pretty,
     pretty_ty,
 )
-from .opsem import EvalDefect, Evaluator, OpComp, eval_op, eval_probterm
+from .opsem import EvalDefect, Evaluator, eval_probterm
 from .densem import (
-    STANDARD, STEP_FAITHFUL, NatV, UNIT, PairV, InlV, InrV, FunV, FoldV,
+    STANDARD, STEP_FAITHFUL, NatV, UNIT, PairV, FunV, FoldV,
     SemDefect, Interp, val_interp, is_ground_ty, ground_eq, soundness_check,
 )
 from .relate import (

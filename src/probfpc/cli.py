@@ -9,8 +9,6 @@ either success or refutation).  All probabilities print as exact fractions;
 
 import argparse
 import json
-import os
-import random
 import sys
 from fractions import Fraction
 
@@ -118,10 +116,8 @@ def cmd_examples(args, out):
         for name, blurb in CATALOGUE:
             out.write("%-14s %s\n" % (name, blurb))
         return 0
-    term = corpus(args.name)
-    t2, ty = elaborate(term)
+    ty, d = _delay_of(corpus(args.name), args.mode)
     out.write("type: %s\n" % pretty_ty(ty))
-    _, d = _delay_of(t2, args.mode)
     seq = probterm_seq(d, args.depth)
     _print_seq(seq, args.format, args.approx, out)
     return 0
@@ -153,8 +149,6 @@ def build_parser():
         description="Workbench for a probabilistic language with recursive "
                     "types: typechecking, exact evaluation, termination "
                     "tables, semantics comparison, refinement checking.")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized helpers (or env PROBFPC_SEED)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("check", help="typecheck a .pfpc file, print its type")
@@ -208,23 +202,9 @@ def main(argv=None, out=None, err=None):
     err = err if err is not None else sys.stderr
     ap = build_parser()
     args = ap.parse_args(argv)
-    seed = args.seed
-    if seed is None and os.environ.get("PROBFPC_SEED"):
-        try:
-            seed = int(os.environ["PROBFPC_SEED"])
-        except ValueError:
-            err.write("probfpc: ignoring non-integer PROBFPC_SEED\n")
-    if seed is not None:
-        random.seed(seed)
     try:
         return args.fn(args, out)
-    except (ParseError, TypecheckError) as e:
-        err.write("probfpc: %s\n" % e)
-        return 1
-    except OSError as e:
-        err.write("probfpc: %s\n" % e)
-        return 1
-    except KeyError as e:
+    except (ParseError, TypecheckError, OSError, KeyError) as e:
         err.write("probfpc: %s\n" % e)
         return 1
 

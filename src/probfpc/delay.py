@@ -25,7 +25,8 @@ __all__ = [
     "TermSeq", "probterm_seq", "value_part", "Refl", "StepElim", "Seq",
     "ChoiceCong", "WitnessShapeError", "check_witness", "witness_for_run",
     "witness_to_text", "witness_from_text", "embed_approx", "leqlim_upto",
-    "eqlim_upto", "geo", "hesitant", "prefix_eq", "node_eq", "random_delay",
+    "eqlim_upto", "geo", "hesitant", "prefix_eq", "node_eq", "split",
+    "continuation",
 ]
 
 
@@ -177,7 +178,7 @@ def probterm_seq(d: Delay, n: int) -> TermSeq:
     return TermSeq(out)
 
 
-def _split(d: Delay):
+def split(d: Delay):
     """Entries of the node split into values [(w, a)] and pendings [(w, t)]."""
     vals, pend = [], []
     for w, el in d.node.entries:
@@ -185,10 +186,17 @@ def _split(d: Delay):
     return vals, pend
 
 
+def continuation(pend) -> Delay:
+    """Combined continuation of a node's weighted pendings [(w, t)]: the
+    Delay of their convex combination, renormalised to mass 1."""
+    mass = sum((w for w, _ in pend), Fraction(0))
+    return zeta(Dist([(w / mass, t) for w, t in pend])).force()
+
+
 def value_part(d: Delay, n: int):
     """Mass delivered within n runs, together with the delivered weighted
     values (weights unnormalized)."""
-    vals, _ = _split(run_n(d, n))
+    vals, _ = split(run_n(d, n))
     return sum((w for w, _ in vals), Fraction(0)), tuple(vals)
 
 
@@ -371,7 +379,7 @@ def embed_approx(d: Delay, target, horizon: int, eps) -> "int | None":
     want = _merge_by_key(target)
     cur = d
     for m in range(horizon + 1):
-        vals, _ = _split(cur)
+        vals, _ = split(cur)
         have = _merge_by_key(vals)
         short = sum((max(ZERO, tw - have.get(k, ZERO)) for k, tw in want.items()),
                     Fraction(0))
@@ -417,8 +425,8 @@ def prefix_eq(d: Delay, e: Delay, depth: int) -> bool:
     """Structural equality of two delay trees to a forcing depth, comparing
     at each level the canonical decomposition: merged keyed value entries,
     total delayed mass, and (recursively) the combined continuation."""
-    dv, dp = _split(d)
-    ev, ep = _split(e)
+    dv, dp = split(d)
+    ev, ep = split(e)
     if _merge_by_key(dv) != _merge_by_key(ev):
         return False
     dm = sum((w for w, _ in dp), Fraction(0))
@@ -427,9 +435,7 @@ def prefix_eq(d: Delay, e: Delay, depth: int) -> bool:
         return False
     if depth == 0 or not dp:
         return True
-    dk = zeta(Dist([(w / dm, t) for w, t in dp])).force()
-    ek = zeta(Dist([(w / em, t) for w, t in ep])).force()
-    return prefix_eq(dk, ek, depth - 1)
+    return prefix_eq(continuation(dp), continuation(ep), depth - 1)
 
 
 def node_eq(d: Delay, e: Delay) -> bool:
@@ -449,30 +455,3 @@ def node_eq(d: Delay, e: Delay) -> bool:
         elif v1.val is not v2.val:
             return False
     return True
-
-
-# --- random generator for the property suites ------------------------------
-
-_GEN_WEIGHTS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
-
-
-def random_delay(rng, depth: int = 5, alphabet=(0, 1, 2, 3)) -> Delay:
-    """Finite random delay tree: depth <= 5, branching <= 3, keyed leaves
-    from a small alphabet, weights from a fixed rational set.  Deterministic
-    given the rng's seed."""
-    if depth <= 0:
-        return now(rng.choice(alphabet))
-    kind = rng.randrange(10)
-    if kind < 3:
-        return now(rng.choice(alphabet))
-    if kind < 6:
-        sub = random_delay(rng, depth - 1, alphabet)
-        return step_of(sub)
-    p = rng.choice(_GEN_WEIGHTS)
-    left = random_delay(rng, depth - 1, alphabet)
-    right = random_delay(rng, depth - 1, alphabet)
-    if kind < 9:
-        return dchoice(p, left, right)
-    q = rng.choice(_GEN_WEIGHTS)
-    mid = random_delay(rng, depth - 1, alphabet)
-    return dchoice(p, left, dchoice(q, mid, right))

@@ -1,10 +1,10 @@
 """Denotational semantics: environment-based interpretation into Delay.
 
-Semantic values are ground data (units, naturals, pairs, injections),
-closures (`FunV`, a Python function from semantic value to Delay), and
-lazily filled recursive-type cells (`FoldV`).  Ground values compare
-structurally and carry sort keys, so distributions over them canonicalize;
-closures and cells compare by identity.
+Semantic values are ground data (units, naturals, pairs, and injections
+as `dist.Inl`/`Inr`), closures (`FunV`, a Python function from semantic
+value to Delay), and recursive-type cells (`FoldV`, a memoised thunk).
+Ground values compare structurally and carry sort keys, so distributions
+over them canonicalize; closures and cells compare by identity.
 
 Two step disciplines:
 
@@ -19,7 +19,10 @@ evaluating and then reading values back coincides, level by level up to a
 depth bound, with the step-faithful interpretation.
 """
 
-from .delay import Delay, delay_bind, delay_map, dchoice, now, prefix_eq, step_fn
+from .delay import (
+    Delay, DelayThunk, delay_bind, delay_map, dchoice, now, prefix_eq, step_fn,
+)
+from .dist import Inl, Inr, key_of
 from .syntax import (
     Ty, UnitT, NatT, ProdT, SumT,
     Term, Star, Num, Var, Suc, Pred, Ifz, Pair, Fst, Snd,
@@ -29,7 +32,7 @@ from .typecheck import elaborate
 
 __all__ = [
     "STANDARD", "STEP_FAITHFUL",
-    "NatV", "UNIT", "PairV", "InlV", "InrV", "FunV", "FoldV",
+    "NatV", "UNIT", "PairV", "FunV", "FoldV",
     "SemDefect", "Interp", "val_interp", "is_ground_ty", "ground_eq",
     "soundness_check",
 ]
@@ -88,45 +91,14 @@ class PairV:
         return hash(("pairv", self.a, self.b))
 
     def dist_key(self):
-        ka = _key_or_none(self.a)
-        kb = _key_or_none(self.b)
+        ka = key_of(self.a)
+        kb = key_of(self.b)
         if ka is None or kb is None:
             return None
         return ("pairv", ka, kb)
 
     def __repr__(self):
         return "PairV(%r, %r)" % (self.a, self.b)
-
-
-class _InjV:
-    __slots__ = ("val",)
-    _tag = ""
-
-    def __init__(self, val):
-        self.val = val
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.val == other.val
-
-    def __hash__(self):
-        return hash((self._tag, self.val))
-
-    def dist_key(self):
-        k = _key_or_none(self.val)
-        return None if k is None else (self._tag, k)
-
-    def __repr__(self):
-        return "%s(%r)" % (type(self).__name__, self.val)
-
-
-class InlV(_InjV):
-    __slots__ = ()
-    _tag = "inlv"
-
-
-class InrV(_InjV):
-    __slots__ = ()
-    _tag = "inrv"
 
 
 class FunV:
@@ -141,37 +113,12 @@ class FunV:
         return "FunV(<%x>)" % id(self)
 
 
-class _Cell:
-    __slots__ = ("_fn", "_val")
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._val = None
-
-    def force(self):
-        if self._fn is not None:
-            self._val = self._fn()
-            self._fn = None
-        return self._val
-
-
-class FoldV:
+class FoldV(DelayThunk):
     """Value of recursive type; content is computed on first unfold."""
-    __slots__ = ("cell",)
-
-    def __init__(self, fn):
-        self.cell = _Cell(fn)
-
-    def force(self):
-        return self.cell.force()
+    __slots__ = ()
 
     def __repr__(self):
         return "FoldV(<%x>)" % id(self)
-
-
-def _key_or_none(v):
-    dk = getattr(v, "dist_key", None)
-    return dk() if dk is not None else None
 
 
 def _defect(msg, v):
@@ -210,7 +157,7 @@ class Interp:
             return PairV(self.val(t.a, env), self.val(t.b, env))
         if isinstance(t, Inj):
             inner = self.val(t.m, env)
-            return InlV(inner) if t.side == "l" else InrV(inner)
+            return Inl(inner) if t.side == "l" else Inr(inner)
         if isinstance(t, Fold):
             m = t.m
             return FoldV(lambda: self.val(m, env))
@@ -242,14 +189,14 @@ class Interp:
         if isinstance(t, Snd):
             return delay_map(itp(t.m, env), _snd)
         if isinstance(t, Inj):
-            mk = InlV if t.side == "l" else InrV
+            mk = Inl if t.side == "l" else Inr
             return delay_map(itp(t.m, env), mk)
         if isinstance(t, Case):
             left, right = t.left, t.right
             def scrut(v):
-                if isinstance(v, InlV):
+                if isinstance(v, Inl):
                     br, w = left, v.val
-                elif isinstance(v, InrV):
+                elif isinstance(v, Inr):
                     br, w = right, v.val
                 else:
                     _defect("case scrutinee", v)
@@ -333,9 +280,9 @@ def ground_eq(v, w) -> bool:
         raise TypeError("ground_eq on a non-ground value")
     if isinstance(v, PairV) and isinstance(w, PairV):
         return ground_eq(v.a, w.a) and ground_eq(v.b, w.b)
-    if isinstance(v, InlV) and isinstance(w, InlV):
+    if isinstance(v, Inl) and isinstance(w, Inl):
         return ground_eq(v.val, w.val)
-    if isinstance(v, InrV) and isinstance(w, InrV):
+    if isinstance(v, Inr) and isinstance(w, Inr):
         return ground_eq(v.val, w.val)
     return v == w
 

@@ -152,10 +152,6 @@ class Dist:
     def is_keyed(self):
         return all(key_of(v) is not None for _, v in self.entries)
 
-    def scaled(self, c):
-        """Entry list scaled by c (not a Dist; used for renormalization)."""
-        return [(w * c, v) for w, v in self.entries]
-
     def to_json(self, render=None):
         render = render or (lambda v: repr(v))
         return {"dist": [{"w": str(w), "v": render(v)} for w, v in self.entries]}

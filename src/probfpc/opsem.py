@@ -18,7 +18,7 @@ from .syntax import (
 )
 from .typecheck import elaborate
 
-__all__ = ["EvalDefect", "Evaluator", "OpComp", "eval_op", "eval_probterm"]
+__all__ = ["EvalDefect", "Evaluator", "eval_probterm"]
 
 
 class EvalDefect(Exception):
@@ -127,23 +127,6 @@ class Evaluator:
         return v.b
 
 
-class OpComp:
-    """A typechecked term together with its evaluation."""
-    __slots__ = ("term", "ty", "delay")
-
-    def __init__(self, term, ty, delay):
-        self.term = term
-        self.ty = ty
-        self.delay = delay
-
-
-def eval_op(t: Term, evaluator: Evaluator = None) -> OpComp:
-    """Elaborate, typecheck, and evaluate a closed term."""
-    t2, ty = elaborate(t)
-    ev = evaluator if evaluator is not None else Evaluator()
-    return OpComp(t2, ty, ev.eval(t2))
-
-
 def eval_probterm(t: Term, depth: int):
     """Termination-probability sequence of t's evaluation, depths 0..depth."""
-    return probterm_seq(eval_op(t).delay, depth)
+    return probterm_seq(Evaluator().eval(elaborate(t)[0]), depth)

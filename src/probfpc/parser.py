@@ -10,7 +10,7 @@ Sugar handled here, all eliminated during parsing:
   if B then M else N    becomes  case B of {inl _ => M ; inr _ => N}
   true / false          become   inl[Unit + Unit] * / inr[Unit + Unit] *
   case ... of { inr (n, f) => ... }   binds the pair once and turns n and f
-                															into projections
+                                      into projections
 Comments run from `--` to end of line.  The pretty-printer regenerates
 canonical names (x0, x1, ... by binding depth) and reprints beta-redexes of
 annotated lambdas as lets; reparsing a printed term elaborates back to the

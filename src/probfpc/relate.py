@@ -18,13 +18,14 @@ interpret the left program, evaluate the right one, and lift the relation
 at their common type.
 """
 
+from collections import deque
 from fractions import Fraction
 
 from .rational import ZERO, as_uprob
-from .delay import Delay, _split, probterm_seq, run, zeta
+from .delay import Delay, continuation, probterm_seq, run, split
 from .dist import Dist, Inl, Inr
 from .densem import (
-    STANDARD, Interp, NatV, PairV, InlV, InrV, FunV, FoldV, UNIT, val_interp,
+    STANDARD, Interp, NatV, PairV, FunV, FoldV, UNIT, val_interp,
 )
 from .opsem import Evaluator
 from .syntax import (
@@ -68,9 +69,9 @@ def _max_flow(supplies, caps, edges):
     total = ZERO
     while True:
         parent = {src: src}
-        queue = [src]
+        queue = deque([src])
         while queue and snk not in parent:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in adj[u]:
                 if v not in parent and cap[(u, v)] > 0:
                     parent[v] = u
@@ -97,6 +98,14 @@ def _max_flow(supplies, caps, edges):
         if f > 0:
             flow[(i, j)] = f
     return total, flow
+
+
+def _flow(left, right, rel):
+    """Maximum flow of the weighted list left onto the weighted list right
+    along the pairs rel accepts; returns (value, {(i, j): flow})."""
+    edges = [(i, j) for i, (_, a) in enumerate(left)
+             for j, (_, b) in enumerate(right) if rel(a, b)]
+    return _max_flow([w for w, _ in left], [w for w, _ in right], edges)
 
 
 class Coupling:
@@ -134,9 +143,7 @@ def max_coupling(mu, nu, rel, eps):
     left = list(mu.entries) if isinstance(mu, Dist) else list(mu)
     right = list(nu.entries) if isinstance(nu, Dist) else list(nu)
     total = sum((w for w, _ in left), ZERO)
-    edges = [(i, j) for i, (_, a) in enumerate(left)
-             for j, (_, b) in enumerate(right) if rel(a, b)]
-    value, flow = _max_flow([w for w, _ in left], [w for w, _ in right], edges)
+    value, flow = _flow(left, right, rel)
     if value < total - eps:
         return None
     rows = []
@@ -207,18 +214,15 @@ def lift_check(d: Delay, e: Delay, rel, fuel: int, horizon: int, eps) -> LiftVer
     # itself run nested checks, so answers are cached per pair identity
     if not isinstance(rel, _RelCache):
         rel = _RelCache(rel)
-    vals, pend = _split(d)
+    vals, pend = split(d)
     p = sum((w for w, _ in vals), ZERO)
     if p > 0:
         cur = e
         chosen = None
         best = ZERO
         for m in range(horizon + 1):
-            evals, epend = _split(cur)
-            value, flow = _max_flow(
-                [w for w, _ in vals], [w for w, _ in evals],
-                [(i, j) for i, (_, a) in enumerate(vals)
-                 for j, (_, b) in enumerate(evals) if rel(a, b)])
+            evals, epend = split(cur)
+            value, flow = _flow(vals, evals, rel)
             best = value if value > best else best
             if value >= p - eps:
                 chosen = (m, evals, epend, value, flow)
@@ -231,7 +235,7 @@ def lift_check(d: Delay, e: Delay, rel, fuel: int, horizon: int, eps) -> LiftVer
                  "best_flow": str(best), "horizon": horizon, "eps": str(eps)})
         m, evals, epend, flowval, flow = chosen
     else:
-        evals, epend = _split(e)
+        evals, epend = split(e)
         m, flowval, flow = 0, ZERO, {}
     level = {"case": "mixed" if (p > 0 and pend) else
                      ("value-only" if not pend else "delayed-only"),
@@ -246,15 +250,13 @@ def lift_check(d: Delay, e: Delay, rel, fuel: int, horizon: int, eps) -> LiftVer
              for j, (w, b) in enumerate(evals) if w - consumed.get(j, ZERO) > 0]
     resid += [(w, Inr(t)) for w, t in epend]
     rmass = sum((w for w, _ in resid), ZERO)
-    dmass = sum((w for w, _ in pend), ZERO)
     if rmass == 0:
         # right side fully consumed yet d still owes mass: nothing to couple
         # the continuation against
         return LiftVerdict(False, "right side exhausted before left",
                            dict(level, case="no-residue"))
     nu2 = Delay(Dist([(w / rmass, el) for w, el in resid]))
-    dk = zeta(Dist([(w / dmass, t) for w, t in pend])).force()
-    sub = lift_check(dk, nu2, rel, fuel - 1, horizon, eps)
+    sub = lift_check(continuation(pend), nu2, rel, fuel - 1, horizon, eps)
     level["child"] = sub.trace
     return LiftVerdict(sub.holds, sub.reason if not sub.holds else "per-level couplings found",
                        level)
@@ -289,8 +291,8 @@ def default_probes(ty, cap=4):
     if isinstance(ty, UnitT):
         return ((UNIT, Star()),)
     if isinstance(ty, SumT):
-        out = [(InlV(v), Inj("l", V, ty)) for v, V in default_probes(ty.a, cap)]
-        out += [(InrV(v), Inj("r", V, ty)) for v, V in default_probes(ty.b, cap)]
+        out = [(Inl(v), Inj("l", V, ty)) for v, V in default_probes(ty.a, cap)]
+        out += [(Inr(v), Inj("r", V, ty)) for v, V in default_probes(ty.b, cap)]
         return tuple(out[:cap])
     if isinstance(ty, ProdT):
         out = [(PairV(va, vb), Pair(Va, Vb))
@@ -324,9 +326,9 @@ def logrel_val(ty, v, V, cfg: RelateCfg, _fuel=None) -> LiftVerdict:
         return LiftVerdict(lb.holds, lb.reason,
                            {"ty": "product", "fst": la.trace, "snd": lb.trace})
     if isinstance(ty, SumT):
-        if isinstance(v, InlV) and isinstance(V, Inj) and V.side == "l":
+        if isinstance(v, Inl) and isinstance(V, Inj) and V.side == "l":
             return logrel_val(ty.a, v.val, V.m, cfg, fuel)
-        if isinstance(v, InrV) and isinstance(V, Inj) and V.side == "r":
+        if isinstance(v, Inr) and isinstance(V, Inj) and V.side == "r":
             return logrel_val(ty.b, v.val, V.m, cfg, fuel)
         return LiftVerdict(False, "sum tag mismatch", {"ty": "sum"})
     if isinstance(ty, MuT):

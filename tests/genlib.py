@@ -7,7 +7,7 @@ the suites fix their seeds so failures replay.
 from fractions import Fraction
 
 from probfpc.dist import Dist, Inl
-from probfpc.delay import Delay, ChoiceCong, Refl, Seq, StepElim
+from probfpc.delay import Delay, ChoiceCong, Refl, Seq, StepElim, dchoice, now, step_of
 from probfpc.syntax import (
     App, Case, Choice, Fst, Ifz, Inj, Lam, NatT, Num, Pair, ProdT, Snd, Star,
     Suc, SumT, UnitT, Var,
@@ -85,6 +85,33 @@ def gen_term(rng, ty, ctx=(), depth=3):
     a = gen_ground_ty(rng, 1)
     return App(Lam(a, gen_term(rng, ty, ctx + (a,), depth - 1)),
                gen_term(rng, a, ctx, depth - 1))
+
+
+# --- random delay trees ------------------------------------------------------
+
+_GEN_WEIGHTS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+
+
+def random_delay(rng, depth: int = 5, alphabet=(0, 1, 2, 3)) -> Delay:
+    """Finite random delay tree: depth <= 5, branching <= 3, keyed leaves
+    from a small alphabet, weights from a fixed rational set.  Deterministic
+    given the rng's seed."""
+    if depth <= 0:
+        return now(rng.choice(alphabet))
+    kind = rng.randrange(10)
+    if kind < 3:
+        return now(rng.choice(alphabet))
+    if kind < 6:
+        sub = random_delay(rng, depth - 1, alphabet)
+        return step_of(sub)
+    p = rng.choice(_GEN_WEIGHTS)
+    left = random_delay(rng, depth - 1, alphabet)
+    right = random_delay(rng, depth - 1, alphabet)
+    if kind < 9:
+        return dchoice(p, left, right)
+    q = rng.choice(_GEN_WEIGHTS)
+    mid = random_delay(rng, depth - 1, alphabet)
+    return dchoice(p, left, dchoice(q, mid, right))
 
 
 # --- random reduction witnesses ---------------------------------------------

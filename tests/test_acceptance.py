@@ -15,7 +15,7 @@ from probfpc.dist import Dist, Inl, Inr, choice, dirac, dist_eq, dist_map
 from probfpc.dist import LeftOnly, Mixed, RightOnly, decompose_sum, recompose
 from probfpc.delay import (
     check_witness, delay_bind, eqlim_upto, geo, node_eq, prefix_eq, probterm,
-    probterm_seq, random_delay, run, run_n, step_of, value_part,
+    probterm_seq, run, run_n, step_of, value_part,
     witness_for_run,
 )
 from probfpc.densem import STANDARD, STEP_FAITHFUL, Interp, soundness_check
@@ -32,7 +32,7 @@ from probfpc.corpus import (
     head_term, id_hes, omega_nat, randw2_fn, randw_fn, unitize, y_comb,
 )
 
-from genlib import random_witness, witness_steps
+from genlib import random_delay, random_witness, witness_steps
 
 NAT = NatT()
 HALF = Fraction(1, 2)

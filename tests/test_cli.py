@@ -201,16 +201,6 @@ def test_examples_run_unknown_name():
 
 # --- global flags ----------------------------------------------------------------
 
-def test_seed_flag_and_env(monkeypatch):
-    code, out, _ = run(["--seed", "7", "examples", "run", "geo", "--depth", "1"])
-    assert code == 0
-    monkeypatch.setenv("PROBFPC_SEED", "11")
-    assert run(["examples", "run", "geo", "--depth", "1"])[0] == 0
-    monkeypatch.setenv("PROBFPC_SEED", "eleven")
-    code, _, err = run(["examples", "run", "geo", "--depth", "1"])
-    assert code == 0 and "ignoring non-integer PROBFPC_SEED" in err
-
-
 def test_negative_tolerance_rejected():
     with pytest.raises(SystemExit):
         main(["compare", example("coin_harness.pfpc"),

@@ -10,11 +10,11 @@ from probfpc.delay import (
     ChoiceCong, DelayThunk, Refl, Seq, StepElim, TermSeq, WitnessShapeError,
     check_witness, dchoice, delay_bind, delay_map, embed_approx, eqlim_upto,
     geo, hesitant, leqlim_upto, node_eq, now, prefix_eq, probterm, probterm0,
-    probterm_seq, random_delay, run, run_n, step, step_of, value_part,
+    probterm_seq, run, run_n, step, step_of, value_part,
     witness_for_run, witness_from_text, witness_to_text, zeta,
 )
 
-from genlib import random_witness, witness_steps
+from genlib import random_delay, random_witness, witness_steps
 
 HALF = Fraction(1, 2)
 

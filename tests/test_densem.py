@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from probfpc.dist import Inl, Inr
 from probfpc.delay import prefix_eq, probterm, probterm_seq, step_of
 from probfpc.densem import (
-    STANDARD, STEP_FAITHFUL, FoldV, FunV, InlV, InrV, Interp, NatV, PairV,
+    STANDARD, STEP_FAITHFUL, FoldV, FunV, Interp, NatV, PairV,
     UNIT, ground_eq, is_ground_ty, soundness_check, val_interp,
 )
 from probfpc.parser import parse_term, parse_ty
@@ -31,7 +32,7 @@ def test_val_interp_goldens():
     assert val_interp(Star()) is UNIT
     assert val_interp(Num(3)) == NatV(3)
     assert ground_eq(val_interp(elab(parse_term("(1, inl[Nat + Unit] 2)"))),
-                     PairV(NatV(1), InlV(NatV(2))))
+                     PairV(NatV(1), Inl(NatV(2))))
     f = val_interp(elab(Lam(NAT, Suc(Var(0)))))
     assert isinstance(f, FunV)
     d = f.fn(NatV(2))
@@ -44,7 +45,7 @@ def test_val_interp_goldens():
 def test_ground_eq_and_ground_ty():
     assert ground_eq(NatV(2), NatV(2))
     assert not ground_eq(NatV(2), NatV(3))
-    assert not ground_eq(InlV(UNIT), InrV(UNIT))
+    assert not ground_eq(Inl(UNIT), Inr(UNIT))
     assert ground_eq(PairV(NatV(0), UNIT), PairV(NatV(0), UNIT))
     with pytest.raises(TypeError):
         ground_eq(val_interp(elab(Lam(NAT, Var(0)))), NatV(0))

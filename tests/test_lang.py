@@ -261,10 +261,14 @@ def test_example_files_match_builders():
         assert typecheck(elab(loaded)) == typecheck(elab(built)), name
 
 
-def test_readme_table_names_the_shipped_example_files(examples_dir):
+def _readme(examples_dir):
     with open(os.path.join(os.path.dirname(examples_dir), "README.md"),
               encoding="utf-8") as fh:
-        readme = fh.read()
+        return fh.read()
+
+
+def test_readme_table_names_the_shipped_example_files(examples_dir):
+    readme = _readme(examples_dir)
     table = readme.split("## Shipped example files", 1)[1].split("\n## ", 1)[0]
     listed = set(re.findall(r"^\| `examples/([^`]+)` \|", table, re.M))
     shipped = {os.path.basename(f)
@@ -276,3 +280,10 @@ def test_readme_table_names_the_shipped_example_files(examples_dir):
         "in examples/ but not listed in README.md: %s" % sorted(shipped - listed)
     for name in sorted(listed):
         elaborate(load_file(example(name)))
+
+
+def test_readme_fair_listing_is_the_shipped_file(examples_dir):
+    head = "A small program, `examples/fair.pfpc` as shipped:\n\n```\n"
+    listing = _readme(examples_dir).split(head, 1)[1].split("```\n", 1)[0]
+    with open(example("fair.pfpc"), encoding="utf-8") as fh:
+        assert listing == fh.read()

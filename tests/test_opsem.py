@@ -7,10 +7,11 @@ from probfpc.delay import (
     dchoice, eqlim_upto, geo, prefix_eq, probterm, probterm_seq, run,
     step_of, value_part,
 )
+from probfpc.densem import STEP_FAITHFUL, Interp, soundness_check
 from probfpc.opsem import Evaluator, eval_probterm
 from probfpc.parser import parse_term
 from probfpc.syntax import (
-    App, Choice, FnT, Lam, NatT, Num, Star, Suc, UnitT, Var, false_term,
+    App, Choice, FnT, Lam, NatT, Num, Pair, Star, Suc, UnitT, Var, false_term,
     subst, true_term,
 )
 from probfpc.typecheck import elaborate, typecheck
@@ -75,6 +76,22 @@ def test_unfold_fold_costs_one_step():
     d = ev.eval(t)
     assert probterm_seq(d, 2).values == (0, 1, 1)
     assert delivered(d, 1) == [Num(5)]
+
+
+def test_pair_with_a_non_value_component():
+    t = parse_term("(choice 1/2 0 1, 2)")
+    d = Evaluator().eval(elab(t))
+    assert probterm(0, d) == 1
+    assert delivered(d, 0) == [Pair(Num(0), Num(2)), Pair(Num(1), Num(2))]
+    assert soundness_check(t, 4)
+
+
+def test_fold_of_a_non_value_unfolds_in_one_step():
+    t = elab(parse_term("unfold (fold[mu X. Nat] (choice 1/2 0 1))"))
+    d = Evaluator().eval(t)
+    den = probterm_seq(Interp(STEP_FAITHFUL).interp(t), 3)
+    assert probterm_seq(d, 3).values == den.values == (0, 1, 1, 1)
+    assert delivered(d, 1) == [Num(0), Num(1)]
 
 
 def test_ifz_and_arithmetic_are_silent():

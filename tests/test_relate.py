@@ -7,21 +7,23 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.dist import Dist, dirac
+from probfpc.dist import Dist, Inl, dirac
 from probfpc.delay import (
     dchoice, delay_bind, hesitant, leqlim_upto, now, probterm_seq,
-    random_delay, run_n, step_fn, step_of,
+    run_n, step_fn, step_of,
 )
 from probfpc.densem import NatV, UNIT
 from probfpc.relate import (
     RelateCfg, default_probes, lift_check, logrel_val, max_coupling,
     refine_check, refine_probterm,
 )
-from probfpc.syntax import BOOL_T, Fold, Lam, NatT, Num, Star, UnitT, Var
-from probfpc.parser import parse_ty
+from probfpc.syntax import BOOL_T, Fold, Inj, Lam, NatT, Num, Star, UnitT, Var
+from probfpc.parser import parse_term, parse_ty
 from probfpc.typecheck import TypecheckError
 from probfpc.corpus import diverge_term, fair_from, id_hes, unitize, y_comb
 from probfpc.syntax import App
+
+from genlib import random_delay
 
 NAT = NatT()
 HALF = Fraction(1, 2)
@@ -227,6 +229,12 @@ def test_logrel_ground_goldens():
     assert v.holds and "budget" in v.reason
 
 
+def test_logrel_sum_tag_mismatch():
+    ty = parse_ty("Nat + Unit")
+    v = logrel_val(ty, Inl(NatV(0)), Inj("r", Star(), ty), RelateCfg())
+    assert not v.holds and v.reason == "sum tag mismatch"
+
+
 def test_default_probes_shapes():
     assert [V.n for _, V in default_probes(NAT)] == [0, 1, 2, 3]
     assert len(default_probes(UnitT())) == 1
@@ -266,6 +274,15 @@ def test_refine_programs_reflexive():
     from probfpc.corpus import geo_loop
     v = refine_check(geo_loop(HALF), geo_loop(HALF))
     assert v.holds and v.reason == "per-level couplings found"
+
+
+def test_refine_reflexive_at_product_and_sum_types():
+    for src in ("(choice 1/2 0 1, *)",
+                "choice 1/2 (inl[Nat + Unit] 0) (inr[Nat + Unit] *)"):
+        t = parse_term(src)
+        v = refine_check(t, t)
+        assert v.holds and v.reason == "value part coupled"
+        assert v.trace["flow"] == "1" and v.trace["coupled_pairs"] == 2
 
 
 def test_refine_divergence_is_least():
