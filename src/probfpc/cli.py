@@ -38,6 +38,15 @@ def _delay_of(term, mode):
     raise ValueError("unknown mode %r" % mode)
 
 
+class UsageError(Exception):
+    """A bad command line: exit 1 with a `probfpc:` message."""
+
+
+class _ArgParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _print_seq(seq, fmt, approx, out):
     if fmt == "json":
         doc = seq.to_json()
@@ -116,7 +125,13 @@ def cmd_examples(args, out):
         for name, blurb in CATALOGUE:
             out.write("%-14s %s\n" % (name, blurb))
         return 0
-    ty, d = _delay_of(corpus(args.name), args.mode)
+    try:
+        term = corpus(args.name)
+    except KeyError as e:
+        raise UsageError(e.args[0]) from None
+    except ValueError as e:
+        raise UsageError("%s: %s" % (args.name, e)) from None
+    ty, d = _delay_of(term, args.mode)
     out.write("type: %s\n" % pretty_ty(ty))
     seq = probterm_seq(d, args.depth)
     _print_seq(seq, args.format, args.approx, out)
@@ -133,9 +148,19 @@ def _rat(text):
     return v
 
 
+def _nat(text):
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if v < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return v
+
+
 def _add_common(sp, depth=True, fmt=True):
     if depth:
-        sp.add_argument("--depth", type=int, default=64,
+        sp.add_argument("--depth", type=_nat, default=64,
                         help="run depth for termination tables (default 64)")
     if fmt:
         sp.add_argument("--format", choices=("table", "json"), default="table")
@@ -144,7 +169,7 @@ def _add_common(sp, depth=True, fmt=True):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgParser(
         prog="probfpc",
         description="Workbench for a probabilistic language with recursive "
                     "types: typechecking, exact evaluation, termination "
@@ -178,8 +203,8 @@ def build_parser():
                         help="bounded refinement check between two programs")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
-    sp.add_argument("--fuel", type=int, default=6)
-    sp.add_argument("--horizon", type=int, default=64)
+    sp.add_argument("--fuel", type=_nat, default=6)
+    sp.add_argument("--horizon", type=_nat, default=64)
     sp.add_argument("--eps", type=_rat, default=Fraction(1, 1024))
     _add_common(sp, depth=False)
     sp.set_defaults(fn=cmd_refine)
@@ -200,11 +225,10 @@ def build_parser():
 def main(argv=None, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args, out)
-    except (ParseError, TypecheckError, OSError, KeyError) as e:
+    except (UsageError, ParseError, TypecheckError, OSError) as e:
         err.write("probfpc: %s\n" % e)
         return 1
 

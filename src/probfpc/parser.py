@@ -37,6 +37,7 @@ _KEYWORDS = {
 
 _SYM2 = ("=>", "->")
 _SYM1 = "()[]{},;:.=*+/"
+_DIGITS = "0123456789"      # str.isdigit() also admits digits int() rejects
 
 
 class ParseError(Exception):
@@ -79,15 +80,15 @@ def _lex(src):
             while i < n and src[i] != "\n":
                 i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             # decimal literal only when a digit follows the dot, so the
             # dot of "mu X. t" stays a symbol
-            if j + 1 < n and src[j] == "." and src[j + 1].isdigit():
+            if j + 1 < n and src[j] == "." and src[j + 1] in _DIGITS:
                 j += 1
-                while j < n and src[j].isdigit():
+                while j < n and src[j] in _DIGITS:
                     j += 1
             toks.append(_Tok("num", src[i:j], line, col))
             col += j - i
@@ -117,9 +118,12 @@ def _lex(src):
     return toks
 
 
+# the keywords of the one-argument term formers, and their inverse for printing
+_UNARY = {"fst": Fst, "snd": Snd, "suc": Suc, "pred": Pred, "unfold": Unfold}
+_UNARY_KW = {cls: w for w, cls in _UNARY.items()}
+
 # tokens that may begin a prefix-level term, for application runs
-_PREFIX_HEADS = {"fst", "snd", "suc", "pred", "inl", "inr", "fold", "unfold",
-                 "true", "false"}
+_PREFIX_HEADS = set(_UNARY) | {"inl", "inr", "fold", "true", "false"}
 
 
 class _Parser:
@@ -137,25 +141,14 @@ class _Parser:
         self.i += 1
         return t
 
-    def at_sym(self, s):
-        t = self.peek()
-        return t.kind == "sym" and t.text == s
+    def at(self, text):
+        """Whether the next token is the symbol or keyword `text`."""
+        return self.peek().text == text
 
-    def at_kw(self, w):
-        t = self.peek()
-        return t.kind == "ident" and t.text == w
-
-    def eat_sym(self, s):
-        if not self.at_sym(s):
+    def eat(self, text):
+        if not self.at(text):
             t = self.peek()
-            raise ParseError("expected %r, found %r" % (s, t.text or "end of input"),
-                             t.line, t.col)
-        return self.next()
-
-    def eat_kw(self, w):
-        if not self.at_kw(w):
-            t = self.peek()
-            raise ParseError("expected %r, found %r" % (w, t.text or "end of input"),
+            raise ParseError("expected %r, found %r" % (text, t.text or "end of input"),
                              t.line, t.col)
         return self.next()
 
@@ -178,14 +171,14 @@ class _Parser:
 
     def program(self, defs=None):
         defs = dict(defs) if defs else {}
-        while self.at_kw("def"):
+        while self.at("def"):
             t = self.next()
             name = self.eat_ident()
             if name.text in defs:
                 raise ParseError("duplicate def %r" % name.text, name.line, name.col)
-            self.eat_sym("=")
+            self.eat("=")
             body = self.term((), defs)
-            self.eat_sym(";")
+            self.eat(";")
             defs[name.text] = body
         t = self.term((), defs)
         e = self.peek()
@@ -215,71 +208,71 @@ class _Parser:
         return self.app(env, defs)
 
     def lam(self, env, defs):
-        t = self.eat_kw("fn")
+        t = self.eat("fn")
         name = self.eat_ident()
-        self.eat_sym(":")
+        self.eat(":")
         ty = self.ty(())
-        self.eat_sym("=>")
+        self.eat("=>")
         body = self.term(env + (("var", name.text),), defs)
         return Lam(ty, body, pos=(t.line, t.col))
 
     def let(self, env, defs):
-        t = self.eat_kw("let")
+        t = self.eat("let")
         name = self.eat_ident()
-        self.eat_sym("=")
+        self.eat("=")
         rhs = self.term(env, defs)
-        self.eat_kw("in")
+        self.eat("in")
         body = self.term(env + (("var", name.text),), defs)
         return App(Lam(None, body, pos=(t.line, t.col)), rhs, pos=(t.line, t.col))
 
     def ifbool(self, env, defs):
-        t = self.eat_kw("if")
+        t = self.eat("if")
         cond = self.term(env, defs)
-        self.eat_kw("then")
+        self.eat("then")
         yes = self.term(env + (("var", None),), defs)
-        self.eat_kw("else")
+        self.eat("else")
         no = self.term(env + (("var", None),), defs)
         return Case(cond, yes, no, pos=(t.line, t.col))
 
     def ifzero(self, env, defs):
-        t = self.eat_kw("ifz")
+        t = self.eat("ifz")
         cond = self.term(env, defs)
-        self.eat_kw("then")
+        self.eat("then")
         zero = self.term(env, defs)
-        self.eat_kw("else")
+        self.eat("else")
         succ = self.term(env, defs)
         return Ifz(cond, zero, succ, pos=(t.line, t.col))
 
     def case(self, env, defs):
-        t = self.eat_kw("case")
+        t = self.eat("case")
         scrut = self.term(env, defs)
-        self.eat_kw("of")
-        self.eat_sym("{")
-        self.eat_kw("inl")
+        self.eat("of")
+        self.eat("{")
+        self.eat("inl")
         lpat = self.pattern()
-        self.eat_sym("=>")
+        self.eat("=>")
         left = self.term(env + (lpat,), defs)
-        self.eat_sym(";")
-        self.eat_kw("inr")
+        self.eat(";")
+        self.eat("inr")
         rpat = self.pattern()
-        self.eat_sym("=>")
+        self.eat("=>")
         right = self.term(env + (rpat,), defs)
-        self.eat_sym("}")
+        self.eat("}")
         return Case(scrut, left, right, pos=(t.line, t.col))
 
     def pattern(self):
-        if self.at_sym("("):
+        if self.at("("):
             self.next()
             a = self.eat_ident()
-            self.eat_sym(",")
+            self.eat(",")
             b = self.eat_ident()
-            self.eat_sym(")")
+            self.eat(")")
             return ("pair", a.text, b.text)
         name = self.eat_ident()
         return ("var", name.text)
 
     def choice(self, env, defs):
-        t = self.eat_kw("choice")
+        t = self.eat("choice")
         p = self.prob()
         left = self.atom(env, defs)
         right = self.atom(env, defs)
@@ -295,7 +288,7 @@ class _Parser:
                              % (t.text or "end of input"), t.line, t.col)
         self.next()
         text = t.text
-        if self.at_sym("/"):
+        if self.at("/"):
             self.next()
             d = self.peek()
             if d.kind != "num" or "." in d.text:
@@ -329,38 +322,26 @@ class _Parser:
         t = self.peek()
         if t.kind == "ident":
             w = t.text
-            if w == "fst":
+            if w in _UNARY:
                 self.next()
-                return Fst(self.prefix(env, defs), pos=(t.line, t.col))
-            if w == "snd":
-                self.next()
-                return Snd(self.prefix(env, defs), pos=(t.line, t.col))
-            if w == "suc":
-                self.next()
-                return Suc(self.prefix(env, defs), pos=(t.line, t.col))
-            if w == "pred":
-                self.next()
-                return Pred(self.prefix(env, defs), pos=(t.line, t.col))
+                return _UNARY[w](self.prefix(env, defs), pos=(t.line, t.col))
             if w in ("inl", "inr"):
                 self.next()
-                self.eat_sym("[")
+                self.eat("[")
                 ty = self.ty(())
-                self.eat_sym("]")
+                self.eat("]")
                 m = self.prefix(env, defs)
                 return Inj(w[-1], m, ty, pos=(t.line, t.col))
             if w == "fold":
                 self.next()
-                self.eat_sym("[")
+                self.eat("[")
                 ty = self.ty(())
-                self.eat_sym("]")
+                self.eat("]")
                 if not isinstance(ty, MuT):
                     raise ParseError("fold annotation must be a mu type",
                                      t.line, t.col)
                 m = self.prefix(env, defs)
                 return Fold(m, ty, pos=(t.line, t.col))
-            if w == "unfold":
-                self.next()
-                return Unfold(self.prefix(env, defs), pos=(t.line, t.col))
         return self.atom(env, defs)
 
     def atom(self, env, defs):
@@ -373,12 +354,12 @@ class _Parser:
         if t.kind == "sym" and t.text == "(":
             self.next()
             inner = self.term(env, defs)
-            if self.at_sym(","):
+            if self.at(","):
                 self.next()
                 second = self.term(env, defs)
-                self.eat_sym(")")
+                self.eat(")")
                 return Pair(inner, second, pos=(t.line, t.col))
-            self.eat_sym(")")
+            self.eat(")")
             return inner
         if t.kind == "ident":
             if t.text == "true":
@@ -413,7 +394,7 @@ class _Parser:
 
     def ty(self, tenv):
         left = self.ty_sum(tenv)
-        if self.at_sym("->"):
+        if self.at("->"):
             self.next()
             right = self.ty(tenv)
             return FnT(left, right)
@@ -421,27 +402,24 @@ class _Parser:
 
     def ty_sum(self, tenv):
         left = self.ty_prod(tenv)
-        while self.at_sym("+"):
+        while self.at("+"):
             self.next()
             left = SumT(left, self.ty_prod(tenv))
         return left
 
     def ty_prod(self, tenv):
         left = self.ty_atom(tenv)
-        while self.at_sym("*"):
+        while self.at("*"):
             self.next()
             left = ProdT(left, self.ty_atom(tenv))
         return left
 
     def ty_atom(self, tenv):
         t = self.peek()
-        if t.kind == "num" and t.text == "1":
-            self.next()
-            return UnitT()
         if t.kind == "sym" and t.text == "(":
             self.next()
             inner = self.ty(tenv)
-            self.eat_sym(")")
+            self.eat(")")
             return inner
         if t.kind == "ident":
             if t.text == "Unit":
@@ -453,7 +431,7 @@ class _Parser:
             if t.text == "mu":
                 self.next()
                 name = self.eat_ident()
-                self.eat_sym(".")
+                self.eat(".")
                 return MuT(self.ty(tenv + (name.text,)))
             if t.text not in _KEYWORDS:
                 self.next()
@@ -518,18 +496,10 @@ def pretty(t: Term, _depth=0, _prec=0) -> str:
             return "false"
         return wrap("in%s[%s] %s" % (t.side, render_ty(t.ann),
                                      pretty(t.m, _depth, 2)), 1)
-    if isinstance(t, Suc):
-        return wrap("suc %s" % pretty(t.m, _depth, 2), 1)
-    if isinstance(t, Pred):
-        return wrap("pred %s" % pretty(t.m, _depth, 2), 1)
-    if isinstance(t, Fst):
-        return wrap("fst %s" % pretty(t.m, _depth, 2), 1)
-    if isinstance(t, Snd):
-        return wrap("snd %s" % pretty(t.m, _depth, 2), 1)
+    if type(t) in _UNARY_KW:
+        return wrap("%s %s" % (_UNARY_KW[type(t)], pretty(t.m, _depth, 2)), 1)
     if isinstance(t, Fold):
         return wrap("fold[%s] %s" % (render_ty(t.ann), pretty(t.m, _depth, 2)), 1)
-    if isinstance(t, Unfold):
-        return wrap("unfold %s" % pretty(t.m, _depth, 2), 1)
     if isinstance(t, Pair):
         return "(%s, %s)" % (pretty(t.a, _depth, 0), pretty(t.b, _depth, 0))
     if isinstance(t, Ifz):

@@ -4,9 +4,14 @@ Terms use de Bruijn indices internally (surface names are resolved by the
 parser), so alpha-equivalence is plain structural equality and substitution
 of closed values needs no renaming.  Type variables are de Bruijn as well.
 
-Every node caches its structural hash at construction; evaluator and
-interpreter memo tables key on whole closed terms, so hashing must be O(1)
-after build.  Source positions ride along outside equality.
+Every node caches its hash and its structural sort key at construction;
+evaluator and interpreter memo tables key on whole closed terms and
+distributions sort by the key, so both must be O(1) after build.  Equality
+compares the keys.  Source positions ride along outside equality.
+
+A node class states only its data: `_tag`, `_fields`, the fields under a
+binder (`_binders`) and how many trailing fields default to None
+(`_optional`).  `subst`, `ty_shift` and `ty_subst` share `_Node._rebuild`.
 
 Annotation policy: lambda binders, inl/inr (full sum type), and fold (the
 recursive type) always carry their annotation; application argument types
@@ -25,13 +30,29 @@ __all__ = [
 
 
 class _Node:
-    __slots__ = ("pos", "_h")
+    __slots__ = ("pos", "_h", "_k")
     _tag = ""
     _fields = ()
+    _binders = ()
+    _optional = 0
 
-    def _init(self, pos):
+    def __init__(self, *args, pos=None):
+        fields = self._fields
+        missing = len(fields) - len(args)
+        if missing:
+            if not 0 < missing <= self._optional:
+                raise TypeError("%s takes %d fields, got %d"
+                                % (type(self).__name__, len(fields), len(args)))
+            args += (None,) * missing
+        # None annotations encode as a tuple so keys at the same field slot
+        # stay mutually comparable.
+        key = [self._tag]
+        for name, v in zip(fields, args):
+            setattr(self, name, v)
+            key.append(v._k if isinstance(v, _Node) else ("none",) if v is None else v)
         self.pos = pos
-        self._h = hash((self._tag,) + tuple(getattr(self, f) for f in self._fields))
+        self._h = hash((self._tag,) + args)
+        self._k = tuple(key)
 
     def __hash__(self):
         return self._h
@@ -41,20 +62,23 @@ class _Node:
             return True
         if type(self) is not type(other) or self._h != other._h:
             return False
-        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+        return self._k == other._k
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__,
                            ", ".join(repr(getattr(self, f)) for f in self._fields))
 
-    def _key(self):
-        # None annotations encode as a tuple so keys at the same field slot
-        # stay mutually comparable.
-        def enc(f):
-            if isinstance(f, _Node):
-                return f._key()
-            return ("none",) if f is None else f
-        return (self._tag,) + tuple(enc(getattr(self, n)) for n in self._fields)
+    def _rebuild(self, f, depth):
+        """The node with f(child, depth) in each child of its own sort (term
+        or type), at depth + 1 under a binder; other fields are kept."""
+        sort, binders = self._sort, self._binders
+        args = []
+        for n in self._fields:
+            v = getattr(self, n)
+            if isinstance(v, sort):
+                v = f(v, depth + 1 if n in binders else depth)
+            args.append(v)
+        return type(self)(*args)
 
 
 # --- types -----------------------------------------------------------------
@@ -67,82 +91,46 @@ class UnitT(Ty):
     __slots__ = ()
     _tag = "unit"
 
-    def __init__(self, pos=None):
-        self._init(pos)
-
 
 class NatT(Ty):
     __slots__ = ()
     _tag = "nat"
 
-    def __init__(self, pos=None):
-        self._init(pos)
-
 
 class ProdT(Ty):
-    __slots__ = ("a", "b")
+    __slots__ = _fields = ("a", "b")
     _tag = "prod"
-    _fields = ("a", "b")
-
-    def __init__(self, a, b, pos=None):
-        self.a = a
-        self.b = b
-        self._init(pos)
 
 
 class SumT(Ty):
-    __slots__ = ("a", "b")
+    __slots__ = _fields = ("a", "b")
     _tag = "sum"
-    _fields = ("a", "b")
-
-    def __init__(self, a, b, pos=None):
-        self.a = a
-        self.b = b
-        self._init(pos)
 
 
 class FnT(Ty):
-    __slots__ = ("a", "b")
+    __slots__ = _fields = ("a", "b")
     _tag = "fn"
-    _fields = ("a", "b")
-
-    def __init__(self, a, b, pos=None):
-        self.a = a
-        self.b = b
-        self._init(pos)
 
 
 class MuT(Ty):
-    __slots__ = ("body",)
+    __slots__ = _fields = _binders = ("body",)
     _tag = "mu"
-    _fields = ("body",)
-
-    def __init__(self, body, pos=None):
-        self.body = body
-        self._init(pos)
 
 
 class TVarT(Ty):
-    __slots__ = ("k",)
+    __slots__ = _fields = ("k",)
     _tag = "tvar"
-    _fields = ("k",)
-
-    def __init__(self, k, pos=None):
-        self.k = k
-        self._init(pos)
 
 
+Ty._sort = Ty
 BOOL_T = SumT(UnitT(), UnitT())
 
 
 def ty_closed(t: Ty, depth: int = 0) -> bool:
     if isinstance(t, TVarT):
         return t.k < depth
-    if isinstance(t, (UnitT, NatT)):
-        return True
-    if isinstance(t, MuT):
-        return ty_closed(t.body, depth + 1)
-    return ty_closed(t.a, depth) and ty_closed(t.b, depth)
+    return all(ty_closed(getattr(t, n), depth + 1 if n in t._binders else depth)
+               for n in t._fields)
 
 
 def ty_shift(t: Ty, d: int, cutoff: int = 0) -> Ty:
@@ -150,10 +138,7 @@ def ty_shift(t: Ty, d: int, cutoff: int = 0) -> Ty:
         return TVarT(t.k + d) if t.k >= cutoff else t
     if isinstance(t, (UnitT, NatT)):
         return t
-    if isinstance(t, MuT):
-        return MuT(ty_shift(t.body, d, cutoff + 1))
-    cls = type(t)
-    return cls(ty_shift(t.a, d, cutoff), ty_shift(t.b, d, cutoff))
+    return t._rebuild(lambda u, c: ty_shift(u, d, c), cutoff)
 
 
 def ty_subst(t: Ty, s: Ty, j: int = 0) -> Ty:
@@ -163,10 +148,7 @@ def ty_subst(t: Ty, s: Ty, j: int = 0) -> Ty:
         return TVarT(t.k - 1) if t.k > j else t
     if isinstance(t, (UnitT, NatT)):
         return t
-    if isinstance(t, MuT):
-        return MuT(ty_subst(t.body, s, j + 1))
-    cls = type(t)
-    return cls(ty_subst(t.a, s, j), ty_subst(t.b, s, j))
+    return t._rebuild(lambda u, i: ty_subst(u, s, i), j)
 
 
 def mu_unfold(t: MuT) -> Ty:
@@ -210,185 +192,109 @@ class Term(_Node):
     def dist_key(self):
         """Syntactic terms are totally ordered by their structure, so value
         terms always count as keyed distribution elements."""
-        return ("term", self._key())
+        return ("term", self._k)
 
 
 class Star(Term):
     __slots__ = ()
     _tag = "star"
 
-    def __init__(self, pos=None):
-        self._init(pos)
-
 
 class Num(Term):
-    __slots__ = ("n",)
+    __slots__ = _fields = ("n",)
     _tag = "num"
-    _fields = ("n",)
 
     def __init__(self, n, pos=None):
         if n < 0:
             raise ValueError("numerals are naturals")
-        self.n = n
-        self._init(pos)
+        super().__init__(n, pos=pos)
 
 
 class Var(Term):
-    __slots__ = ("k",)
+    __slots__ = _fields = ("k",)
     _tag = "var"
-    _fields = ("k",)
-
-    def __init__(self, k, pos=None):
-        self.k = k
-        self._init(pos)
 
 
 class Suc(Term):
-    __slots__ = ("m",)
+    __slots__ = _fields = ("m",)
     _tag = "suc"
-    _fields = ("m",)
-
-    def __init__(self, m, pos=None):
-        self.m = m
-        self._init(pos)
 
 
 class Pred(Term):
-    __slots__ = ("m",)
+    __slots__ = _fields = ("m",)
     _tag = "pred"
-    _fields = ("m",)
-
-    def __init__(self, m, pos=None):
-        self.m = m
-        self._init(pos)
 
 
 class Ifz(Term):
-    __slots__ = ("cond", "zero", "succ")
+    __slots__ = _fields = ("cond", "zero", "succ")
     _tag = "ifz"
-    _fields = ("cond", "zero", "succ")
-
-    def __init__(self, cond, zero, succ, pos=None):
-        self.cond = cond
-        self.zero = zero
-        self.succ = succ
-        self._init(pos)
 
 
 class Pair(Term):
-    __slots__ = ("a", "b")
+    __slots__ = _fields = ("a", "b")
     _tag = "pair"
-    _fields = ("a", "b")
-
-    def __init__(self, a, b, pos=None):
-        self.a = a
-        self.b = b
-        self._init(pos)
 
 
 class Fst(Term):
-    __slots__ = ("m",)
+    __slots__ = _fields = ("m",)
     _tag = "fst"
-    _fields = ("m",)
-
-    def __init__(self, m, pos=None):
-        self.m = m
-        self._init(pos)
 
 
 class Snd(Term):
-    __slots__ = ("m",)
+    __slots__ = _fields = ("m",)
     _tag = "snd"
-    _fields = ("m",)
-
-    def __init__(self, m, pos=None):
-        self.m = m
-        self._init(pos)
 
 
 class Inj(Term):
     """inl/inr with its full sum type; side is 'l' or 'r'."""
-    __slots__ = ("side", "m", "ann")
+    __slots__ = _fields = ("side", "m", "ann")
     _tag = "inj"
-    _fields = ("side", "m", "ann")
 
     def __init__(self, side, m, ann, pos=None):
         if side not in ("l", "r"):
             raise ValueError("side must be 'l' or 'r'")
-        self.side = side
-        self.m = m
-        self.ann = ann
-        self._init(pos)
+        super().__init__(side, m, ann, pos=pos)
 
 
 class Case(Term):
     """Branches each bind one variable (de Bruijn index 0 inside)."""
-    __slots__ = ("scrut", "left", "right", "ann")
+    __slots__ = _fields = ("scrut", "left", "right", "ann")
     _tag = "case"
-    _fields = ("scrut", "left", "right", "ann")
-
-    def __init__(self, scrut, left, right, ann=None, pos=None):
-        self.scrut = scrut
-        self.left = left
-        self.right = right
-        self.ann = ann
-        self._init(pos)
+    _binders = ("left", "right")
+    _optional = 1
 
 
 class Lam(Term):
-    __slots__ = ("var_ty", "body")
+    __slots__ = _fields = ("var_ty", "body")
     _tag = "lam"
-    _fields = ("var_ty", "body")
-
-    def __init__(self, var_ty, body, pos=None):
-        self.var_ty = var_ty
-        self.body = body
-        self._init(pos)
+    _binders = ("body",)
 
 
 class App(Term):
-    __slots__ = ("fn", "arg", "ann")
+    __slots__ = _fields = ("fn", "arg", "ann")
     _tag = "app"
-    _fields = ("fn", "arg", "ann")
-
-    def __init__(self, fn, arg, ann=None, pos=None):
-        self.fn = fn
-        self.arg = arg
-        self.ann = ann
-        self._init(pos)
+    _optional = 1
 
 
 class Fold(Term):
-    __slots__ = ("m", "ann")
+    __slots__ = _fields = ("m", "ann")
     _tag = "fold"
-    _fields = ("m", "ann")
-
-    def __init__(self, m, ann, pos=None):
-        self.m = m
-        self.ann = ann
-        self._init(pos)
 
 
 class Unfold(Term):
-    __slots__ = ("m",)
+    __slots__ = _fields = ("m",)
     _tag = "unfold"
-    _fields = ("m",)
-
-    def __init__(self, m, pos=None):
-        self.m = m
-        self._init(pos)
 
 
 class Choice(Term):
-    __slots__ = ("p", "left", "right")
+    __slots__ = _fields = ("p", "left", "right")
     _tag = "choice"
-    _fields = ("p", "left", "right")
 
     def __init__(self, p, left, right, pos=None):
-        self.p = as_prob(p)
-        self.left = left
-        self.right = right
-        self._init(pos)
+        super().__init__(as_prob(p), left, right, pos=pos)
+
+
+Term._sort = Term
 
 
 def true_term(pos=None):
@@ -419,32 +325,6 @@ def subst(t: Term, v: Term, k: int = 0) -> Term:
         return Var(t.k - 1) if t.k > k else t
     if isinstance(t, (Star, Num)):
         return t
-    if isinstance(t, Suc):
-        return Suc(subst(t.m, v, k))
-    if isinstance(t, Pred):
-        return Pred(subst(t.m, v, k))
-    if isinstance(t, Ifz):
-        return Ifz(subst(t.cond, v, k), subst(t.zero, v, k), subst(t.succ, v, k))
-    if isinstance(t, Pair):
-        return Pair(subst(t.a, v, k), subst(t.b, v, k))
-    if isinstance(t, Fst):
-        return Fst(subst(t.m, v, k))
-    if isinstance(t, Snd):
-        return Snd(subst(t.m, v, k))
-    if isinstance(t, Inj):
-        return Inj(t.side, subst(t.m, v, k), t.ann)
-    if isinstance(t, Case):
-        return Case(subst(t.scrut, v, k),
-                    subst(t.left, v, k + 1),
-                    subst(t.right, v, k + 1), t.ann)
-    if isinstance(t, Lam):
-        return Lam(t.var_ty, subst(t.body, v, k + 1))
-    if isinstance(t, App):
-        return App(subst(t.fn, v, k), subst(t.arg, v, k), t.ann)
-    if isinstance(t, Fold):
-        return Fold(subst(t.m, v, k), t.ann)
-    if isinstance(t, Unfold):
-        return Unfold(subst(t.m, v, k))
-    if isinstance(t, Choice):
-        return Choice(t.p, subst(t.left, v, k), subst(t.right, v, k))
-    raise TypeError("not a term: %r" % (t,))
+    if not isinstance(t, Term):
+        raise TypeError("not a term: %r" % (t,))
+    return t._rebuild(lambda m, j: subst(m, v, j), k)

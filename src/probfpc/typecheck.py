@@ -115,7 +115,7 @@ def _elab(t: Term, ctx) -> tuple:
         if lty != rty:
             _fail("case branches disagree: %s vs %s"
                   % (render_ty(lty), render_ty(rty)), t.pos)
-        return Case(s, l, r, ann=sty, pos=t.pos), lty
+        return Case(s, l, r, sty, pos=t.pos), lty
     if isinstance(t, Lam):
         if t.var_ty is None:
             _fail("lambda binder needs a type annotation here", t.pos)
@@ -131,7 +131,7 @@ def _elab(t: Term, ctx) -> tuple:
             if t.ann is not None and t.ann != aty:
                 _fail("application annotation %s, argument has %s"
                       % (render_ty(t.ann), render_ty(aty)), t.pos)
-            return App(fn, a, ann=aty, pos=t.pos), bty
+            return App(fn, a, aty, pos=t.pos), bty
         f, fty = _elab(t.fn, ctx)
         _want(fty, FnT, "applied term", t.pos)
         a, aty = _elab(t.arg, ctx)
@@ -141,7 +141,7 @@ def _elab(t: Term, ctx) -> tuple:
         if t.ann is not None and t.ann != aty:
             _fail("application annotation %s, argument has %s"
                   % (render_ty(t.ann), render_ty(aty)), t.pos)
-        return App(f, a, ann=aty, pos=t.pos), fty.b
+        return App(f, a, aty, pos=t.pos), fty.b
     if isinstance(t, Fold):
         ann = _closed_ann(t.ann, "fold", t.pos)
         _want(ann, MuT, "fold annotation", t.pos)

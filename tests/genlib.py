@@ -9,8 +9,8 @@ from fractions import Fraction
 from probfpc.dist import Dist, Inl
 from probfpc.delay import Delay, ChoiceCong, Refl, Seq, StepElim, dchoice, now, step_of
 from probfpc.syntax import (
-    App, Case, Choice, Fst, Ifz, Inj, Lam, NatT, Num, Pair, ProdT, Snd, Star,
-    Suc, SumT, UnitT, Var,
+    App, Case, Choice, Fold, Fst, Ifz, Inj, Lam, MuT, NatT, Num, Pair, Pred,
+    ProdT, Snd, Star, Suc, SumT, TVarT, Unfold, UnitT, Var, _Node,
 )
 
 PROBS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4))
@@ -152,3 +152,90 @@ def witness_steps(w):
     if isinstance(w, Seq):
         return witness_steps(w.first) + witness_steps(w.second)
     return max(witness_steps(w.left), witness_steps(w.right))
+
+
+# --- reference implementations of the node traversals -------------------------
+#
+# The syntax module derives substitution, type substitution and the sort key
+# from each node class's field list.  These are the same operations written
+# out class by class, for the property tests to compare against.
+
+def ref_key(node):
+    """The structural sort key, rebuilt by walking the fields."""
+    def enc(f):
+        if isinstance(f, _Node):
+            return ref_key(f)
+        return ("none",) if f is None else f
+    return (node._tag,) + tuple(enc(getattr(node, n)) for n in node._fields)
+
+
+def ref_ty_closed(t, depth=0):
+    if isinstance(t, TVarT):
+        return t.k < depth
+    if isinstance(t, (UnitT, NatT)):
+        return True
+    if isinstance(t, MuT):
+        return ref_ty_closed(t.body, depth + 1)
+    return ref_ty_closed(t.a, depth) and ref_ty_closed(t.b, depth)
+
+
+def ref_ty_shift(t, d, cutoff=0):
+    if isinstance(t, TVarT):
+        return TVarT(t.k + d) if t.k >= cutoff else t
+    if isinstance(t, (UnitT, NatT)):
+        return t
+    if isinstance(t, MuT):
+        return MuT(ref_ty_shift(t.body, d, cutoff + 1))
+    cls = type(t)
+    return cls(ref_ty_shift(t.a, d, cutoff), ref_ty_shift(t.b, d, cutoff))
+
+
+def ref_ty_subst(t, s, j=0):
+    if isinstance(t, TVarT):
+        if t.k == j:
+            return ref_ty_shift(s, j)
+        return TVarT(t.k - 1) if t.k > j else t
+    if isinstance(t, (UnitT, NatT)):
+        return t
+    if isinstance(t, MuT):
+        return MuT(ref_ty_subst(t.body, s, j + 1))
+    cls = type(t)
+    return cls(ref_ty_subst(t.a, s, j), ref_ty_subst(t.b, s, j))
+
+
+def ref_subst(t, v, k=0):
+    if isinstance(t, Var):
+        if t.k == k:
+            return v
+        return Var(t.k - 1) if t.k > k else t
+    if isinstance(t, (Star, Num)):
+        return t
+    if isinstance(t, Suc):
+        return Suc(ref_subst(t.m, v, k))
+    if isinstance(t, Pred):
+        return Pred(ref_subst(t.m, v, k))
+    if isinstance(t, Ifz):
+        return Ifz(ref_subst(t.cond, v, k), ref_subst(t.zero, v, k),
+                   ref_subst(t.succ, v, k))
+    if isinstance(t, Pair):
+        return Pair(ref_subst(t.a, v, k), ref_subst(t.b, v, k))
+    if isinstance(t, Fst):
+        return Fst(ref_subst(t.m, v, k))
+    if isinstance(t, Snd):
+        return Snd(ref_subst(t.m, v, k))
+    if isinstance(t, Inj):
+        return Inj(t.side, ref_subst(t.m, v, k), t.ann)
+    if isinstance(t, Case):
+        return Case(ref_subst(t.scrut, v, k), ref_subst(t.left, v, k + 1),
+                    ref_subst(t.right, v, k + 1), t.ann)
+    if isinstance(t, Lam):
+        return Lam(t.var_ty, ref_subst(t.body, v, k + 1))
+    if isinstance(t, App):
+        return App(ref_subst(t.fn, v, k), ref_subst(t.arg, v, k), t.ann)
+    if isinstance(t, Fold):
+        return Fold(ref_subst(t.m, v, k), t.ann)
+    if isinstance(t, Unfold):
+        return Unfold(ref_subst(t.m, v, k))
+    if isinstance(t, Choice):
+        return Choice(t.p, ref_subst(t.left, v, k), ref_subst(t.right, v, k))
+    raise TypeError("not a term: %r" % (t,))

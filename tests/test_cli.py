@@ -197,12 +197,55 @@ def test_examples_run_with_arguments():
 def test_examples_run_unknown_name():
     code, _, err = run(["examples", "run", "nonesuch"])
     assert code == 1 and err.startswith("probfpc:")
+    assert err == "probfpc: unknown corpus entry 'nonesuch'\n"
+    for name in ("randw(x)", "geo(2)", "geo(1/0)"):
+        code, out, err = run(["examples", "run", name])
+        assert (code, out) == (1, "")
+        assert err.startswith("probfpc: %s: " % name) and err.count("\n") == 1
 
 
 # --- global flags ----------------------------------------------------------------
 
 def test_negative_tolerance_rejected():
-    with pytest.raises(SystemExit):
-        main(["compare", example("coin_harness.pfpc"),
-              example("coin_harness.pfpc"), "--eps=-1/2"],
-             out=io.StringIO(), err=io.StringIO())
+    code, out, err = run(["compare", example("coin_harness.pfpc"),
+                          example("coin_harness.pfpc"), "--eps=-1/2"])
+    assert (code, out) == (1, "")
+    assert err == "probfpc: argument --eps: eps must be >= 0\n"
+
+
+def test_negative_budgets_rejected():
+    coin = example("coin_harness.pfpc")
+    for argv in (["compare", coin, coin, "--depth", "-1"],
+                 ["probterm", coin, "--depth=-3"],
+                 ["refine", coin, coin, "--fuel", "-1"],
+                 ["refine", coin, coin, "--horizon", "-1"]):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("probfpc: argument --") and err.endswith("must be >= 0\n")
+    code, _, err = run(["probterm", coin, "--depth", "two"])
+    assert code == 1 and err == "probfpc: argument --depth: not an integer: 'two'\n"
+    code, _, _ = run(["compare", coin, coin, "--depth", "0"])
+    assert code == 0
+
+
+def test_usage_errors_exit_1_with_prefix():
+    for argv in ([], ["bogus"], ["check"], ["probterm", example("geo.pfpc"), "--mode", "x"],
+                 ["check", example("geo.pfpc"), "--nosuch"]):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("probfpc: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"], out=io.StringIO(), err=io.StringIO())
+    assert exc.value.code == 0
+    assert "usage: probfpc" in capsys.readouterr().out
+
+
+def test_unicode_digit_is_a_stray_character(tmp_path):
+    f = tmp_path / "sup.pfpc"
+    f.write_text("suc \u00b2\n", encoding="utf-8")
+    code, out, err = run(["check", str(f)])
+    assert (code, out) == (1, "")
+    assert err == "probfpc: line 1, col 5: stray character '\u00b2'\n"

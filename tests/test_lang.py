@@ -94,6 +94,13 @@ def test_parse_errors():
         assert "line" in str(exc.value)
 
 
+def test_one_is_not_a_type():
+    with pytest.raises(ParseError) as exc:
+        parse_ty("1")
+    assert "expected a type" in str(exc.value)
+    assert parse_ty("Unit * Unit") == ProdT(UnitT(), UnitT())
+
+
 def test_defs_expand_at_use():
     t = parse_program("def two = 2 ; (two, two)")
     assert t == Pair(Num(2), Num(2))
