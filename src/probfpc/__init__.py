@@ -19,8 +19,8 @@ from .dist import (
 )
 from .delay import (
     Delay, DelayThunk, now, step, step_fn, step_of, dchoice, delay_bind,
-    delay_map, zeta, run, run_n, probterm0, probterm, TermSeq, probterm_seq,
-    value_part, Refl, StepElim, Seq, ChoiceCong, WitnessShapeError,
+    delay_map, zeta, run, run_n, Frontier, probterm0, probterm, TermSeq,
+    probterm_seq, value_part, Refl, StepElim, Seq, ChoiceCong, WitnessShapeError,
     check_witness, witness_for_run, witness_to_text, witness_from_text,
     embed_approx, leqlim_upto, eqlim_upto, geo, hesitant, prefix_eq, node_eq,
 )
@@ -41,7 +41,7 @@ from .densem import (
 )
 from .relate import (
     Coupling, max_coupling, LiftVerdict, lift_check, RelateCfg,
-    default_probes, logrel_val, refine_check, refine_probterm,
+    default_probes, logrel_val, refine_check,
 )
 from .corpus import (
     CATALOGUE, corpus, y_comb, id_hes, fair_from, geo_loop, geo_chain,

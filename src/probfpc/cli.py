@@ -131,6 +131,9 @@ def cmd_examples(args, out):
         raise UsageError(e.args[0]) from None
     except ValueError as e:
         raise UsageError("%s: %s" % (args.name, e)) from None
+    except ParseError as e:
+        # a bad type argument: its position inside the argument means nothing
+        raise UsageError("%s: %s" % (args.name, e.msg)) from None
     ty, d = _delay_of(term, args.mode)
     out.write("type: %s\n" % pretty_ty(ty))
     seq = probterm_seq(d, args.depth)

@@ -211,18 +211,32 @@ CATALOGUE = (
 )
 
 
-def _parse_args(text):
-    if not text:
-        return []
-    return [a.strip() for a in text.split(",")]
+def _parse_call(name):
+    """Split "base" or "base(a, b)" into the base and its argument list.
+    The list runs to the last ')', which must end the name; arguments are
+    comma-separated (types contain no commas)."""
+    base, paren, rest = name.partition("(")
+    if not paren:
+        return base.strip(), []
+    inner, close, after = rest.rpartition(")")
+    if not close:
+        raise ValueError("missing ')' after the arguments")
+    if after.strip():
+        raise ValueError("unexpected text after ')': %r" % after.strip())
+    inner = inner.strip()
+    return base.strip(), [a.strip() for a in inner.split(",")] if inner else []
+
+
+_ARITY = {"geo": 1, "id_hes": 2, "fair_from": 1, "randw": 1, "randw2": 1,
+          "everysnd": 0, "lazylist-ops": 0, "diverge": 0}
 
 
 def corpus(name: str) -> Term:
     """Catalogue lookup; optional arguments in parentheses, see CATALOGUE."""
-    base, _, rest = name.partition("(")
-    base = base.strip()
-    args = _parse_args(rest[:-1].strip()) if rest.endswith(")") else \
-        _parse_args(rest.strip().rstrip(")"))
+    base, args = _parse_call(name)
+    if len(args) > _ARITY.get(base, len(args)):
+        raise ValueError("takes at most %d argument(s), got %d"
+                         % (_ARITY[base], len(args)))
     if base == "geo":
         p = parse_rat(args[0]) if args else Fraction(1, 2)
         return geo_loop(p)

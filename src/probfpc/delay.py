@@ -9,6 +9,12 @@ pending entries stay formal, and all deep comparisons go through
 ``prefix_eq``, which compares the canonical (value part, delayed mass,
 combined continuation) decomposition level by level.
 
+``run`` is the paper's one-layer elimination.  Every "run n levels and
+look" loop goes through ``Frontier`` instead: run is the identity on
+delivered values, so the frontier keeps their mass as one scalar and
+carries only the pending thunks from level to level, which makes
+termination tables cost time linear in depth.
+
 Also here: the fuelled step-reduction witnesses (ν ⤳ ν'), the bounded
 approximate-reduction search ``embed_approx``, termination-probability
 sequences, and the bounded limit comparison leqlim/eqlim.
@@ -21,12 +27,12 @@ from .dist import Dist, Inl, Inr, dirac, choice, dist_bind, key_of
 
 __all__ = [
     "DelayThunk", "Delay", "now", "step", "step_fn", "step_of", "dchoice",
-    "delay_bind", "delay_map", "zeta", "run", "run_n", "probterm0", "probterm",
-    "TermSeq", "probterm_seq", "value_part", "Refl", "StepElim", "Seq",
-    "ChoiceCong", "WitnessShapeError", "check_witness", "witness_for_run",
-    "witness_to_text", "witness_from_text", "embed_approx", "leqlim_upto",
-    "eqlim_upto", "geo", "hesitant", "prefix_eq", "node_eq", "split",
-    "continuation",
+    "delay_bind", "delay_map", "zeta", "run", "run_n", "Frontier",
+    "probterm0", "probterm", "TermSeq", "probterm_seq", "value_part", "Refl",
+    "StepElim", "Seq", "ChoiceCong", "WitnessShapeError", "check_witness",
+    "witness_for_run", "witness_to_text", "witness_from_text", "embed_approx",
+    "leqlim_upto", "eqlim_upto", "geo", "hesitant", "prefix_eq", "node_eq",
+    "split", "continuation",
 ]
 
 
@@ -139,13 +145,93 @@ def run_n(d: Delay, n: int) -> Delay:
     return d
 
 
+class Frontier:
+    """A delay tree run level by level, keeping only what later runs need.
+
+    Holds the delivered mass as one exact scalar and the pending thunks,
+    merged by identity in first-occurrence order, each with its total
+    weight; the entries pin their thunks, so ids stay valid.  ``step()``
+    is one ``run``: it forces each pending thunk once, in order, and checks
+    that delivered plus pending mass is exactly 1, as ``Dist`` does.
+
+    With ``values=True`` the delivered values are also folded, merged by
+    ``key_of`` (unkeyed ones by the identity of their ``Inl``), and
+    ``values()`` lists them as ``split(run_n(d, m))[0]`` does: keyed values
+    sorted by key, then unkeyed ones in tree order.  Tree order is kept by
+    a position per entry, (parent position, index in its node).
+    """
+    __slots__ = ("mass", "_pending", "_keyed", "_unkeyed")
+
+    def __init__(self, d: Delay, values=False):
+        self.mass = ZERO
+        self._pending = {}      # id(thunk) -> [weight, thunk, position]
+        self._keyed = {} if values else None    # key -> [weight, value]
+        self._unkeyed = {}      # id(Inl) -> [weight, Inl, root-first path]
+        self._absorb(((ONE, d, ()),))
+
+    def step(self):
+        """Run one level; returns the level's deliveries [(w, value)]."""
+        return self._absorb([(w, t.force(), pos)
+                             for w, t, pos in self._pending.values()])
+
+    def _absorb(self, forced):
+        mass, pending, new = self.mass, {}, []
+        for w, d, pos in forced:
+            for j, (w2, el) in enumerate(d.node.entries):
+                w2 = w * w2
+                if isinstance(el, Inl):
+                    mass += w2
+                    new.append((w2, el, (pos, j)))
+                elif id(el.val) in pending:
+                    pending[id(el.val)][0] += w2
+                else:
+                    pending[id(el.val)] = [w2, el.val, (pos, j)]
+        total = sum((w for w, _, _ in pending.values()), mass)
+        if total != ONE:
+            raise ValueError("distribution weights sum to %s, not 1" % total)
+        self.mass, self._pending = mass, pending
+        if self._keyed is not None:
+            for w, el, pos in new:
+                self._fold(w, el, pos)
+        return [(w, el.val) for w, el, _ in new]
+
+    def _fold(self, w, el, pos):
+        k = key_of(el.val)
+        if k is not None:
+            self._keyed.setdefault(k, [ZERO, el.val])[0] += w
+            return
+        path = []
+        while pos:
+            pos, j = pos
+            path.append(j)
+        path = tuple(reversed(path))
+        hit = self._unkeyed.setdefault(id(el), [ZERO, el, path])
+        hit[0] += w
+        hit[2] = min(hit[2], path)
+
+    def values(self):
+        """Delivered values [(w, a)] in canonical order; needs values=True."""
+        out = [(w, a) for _, (w, a) in sorted(self._keyed.items(),
+                                               key=lambda kv: kv[0])]
+        out += [(w, el.val) for w, el, _ in sorted(self._unkeyed.values(),
+                                                    key=lambda r: r[2])]
+        return out
+
+    def pendings(self):
+        """Pending thunks [(w, t)] in first-occurrence order."""
+        return [(w, t) for w, t, _ in self._pending.values()]
+
+
 def probterm0(d: Delay) -> Fraction:
     return sum((w for w, el in d.node.entries if isinstance(el, Inl)),
                Fraction(0))
 
 
 def probterm(n: int, d: Delay) -> Fraction:
-    return probterm0(run_n(d, n))
+    f = Frontier(d)
+    for _ in range(n):
+        f.step()
+    return f.mass
 
 
 class TermSeq:
@@ -170,11 +256,11 @@ class TermSeq:
 
 
 def probterm_seq(d: Delay, n: int) -> TermSeq:
-    out = []
-    cur = d
-    for _ in range(n + 1):
-        out.append(probterm0(cur))
-        cur = run(cur)
+    f = Frontier(d)
+    out = [f.mass]
+    for _ in range(n):
+        f.step()
+        out.append(f.mass)
     return TermSeq(out)
 
 
@@ -196,8 +282,10 @@ def continuation(pend) -> Delay:
 def value_part(d: Delay, n: int):
     """Mass delivered within n runs, together with the delivered weighted
     values (weights unnormalized)."""
-    vals, _ = split(run_n(d, n))
-    return sum((w for w, _ in vals), Fraction(0)), tuple(vals)
+    f = Frontier(d, values=True)
+    for _ in range(n):
+        f.step()
+    return f.mass, tuple(f.values())
 
 
 # --- fuelled step reduction ----------------------------------------------
@@ -377,15 +465,15 @@ def embed_approx(d: Delay, target, horizon: int, eps) -> "int | None":
     exhausted (which does NOT refute approximate reducibility)."""
     eps = as_uprob(eps)
     want = _merge_by_key(target)
-    cur = d
+    f = Frontier(d, values=True)
     for m in range(horizon + 1):
-        vals, _ = split(cur)
-        have = _merge_by_key(vals)
+        if m:
+            f.step()
+        have = _merge_by_key(f.values())
         short = sum((max(ZERO, tw - have.get(k, ZERO)) for k, tw in want.items()),
                     Fraction(0))
         if short <= eps:
             return m
-        cur = run(cur)
     return None
 
 

@@ -22,7 +22,7 @@ from collections import deque
 from fractions import Fraction
 
 from .rational import ZERO, as_uprob
-from .delay import Delay, continuation, probterm_seq, run, split
+from .delay import Delay, Frontier, continuation, split
 from .dist import Dist, Inl, Inr
 from .densem import (
     STANDARD, Interp, NatV, PairV, FunV, FoldV, UNIT, val_interp,
@@ -37,7 +37,6 @@ from .typecheck import TypecheckError, elaborate
 __all__ = [
     "Coupling", "max_coupling", "LiftVerdict", "lift_check",
     "RelateCfg", "default_probes", "logrel_val", "refine_check",
-    "refine_probterm",
 ]
 
 
@@ -216,27 +215,27 @@ def lift_check(d: Delay, e: Delay, rel, fuel: int, horizon: int, eps) -> LiftVer
         rel = _RelCache(rel)
     vals, pend = split(d)
     p = sum((w for w, _ in vals), ZERO)
+    front = Frontier(e, values=True)
+    evals = front.values()
+    m, flowval, flow = 0, ZERO, {}
     if p > 0:
-        cur = e
-        chosen = None
         best = ZERO
-        for m in range(horizon + 1):
-            evals, epend = split(cur)
-            value, flow = _flow(vals, evals, rel)
-            best = value if value > best else best
-            if value >= p - eps:
-                chosen = (m, evals, epend, value, flow)
+        while True:
+            flowval, flow = _flow(vals, evals, rel)
+            best = flowval if flowval > best else best
+            if flowval >= p - eps:
                 break
-            cur = run(cur)
-        if chosen is None:
-            return LiftVerdict(
-                False, "no coupling within horizon",
-                {"case": "no-coupling", "fuel": fuel, "value_mass": str(p),
-                 "best_flow": str(best), "horizon": horizon, "eps": str(eps)})
-        m, evals, epend, flowval, flow = chosen
-    else:
-        evals, epend = split(e)
-        m, flowval, flow = 0, ZERO, {}
+            # a level that delivers nothing leaves the flow as it was
+            new = None
+            while not new and m < horizon:
+                m += 1
+                new = front.step()
+            if not new:
+                return LiftVerdict(
+                    False, "no coupling within horizon",
+                    {"case": "no-coupling", "fuel": fuel, "value_mass": str(p),
+                     "best_flow": str(best), "horizon": horizon, "eps": str(eps)})
+            evals = front.values()
     level = {"case": "mixed" if (p > 0 and pend) else
                      ("value-only" if not pend else "delayed-only"),
              "fuel": fuel, "m": m, "value_mass": str(p), "flow": str(flowval),
@@ -248,7 +247,7 @@ def lift_check(d: Delay, e: Delay, rel, fuel: int, horizon: int, eps) -> LiftVer
         consumed[j] = consumed.get(j, ZERO) + f
     resid = [(w - consumed.get(j, ZERO), Inl(b))
              for j, (w, b) in enumerate(evals) if w - consumed.get(j, ZERO) > 0]
-    resid += [(w, Inr(t)) for w, t in epend]
+    resid += [(w, Inr(t)) for w, t in front.pendings()]
     rmass = sum((w for w, _ in resid), ZERO)
     if rmass == 0:
         # right side fully consumed yet d still owes mass: nothing to couple
@@ -384,15 +383,3 @@ def refine_check(a, b, cfg: RelateCfg = None) -> LiftVerdict:
                       lambda x, Y: logrel_val(ty_a, x, Y, cfg).holds,
                       cfg.fuel, cfg.horizon, cfg.eps)
 
-
-def refine_probterm(a, b, a_depth: int, b_depth: int, eps) -> bool:
-    """Termination-probability refinement of Unit programs: every level of
-    a's sequence is dominated, up to eps, by some level of b's."""
-    from .delay import leqlim_upto
-    a2, ty_a = elaborate(a)
-    b2, ty_b = elaborate(b)
-    if not isinstance(ty_a, UnitT) or not isinstance(ty_b, UnitT):
-        raise TypecheckError("refine_probterm needs Unit programs")
-    fa = probterm_seq(Evaluator().eval(a2), a_depth)
-    fb = probterm_seq(Evaluator().eval(b2), b_depth)
-    return leqlim_upto(fa, fb, eps)

@@ -1,8 +1,4 @@
 import os
-import sys
-
-# deep but finite delay trees force recursively
-sys.setrecursionlimit(20000)
 
 import pytest
 

@@ -6,8 +6,10 @@ the suites fix their seeds so failures replay.
 
 from fractions import Fraction
 
-from probfpc.dist import Dist, Inl
-from probfpc.delay import Delay, ChoiceCong, Refl, Seq, StepElim, dchoice, now, step_of
+from probfpc.dist import Dist, Inl, Inr, dirac
+from probfpc.delay import (
+    Delay, DelayThunk, ChoiceCong, Refl, Seq, StepElim, dchoice, now, step_of,
+)
 from probfpc.syntax import (
     App, Case, Choice, Fold, Fst, Ifz, Inj, Lam, MuT, NatT, Num, Pair, Pred,
     ProdT, Snd, Star, Suc, SumT, TVarT, Unfold, UnitT, Var, _Node,
@@ -112,6 +114,43 @@ def random_delay(rng, depth: int = 5, alphabet=(0, 1, 2, 3)) -> Delay:
     q = rng.choice(_GEN_WEIGHTS)
     mid = random_delay(rng, depth - 1, alphabet)
     return dchoice(p, left, dchoice(q, mid, right))
+
+
+class Opaque:
+    """An unkeyed carrier element: no sort key, compared by identity."""
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return "Opaque(%s)" % self.name
+
+
+OPAQUE = tuple(Opaque(c) for c in "abc")
+
+
+def shared_delay(rng, depth: int = 4, pool=None) -> Delay:
+    """Random delay tree whose steps rejoin: pending entries reach a pool of
+    three shared thunks, each time through a fresh Inr object, and the pool's
+    trees may step back into the pool, so the tree is infinite.  Leaves mix
+    keyed numerals and unkeyed Opaque elements, each leaf its own Inl.  Built
+    eagerly, so it is deterministic given the rng's seed whatever order the
+    thunks are later forced in."""
+    if pool is None:
+        bodies = []
+        pool = [DelayThunk(lambda i=i: bodies[i]) for i in range(3)]
+        bodies.extend(shared_delay(rng, 3, pool) for _ in pool)
+    kind = rng.randrange(8)
+    if depth <= 0 or kind < 2:
+        return now(rng.choice((0, 1, 2) + OPAQUE))
+    if kind < 4:
+        return Delay(dirac(Inr(rng.choice(pool))))
+    if kind < 5:
+        return step_of(shared_delay(rng, depth - 1, pool))
+    p = rng.choice(_GEN_WEIGHTS)
+    return dchoice(p, shared_delay(rng, depth - 1, pool),
+                   shared_delay(rng, depth - 1, pool))
 
 
 # --- random reduction witnesses ---------------------------------------------

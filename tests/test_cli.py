@@ -2,10 +2,13 @@
 
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from probfpc.cli import main
+from probfpc.corpus import CATALOGUE
 
 from conftest import example
 
@@ -202,6 +205,49 @@ def test_examples_run_unknown_name():
         code, out, err = run(["examples", "run", name])
         assert (code, out) == (1, "")
         assert err.startswith("probfpc: %s: " % name) and err.count("\n") == 1
+    for name, reason in (("geo(2/3", "missing ')' after the arguments"),
+                         ("geo(2/3)x", "unexpected text after ')': 'x'"),
+                         ("geo(1/2,5)", "takes at most 1 argument(s), got 2"),
+                         ("diverge(1)", "takes at most 0 argument(s), got 1")):
+        assert run(["examples", "run", name, "--depth", "2"]) == \
+            (1, "", "probfpc: %s: %s\n" % (name, reason))
+
+
+def test_examples_run_rejects_surplus_arguments_for_every_entry():
+    for name, _ in CATALOGUE:
+        code, out, err = run(["examples", "run", name + "(1,1,1)", "--depth", "1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("probfpc: %s(1,1,1): takes at most " % name)
+
+
+def test_examples_run_bad_type_argument_names_the_entry():
+    assert run(["examples", "run", "id_hes(1/2,Foo)"]) == \
+        (1, "", "probfpc: id_hes(1/2,Foo): unknown type variable 'Foo'\n")
+
+
+# --- deep tables at the default recursion limit ------------------------------------
+
+def test_deep_geo_tables_match_the_closed_form():
+    # three steps per round, the first value after two: r rounds by depth d
+    assert sys.getrecursionlimit() <= 1000
+    want = []
+    for d in range(5001):
+        r = 0 if d < 2 else (d - 2) // 3 + 1
+        want.append("%5d  %s" % (d, 1 - Fraction(1, 3) ** r))
+    for mode in ("op", "den-steps"):
+        code, out, err = run(["examples", "run", "geo(2/3)", "--depth", "5000",
+                              "--mode", mode])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["type: Nat", "depth  probterm"] + want
+
+
+def test_deep_compare_op_against_den_steps():
+    assert sys.getrecursionlimit() <= 1000
+    harness = example("fair_harness.pfpc")
+    code, out, err = run(["compare", harness, harness, "--mode-a", "op",
+                          "--mode-b", "den-steps", "--depth", "5000"])
+    assert (code, err) == (0, "")
+    assert out.startswith("eqlim holds at eps=1/1024, depth=5000 ")
 
 
 # --- global flags ----------------------------------------------------------------

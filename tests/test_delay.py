@@ -5,16 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+from probfpc.cli import _delay_of
+from probfpc.corpus import CATALOGUE, corpus
 from probfpc.dist import Dist, Inl, Inr, dirac
 from probfpc.delay import (
-    ChoiceCong, DelayThunk, Refl, Seq, StepElim, TermSeq, WitnessShapeError,
-    check_witness, dchoice, delay_bind, delay_map, embed_approx, eqlim_upto,
-    geo, hesitant, leqlim_upto, node_eq, now, prefix_eq, probterm, probterm0,
-    probterm_seq, run, run_n, step, step_of, value_part,
-    witness_for_run, witness_from_text, witness_to_text, zeta,
+    ChoiceCong, Delay, DelayThunk, Frontier, Refl, Seq, StepElim, TermSeq,
+    WitnessShapeError, check_witness, dchoice, delay_bind, delay_map,
+    embed_approx, eqlim_upto, geo, hesitant, leqlim_upto, node_eq, now,
+    prefix_eq, probterm, probterm0, probterm_seq, run, run_n, split, step,
+    step_of, value_part, witness_for_run, witness_from_text, witness_to_text,
+    zeta,
 )
 
-from genlib import random_delay, random_witness, witness_steps
+from genlib import (
+    OPAQUE, random_delay, random_witness, shared_delay, witness_steps,
+)
 
 HALF = Fraction(1, 2)
 
@@ -99,6 +104,90 @@ def test_termseq_json_shape():
     assert seq.to_json() == {"depths": [0, 1, 2],
                              "probterm": ["1/2", "3/4", "7/8"]}
     assert len(seq) == 3 and list(seq) == [HALF, Fraction(3, 4), Fraction(7, 8)]
+
+
+# --- the frontier against the literal run --------------------------------------
+
+FRONTIER_DEPTH = 10
+
+
+def frontier_cases():
+    """(label, delay tree) pairs: 300 random trees with keyed and unkeyed
+    leaves, 100 trees whose steps rejoin through shared thunks, and every
+    catalogue program in the three semantics."""
+    rng = random.Random(60)
+    for i in range(300):
+        yield "random %d" % i, random_delay(rng, alphabet=(0, 1, 2, 3) + OPAQUE)
+    for i in range(100):
+        yield "shared %d" % i, shared_delay(rng)
+    for name, _ in CATALOGUE:
+        for mode in ("op", "den", "den-steps"):
+            yield "%s %s" % (name, mode), _delay_of(corpus(name), mode)[1]
+
+
+def literal_levels(d):
+    """split(run_n(d, m)) for m = 0..FRONTIER_DEPTH."""
+    for _ in range(FRONTIER_DEPTH + 1):
+        yield split(d)
+        d = run(d)
+
+
+def test_frontier_probterm_is_literal_probterm():
+    for label, d in frontier_cases():
+        seq = probterm_seq(d, FRONTIER_DEPTH)
+        for m in range(FRONTIER_DEPTH + 1):
+            assert seq[m] == probterm0(run_n(d, m)), (label, m)
+        assert probterm(FRONTIER_DEPTH, d) == seq[FRONTIER_DEPTH], label
+
+
+def test_frontier_values_are_the_literal_value_part():
+    # in order, weight for weight, and the very objects run keeps
+    for label, d in frontier_cases():
+        f = Frontier(d, values=True)
+        for m, (vals, _) in enumerate(literal_levels(d)):
+            if m:
+                f.step()
+            got = f.values()
+            assert [w for w, _ in got] == [w for w, _ in vals], (label, m)
+            assert all(a is b for (_, a), (_, b) in zip(got, vals)), (label, m)
+            assert f.mass == sum((w for w, _ in vals), Fraction(0)), (label, m)
+
+
+def test_frontier_pending_mass_per_thunk_is_literal():
+    for label, d in frontier_cases():
+        f = Frontier(d)
+        for m, (_, pend) in enumerate(literal_levels(d)):
+            if m:
+                f.step()
+            want = {}
+            for w, t in pend:
+                want[id(t)] = want.get(id(t), Fraction(0)) + w
+            got = f.pendings()
+            # one entry per thunk, in the order run first reaches them
+            assert [id(t) for _, t in got] == list(want), (label, m)
+            assert [w for w, _ in got] == list(want.values()), (label, m)
+
+
+def test_frontier_step_returns_the_level_deliveries():
+    f = Frontier(dchoice(Fraction(1, 3), step_of(now(0)), step_of(step_of(now(1)))))
+    assert f.mass == 0 and len(f.pendings()) == 2
+    assert f.step() == [(Fraction(1, 3), 0)] and f.mass == Fraction(1, 3)
+    assert f.step() == [(Fraction(2, 3), 1)] and f.pendings() == []
+    assert f.step() == [] and f.mass == 1
+
+
+def test_frontier_checks_mass_as_dist_does():
+    class HalfNode:
+        entries = ((HALF, Inl(0)),)
+
+    d = step(DelayThunk(lambda: Delay(HalfNode())))
+    with pytest.raises(ValueError) as literal:
+        run(d)
+    f = Frontier(d)
+    with pytest.raises(ValueError) as frontier:
+        f.step()
+    assert str(frontier.value) == str(literal.value) == \
+        "distribution weights sum to 1/2, not 1"
 
 
 # --- zeta -------------------------------------------------------------------

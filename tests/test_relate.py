@@ -15,13 +15,12 @@ from probfpc.delay import (
 from probfpc.densem import NatV, UNIT
 from probfpc.relate import (
     RelateCfg, default_probes, lift_check, logrel_val, max_coupling,
-    refine_check, refine_probterm,
+    refine_check,
 )
 from probfpc.syntax import BOOL_T, Fold, Inj, Lam, NatT, Num, Star, UnitT, Var
 from probfpc.parser import parse_term, parse_ty
 from probfpc.typecheck import TypecheckError
-from probfpc.corpus import diverge_term, fair_from, id_hes, unitize, y_comb
-from probfpc.syntax import App
+from probfpc.corpus import diverge_term, id_hes, y_comb
 
 from genlib import random_delay
 
@@ -294,12 +293,3 @@ def test_refine_no_probes_at_higher_order_argument():
     v = refine_check(y_comb(NAT, NAT), y_comb(NAT, NAT))
     assert not v.holds and "no probes" in v.reason
 
-
-def test_refine_probterm():
-    harness = unitize(App(fair_from(Fraction(1, 3)), Star()), BOOL_T)
-    assert refine_probterm(harness, harness, 64, 64, 0)
-    assert refine_probterm(diverge_term(), Star(), 16, 16, 0)
-    assert not refine_probterm(Star(), diverge_term(), 16, 16, HALF)
-    assert refine_probterm(harness, Star(), 64, 0, Fraction(1, 4))
-    with pytest.raises(TypecheckError):
-        refine_probterm(Num(0), Num(0), 4, 4, 0)
