@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: check, probterm, compare, refine, examples {list, run}.
-Exit codes: 0 success/Holds, 1 usage or file/type errors, 2 inconclusive
-(the deep checks are semidecisions, so "don't know" must not look like
-either success or refutation).  All probabilities print as exact fractions;
+Exit codes: 0 success/Holds, 1 usage, file or type errors and inputs or
+budgets that nest too deeply, 2 inconclusive (the deep checks are
+semidecisions, so "don't know" must not look like either success or
+refutation).  All probabilities print as exact fractions;
 --approx adds a 6-decimal rendering for reading comfort.
 """
 
@@ -233,6 +234,10 @@ def main(argv=None, out=None, err=None):
         return args.fn(args, out)
     except (UsageError, ParseError, TypecheckError, OSError) as e:
         err.write("probfpc: %s\n" % e)
+        return 1
+    except RecursionError:
+        err.write("probfpc: the input or a budget nests too deeply "
+                  "for the interpreter's recursion limit\n")
         return 1
 
 

@@ -19,10 +19,8 @@ from .syntax import (
 
 __all__ = [
     "CATALOGUE", "corpus", "y_comb", "id_hes", "fair_from", "geo_loop",
-    "geo_chain", "diverge_term", "omega_nat",
-    "LAZY_LIST", "nil_term", "cons_term", "head_term", "tail_term",
-    "everysnd_term", "randw_fn", "randw2_fn", "force_k", "nth_head",
-    "unitize",
+    "diverge_term", "LAZY_LIST", "head_term", "everysnd_term", "randw_fn",
+    "randw2_fn",
 ]
 
 
@@ -79,26 +77,6 @@ def geo_loop(p) -> Term:
     return parse_term("(%s (fold[%s] %s)) 0" % (w, r, w))
 
 
-def omega_nat() -> Term:
-    """Divergence at Nat in two steps per round."""
-    r = "(mu X. X -> Nat)"
-    w = "(fn w : %s => (unfold w) w)" % r
-    return parse_term("%s (fold[%s] %s)" % (w, r, w))
-
-
-def geo_chain(p, levels: int) -> Term:
-    """Unrolled geometric chain: exactly one delay step between consecutive
-    candidate values, so probterm(n) = 1 - (1-p)^(n+1) for n < levels; the
-    tail past the last level diverges."""
-    p = as_prob(p)
-    t = omega_nat()
-    for k in range(levels - 1, -1, -1):
-        # let u = * in <next> costs exactly one step
-        t = parse_term("choice %s %d (let u = * in next)" % (p, k),
-                       defs={"next": t})
-    return t
-
-
 def diverge_term() -> Term:
     """(Y (fn f => fn z => f z)) * at Unit: never delivers."""
     loop = parse_term("fn f : Unit -> Unit => fn z : Unit => f z")
@@ -122,20 +100,8 @@ _TAIL = ("(fn l : %s => case unfold l of { inl u => %s ; inr c => snd c * })"
          % (_LL, _NIL))
 
 
-def nil_term() -> Term:
-    return parse_term(_NIL)
-
-
-def cons_term() -> Term:
-    return parse_term(_CONS)
-
-
 def head_term() -> Term:
     return parse_term(_HEAD)
-
-
-def tail_term() -> Term:
-    return parse_term(_TAIL)
 
 
 def everysnd_term() -> Term:
@@ -170,31 +136,6 @@ def randw2_fn() -> Term:
         " (choice 1/2 (g n) (choice 1/2 (g (pred (pred n))) (g (suc (suc n))))))"
         % (_LL, _CONS, _NIL))
     return App(y_comb(NatT(), LAZY_LIST), helper)
-
-
-def force_k(k: int) -> Term:
-    """Unit-valued observer forcing the first k cells of a lazy list."""
-    t = parse_term("fn l : %s => *" % _LL)
-    for _ in range(k):
-        t = parse_term(
-            "fn l : %s => case unfold l of { inl u => * ; inr c => rest (snd c *) }"
-            % _LL, defs={"rest": t})
-    return t
-
-
-def nth_head(j: int) -> Term:
-    """Observer reading the j-th head (0-based): head after j tails.
-    Type LazyList -> Nat + Unit."""
-    src = "l"
-    for _ in range(j):
-        src = "tl (%s)" % src
-    return parse_term("fn l : %s => hd (%s)" % (_LL, src),
-                      defs={"hd": head_term(), "tl": tail_term()})
-
-
-def unitize(t: Term, ty: Ty) -> Term:
-    """Discard a result: (fn q : ty => *) t.  One extra step on delivery."""
-    return App(Lam(ty, Star()), t)
 
 
 # --- catalogue ----------------------------------------------------------------

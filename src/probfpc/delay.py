@@ -5,9 +5,7 @@ A Delay node is Dist over Inl(value) | Inr(DelayThunk).  Thunks are memoized,
 so every finite prefix is a finite tree and repeated observation is stable.
 The equational quotient on trees is realized operationally rather than by
 construction: keyed value entries merge canonically inside each Dist node,
-pending entries stay formal, and all deep comparisons go through
-``prefix_eq``, which compares the canonical (value part, delayed mass,
-combined continuation) decomposition level by level.
+and pending entries stay formal.
 
 ``run`` is the paper's one-layer elimination.  Every "run n levels and
 look" loop goes through ``Frontier`` instead: run is the identity on
@@ -15,24 +13,18 @@ delivered values, so the frontier keeps their mass as one scalar and
 carries only the pending thunks from level to level, which makes
 termination tables cost time linear in depth.
 
-Also here: the fuelled step-reduction witnesses (ν ⤳ ν'), the bounded
-approximate-reduction search ``embed_approx``, termination-probability
-sequences, and the bounded limit comparison leqlim/eqlim.
+Also here: termination-probability sequences, the split of a node into its
+value part and combined continuation, and the bounded limit comparison
+leqlim/eqlim.
 """
 
-from fractions import Fraction
-
-from .rational import ONE, ZERO, as_prob, as_uprob
+from .rational import ONE, ZERO, as_uprob
 from .dist import Dist, Inl, Inr, dirac, choice, dist_bind, key_of
 
 __all__ = [
-    "DelayThunk", "Delay", "now", "step", "step_fn", "step_of", "dchoice",
-    "delay_bind", "delay_map", "zeta", "run", "run_n", "Frontier",
-    "probterm0", "probterm", "TermSeq", "probterm_seq", "value_part", "Refl",
-    "StepElim", "Seq", "ChoiceCong", "WitnessShapeError", "check_witness",
-    "witness_for_run", "witness_to_text", "witness_from_text", "embed_approx",
-    "leqlim_upto", "eqlim_upto", "geo", "hesitant", "prefix_eq", "node_eq",
-    "split", "continuation",
+    "DelayThunk", "Delay", "now", "step", "step_fn", "dchoice", "delay_bind",
+    "delay_map", "zeta", "run", "Frontier", "TermSeq", "probterm_seq",
+    "split", "continuation", "leqlim_upto", "eqlim_upto",
 ]
 
 
@@ -78,11 +70,6 @@ def step(t: DelayThunk) -> Delay:
 def step_fn(fn) -> Delay:
     """One delay step whose continuation is computed lazily by fn()."""
     return step(DelayThunk(fn))
-
-
-def step_of(d: Delay) -> Delay:
-    """One delay step in front of an already-built computation."""
-    return step(DelayThunk(lambda: d))
 
 
 def dchoice(p, d: Delay, e: Delay) -> Delay:
@@ -139,12 +126,6 @@ def run(d: Delay) -> Delay:
                            else el.val.force().node))
 
 
-def run_n(d: Delay, n: int) -> Delay:
-    for _ in range(n):
-        d = run(d)
-    return d
-
-
 class Frontier:
     """A delay tree run level by level, keeping only what later runs need.
 
@@ -156,7 +137,7 @@ class Frontier:
 
     With ``values=True`` the delivered values are also folded, merged by
     ``key_of`` (unkeyed ones by the identity of their ``Inl``), and
-    ``values()`` lists them as ``split(run_n(d, m))[0]`` does: keyed values
+    ``values()`` lists them as ``split`` does after m runs: keyed values
     sorted by key, then unkeyed ones in tree order.  Tree order is kept by
     a position per entry, (parent position, index in its node).
     """
@@ -222,18 +203,6 @@ class Frontier:
         return [(w, t) for w, t, _ in self._pending.values()]
 
 
-def probterm0(d: Delay) -> Fraction:
-    return sum((w for w, el in d.node.entries if isinstance(el, Inl)),
-               Fraction(0))
-
-
-def probterm(n: int, d: Delay) -> Fraction:
-    f = Frontier(d)
-    for _ in range(n):
-        f.step()
-    return f.mass
-
-
 class TermSeq:
     """Termination probabilities at depths 0..N; monotone nondecreasing."""
     __slots__ = ("values",)
@@ -275,206 +244,8 @@ def split(d: Delay):
 def continuation(pend) -> Delay:
     """Combined continuation of a node's weighted pendings [(w, t)]: the
     Delay of their convex combination, renormalised to mass 1."""
-    mass = sum((w for w, _ in pend), Fraction(0))
+    mass = sum((w for w, _ in pend), ZERO)
     return zeta(Dist([(w / mass, t) for w, t in pend])).force()
-
-
-def value_part(d: Delay, n: int):
-    """Mass delivered within n runs, together with the delivered weighted
-    values (weights unnormalized)."""
-    f = Frontier(d, values=True)
-    for _ in range(n):
-        f.step()
-    return f.mass, tuple(f.values())
-
-
-# --- fuelled step reduction ----------------------------------------------
-
-class Refl:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Refl"
-
-
-class StepElim:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "StepElim"
-
-
-class Seq:
-    __slots__ = ("first", "second")
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-
-    def __repr__(self):
-        return "Seq(%r, %r)" % (self.first, self.second)
-
-
-class ChoiceCong:
-    __slots__ = ("p", "left", "right")
-
-    def __init__(self, p, left, right):
-        self.p = as_prob(p)
-        self.left = left
-        self.right = right
-
-    def __repr__(self):
-        return "ChoiceCong(%s, %r, %r)" % (self.p, self.left, self.right)
-
-
-class WitnessShapeError(ValueError):
-    """Witness node does not match the shape of the Delay it reduces."""
-
-
-def check_witness(w, d: Delay) -> Delay:
-    """Replay a reduction witness against d, returning the reduct.
-
-    StepElim demands a pure step node.  ChoiceCong(p, _, _) splits the
-    canonical support list at the unique minimal prefix of mass exactly p;
-    witnesses produced by ``witness_for_run`` always split that way.
-    """
-    if isinstance(w, Refl):
-        return d
-    if isinstance(w, StepElim):
-        es = d.node.entries
-        if len(es) != 1 or not isinstance(es[0][1], Inr):
-            raise WitnessShapeError("StepElim applied to a non-step node: %r" % (d.node,))
-        return es[0][1].val.force()
-    if isinstance(w, Seq):
-        return check_witness(w.second, check_witness(w.first, d))
-    if isinstance(w, ChoiceCong):
-        es = d.node.entries
-        acc = ZERO
-        for i in range(len(es)):
-            acc += es[i][0]
-            if acc == w.p:
-                left = Delay(Dist([(wt / w.p, v) for wt, v in es[: i + 1]]))
-                right = Delay(Dist([(wt / (ONE - w.p), v) for wt, v in es[i + 1:]]))
-                return dchoice(w.p, check_witness(w.left, left),
-                               check_witness(w.right, right))
-            if acc > w.p:
-                break
-        raise WitnessShapeError(
-            "ChoiceCong(%s, ..) has no prefix of that mass in %r" % (w.p, d.node))
-    raise TypeError("not a witness: %r" % (w,))
-
-
-def _witness_one(d: Delay):
-    """Witness for one run: eliminates exactly the top step layer of d."""
-    es = d.node.entries
-    if len(es) == 1:
-        return Refl() if isinstance(es[0][1], Inl) else StepElim()
-    w0 = es[0][0]
-    head = Delay(dirac(es[0][1]))
-    rest = Delay(Dist([(wt / (ONE - w0), v) for wt, v in es[1:]]))
-    return ChoiceCong(w0, _witness_one(head), _witness_one(rest))
-
-
-def witness_for_run(d: Delay, n: int = 1):
-    """A witness w with check_witness(w, d) = run_n(d, n)."""
-    if n == 0:
-        return Refl()
-    w = _witness_one(d)
-    cur = run(d)
-    for _ in range(n - 1):
-        w = Seq(w, _witness_one(cur))
-        cur = run(cur)
-    return w
-
-
-def witness_to_text(w) -> str:
-    if isinstance(w, Refl):
-        return "R"
-    if isinstance(w, StepElim):
-        return "S"
-    if isinstance(w, Seq):
-        return "(%s;%s)" % (witness_to_text(w.first), witness_to_text(w.second))
-    if isinstance(w, ChoiceCong):
-        return "C(%s,%s,%s)" % (w.p, witness_to_text(w.left), witness_to_text(w.right))
-    raise TypeError("not a witness: %r" % (w,))
-
-
-def witness_from_text(text: str):
-    pos = [0]
-    s = text.replace(" ", "")
-
-    def fail(msg):
-        raise ValueError("witness parse error at %d: %s" % (pos[0], msg))
-
-    def eat(c):
-        if pos[0] >= len(s) or s[pos[0]] != c:
-            fail("expected %r" % c)
-        pos[0] += 1
-
-    def atom():
-        if pos[0] >= len(s):
-            fail("unexpected end")
-        c = s[pos[0]]
-        if c == "R":
-            pos[0] += 1
-            return Refl()
-        if c == "S":
-            pos[0] += 1
-            return StepElim()
-        if c == "(":
-            pos[0] += 1
-            a = atom()
-            eat(";")
-            b = atom()
-            eat(")")
-            return Seq(a, b)
-        if c == "C":
-            pos[0] += 1
-            eat("(")
-            j = s.index(",", pos[0])
-            p = Fraction(s[pos[0]: j])
-            pos[0] = j + 1
-            a = atom()
-            eat(",")
-            b = atom()
-            eat(")")
-            return ChoiceCong(p, a, b)
-        fail("unexpected %r" % c)
-
-    w = atom()
-    if pos[0] != len(s):
-        fail("trailing input")
-    return w
-
-
-# --- bounded approximate reduction and limit comparison -------------------
-
-def _merge_by_key(pairs):
-    out = {}
-    for w, v in pairs:
-        k = key_of(v)
-        if k is None:
-            raise TypeError("unkeyed element %r in a keyed comparison" % (v,))
-        out[k] = out.get(k, ZERO) + w
-    return out
-
-
-def embed_approx(d: Delay, target, horizon: int, eps) -> "int | None":
-    """Least m <= horizon such that the values delivered by m runs cover the
-    target weighted list up to total shortfall eps; None if the horizon is
-    exhausted (which does NOT refute approximate reducibility)."""
-    eps = as_uprob(eps)
-    want = _merge_by_key(target)
-    f = Frontier(d, values=True)
-    for m in range(horizon + 1):
-        if m:
-            f.step()
-        have = _merge_by_key(f.values())
-        short = sum((max(ZERO, tw - have.get(k, ZERO)) for k, tw in want.items()),
-                    Fraction(0))
-        if short <= eps:
-            return m
-    return None
 
 
 def leqlim_upto(f, g, eps) -> bool:
@@ -489,57 +260,3 @@ def leqlim_upto(f, g, eps) -> bool:
 
 def eqlim_upto(f, g, eps) -> bool:
     return leqlim_upto(f, g, eps) and leqlim_upto(g, f, eps)
-
-
-# --- example processes ----------------------------------------------------
-
-def geo(p, n: int = 0) -> Delay:
-    """Geometric process: deliver n with probability p, else one step and
-    retry from n+1."""
-    p = as_prob(p)
-    return dchoice(p, now(n), step_fn(lambda: geo(p, n + 1)))
-
-
-def hesitant(q, a) -> Delay:
-    """Hesitant point distribution: each round, one step, then deliver a with
-    probability q or hesitate again.  Mass after m runs is 1 - (1-q)^m."""
-    q = as_prob(q)
-    return step_fn(lambda: dchoice(q, now(a), hesitant(q, a)))
-
-
-# --- canonical prefix comparison ------------------------------------------
-
-def prefix_eq(d: Delay, e: Delay, depth: int) -> bool:
-    """Structural equality of two delay trees to a forcing depth, comparing
-    at each level the canonical decomposition: merged keyed value entries,
-    total delayed mass, and (recursively) the combined continuation."""
-    dv, dp = split(d)
-    ev, ep = split(e)
-    if _merge_by_key(dv) != _merge_by_key(ev):
-        return False
-    dm = sum((w for w, _ in dp), Fraction(0))
-    em = sum((w for w, _ in ep), Fraction(0))
-    if dm != em:
-        return False
-    if depth == 0 or not dp:
-        return True
-    return prefix_eq(continuation(dp), continuation(ep), depth - 1)
-
-
-def node_eq(d: Delay, e: Delay) -> bool:
-    """Exact one-level equality: same canonical entry list, pending entries
-    compared by thunk identity.  Used by the witness tests."""
-    des, ees = d.node.entries, e.node.entries
-    if len(des) != len(ees):
-        return False
-    for (w1, v1), (w2, v2) in zip(des, ees):
-        if w1 != w2:
-            return False
-        if isinstance(v1, Inl) != isinstance(v2, Inl):
-            return False
-        if isinstance(v1, Inl):
-            if key_of(v1.val) != key_of(v2.val):
-                return False
-        elif v1.val is not v2.val:
-            return False
-    return True

@@ -13,28 +13,20 @@ Two step disciplines:
   step-faithful every cost site of the operational semantics is mirrored
                 (function entry, case branch entry, unfold), making the
                 interpretation step-for-step comparable with evaluation
-
-`soundness_check` ties the two semantics together at first-order types:
-evaluating and then reading values back coincides, level by level up to a
-depth bound, with the step-faithful interpretation.
 """
 
 from .delay import (
-    Delay, DelayThunk, delay_bind, delay_map, dchoice, now, prefix_eq, step_fn,
+    Delay, DelayThunk, delay_bind, delay_map, dchoice, now, step_fn,
 )
 from .dist import Inl, Inr, key_of
 from .syntax import (
-    Ty, UnitT, NatT, ProdT, SumT,
     Term, Star, Num, Var, Suc, Pred, Ifz, Pair, Fst, Snd,
     Inj, Case, Lam, App, Fold, Unfold, Choice, is_value,
 )
-from .typecheck import elaborate
 
 __all__ = [
     "STANDARD", "STEP_FAITHFUL",
-    "NatV", "UNIT", "PairV", "FunV", "FoldV",
-    "SemDefect", "Interp", "val_interp", "is_ground_ty", "ground_eq",
-    "soundness_check",
+    "NatV", "UNIT", "PairV", "FunV", "FoldV", "SemDefect", "Interp",
 ]
 
 STANDARD = "standard"
@@ -254,49 +246,3 @@ def _snd(v):
         _defect("snd of non-pair", v)
     return v.b
 
-
-def val_interp(t: Term, env=(), interp: Interp = None):
-    """Semantic value of a value term; closures interpret their bodies in
-    the given interpreter (a fresh standard-mode one by default)."""
-    if interp is None:
-        interp = Interp(STANDARD)
-    return interp.val(t, env)
-
-
-def is_ground_ty(ty: Ty) -> bool:
-    """Unit/Nat closed under products and sums: the types whose semantic
-    values carry no computation."""
-    if isinstance(ty, (UnitT, NatT)):
-        return True
-    if isinstance(ty, (ProdT, SumT)):
-        return is_ground_ty(ty.a) and is_ground_ty(ty.b)
-    return False
-
-
-def ground_eq(v, w) -> bool:
-    """Structural equality of ground semantic values; rejects closures and
-    fold cells, whose equality is not decidable here."""
-    if isinstance(v, (FunV, FoldV)) or isinstance(w, (FunV, FoldV)):
-        raise TypeError("ground_eq on a non-ground value")
-    if isinstance(v, PairV) and isinstance(w, PairV):
-        return ground_eq(v.a, w.a) and ground_eq(v.b, w.b)
-    if isinstance(v, Inl) and isinstance(w, Inl):
-        return ground_eq(v.val, w.val)
-    if isinstance(v, Inr) and isinstance(w, Inr):
-        return ground_eq(v.val, w.val)
-    return v == w
-
-
-def soundness_check(t: Term, depth: int) -> bool:
-    """Evaluate-then-read-back vs step-faithful interpretation, compared as
-    canonical trees through the given depth.  Requires a first-order type:
-    the read-back of a lambda would need the full logical relation."""
-    t2, ty = elaborate(t)
-    if not is_ground_ty(ty):
-        raise TypeError("soundness_check needs a ground-typed term, got %r"
-                        % (ty,))
-    from .opsem import Evaluator
-    reader = Interp(STANDARD)
-    left = delay_map(Evaluator().eval(t2), lambda v: reader.val(v, ()))
-    right = Interp(STEP_FAITHFUL).interp(t2, ())
-    return prefix_eq(left, right, depth)

@@ -13,9 +13,6 @@ exactly 1.  Carriers split in two:
   list.  Entries are never merged by value; the single exception is entries
   whose element is the *identical object*, which collapse by idempotency.
   That exception is what keeps memoized pending branches from duplicating.
-
-The sum-type decomposition (LeftOnly / RightOnly / Mixed) is the constructive
-content of the equivalence Dist(A+B) = Dist(A) + Dist(B) + Dist(A) x I x Dist(B).
 """
 
 from fractions import Fraction
@@ -24,8 +21,6 @@ from .rational import ONE, as_prob
 
 __all__ = [
     "Inl", "Inr", "key_of", "Dist", "dirac", "choice", "dist_bind", "dist_map",
-    "prob_of", "LeftOnly", "RightOnly", "Mixed", "decompose_sum", "recompose",
-    "dist_eq", "UnkeyedEqError",
 ]
 
 
@@ -143,19 +138,6 @@ class Dist:
     def __repr__(self):
         return "Dist(%s)" % ", ".join("%s: %r" % (w, v) for w, v in self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def is_keyed(self):
-        return all(key_of(v) is not None for _, v in self.entries)
-
-    def to_json(self, render=None):
-        render = render or (lambda v: repr(v))
-        return {"dist": [{"w": str(w), "v": render(v)} for w, v in self.entries]}
-
 
 def dirac(a) -> Dist:
     return Dist([(ONE, a)])
@@ -179,83 +161,3 @@ def dist_bind(mu: Dist, f) -> Dist:
 
 def dist_map(f, mu: Dist) -> Dist:
     return Dist([(w, f(v)) for w, v in mu.entries])
-
-
-def prob_of(mu: Dist, pred) -> Fraction:
-    return sum((w for w, v in mu.entries if pred(v)), Fraction(0))
-
-
-class LeftOnly:
-    __slots__ = ("left",)
-
-    def __init__(self, left):
-        self.left = left
-
-    def __repr__(self):
-        return "LeftOnly(%r)" % (self.left,)
-
-
-class RightOnly:
-    __slots__ = ("right",)
-
-    def __init__(self, right):
-        self.right = right
-
-    def __repr__(self):
-        return "RightOnly(%r)" % (self.right,)
-
-
-class Mixed:
-    """Both summands present; p is the total original mass on the left."""
-    __slots__ = ("left", "p", "right")
-
-    def __init__(self, left, p, right):
-        self.left = left
-        self.p = p
-        self.right = right
-
-    def __repr__(self):
-        return "Mixed(%r, %s, %r)" % (self.left, self.p, self.right)
-
-
-def decompose_sum(mu: Dist):
-    """Split a distribution over a sum carrier into its unique normal form:
-    all-left, all-right, or a p-weighted pair of renormalized parts."""
-    left, right = [], []
-    for w, v in mu.entries:
-        if isinstance(v, Inl):
-            left.append((w, v.val))
-        elif isinstance(v, Inr):
-            right.append((w, v.val))
-        else:
-            raise TypeError("decompose_sum: support element %r is not Inl/Inr" % (v,))
-    if not right:
-        return LeftOnly(Dist(left))
-    if not left:
-        return RightOnly(Dist(right))
-    p = sum((w for w, _ in left), Fraction(0))
-    return Mixed(Dist([(w / p, v) for w, v in left]), p,
-                 Dist([(w / (ONE - p), v) for w, v in right]))
-
-
-def recompose(d) -> Dist:
-    if isinstance(d, LeftOnly):
-        return dist_map(Inl, d.left)
-    if isinstance(d, RightOnly):
-        return dist_map(Inr, d.right)
-    return choice(d.p, dist_map(Inl, d.left), dist_map(Inr, d.right))
-
-
-class UnkeyedEqError(TypeError):
-    """dist_eq was asked to compare distributions over an unkeyed carrier."""
-
-
-def dist_eq(mu: Dist, nu: Dist) -> bool:
-    """Canonical equality; only defined on keyed carriers."""
-    for d in (mu, nu):
-        if not d.is_keyed():
-            raise UnkeyedEqError("dist_eq on unkeyed support (closures/thunks)")
-    if len(mu.entries) != len(nu.entries):
-        return False
-    return all(w1 == w2 and key_of(v1) == key_of(v2)
-               for (w1, v1), (w2, v2) in zip(mu.entries, nu.entries))

@@ -11,14 +11,13 @@ probabilistic branches is walked once.  This changes nothing observable,
 only the cost of asking.
 """
 
-from .delay import Delay, delay_bind, delay_map, dchoice, now, probterm_seq, step_fn
+from .delay import Delay, delay_bind, delay_map, dchoice, now, step_fn
 from .syntax import (
     Term, Num, Var, Suc, Pred, Ifz, Pair, Fst, Snd,
     Inj, Case, Lam, App, Fold, Unfold, Choice, is_value, subst,
 )
-from .typecheck import elaborate
 
-__all__ = ["EvalDefect", "Evaluator", "eval_probterm"]
+__all__ = ["EvalDefect", "Evaluator"]
 
 
 class EvalDefect(Exception):
@@ -126,7 +125,3 @@ class Evaluator:
             _defect("snd of non-pair", v)
         return v.b
 
-
-def eval_probterm(t: Term, depth: int):
-    """Termination-probability sequence of t's evaluation, depths 0..depth."""
-    return probterm_seq(Evaluator().eval(elaborate(t)[0]), depth)

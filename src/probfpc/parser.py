@@ -1,4 +1,4 @@
-"""Concrete syntax: lexer, parser, and pretty-printer.
+"""Concrete syntax: lexer and parser.
 
 Surface programs are a list of `def name = term ;` bindings followed by one
 term.  Defs are closed macros, expanded at use sites (the shared subterm
@@ -11,10 +11,7 @@ Sugar handled here, all eliminated during parsing:
   true / false          become   inl[Unit + Unit] * / inr[Unit + Unit] *
   case ... of { inr (n, f) => ... }   binds the pair once and turns n and f
                                       into projections
-Comments run from `--` to end of line.  The pretty-printer regenerates
-canonical names (x0, x1, ... by binding depth) and reprints beta-redexes of
-annotated lambdas as lets; reparsing a printed term elaborates back to the
-same tree.
+Comments run from `--` to end of line.
 """
 
 from .rational import parse_rat, ProbRangeError
@@ -25,7 +22,7 @@ from .syntax import (
 )
 
 __all__ = ["ParseError", "parse_program", "parse_term", "parse_ty",
-           "load_file", "pretty", "pretty_ty"]
+           "load_file", "pretty_ty"]
 
 pretty_ty = render_ty
 
@@ -118,9 +115,8 @@ def _lex(src):
     return toks
 
 
-# the keywords of the one-argument term formers, and their inverse for printing
+# the keywords of the one-argument term formers
 _UNARY = {"fst": Fst, "snd": Snd, "suc": Suc, "pred": Pred, "unfold": Unfold}
-_UNARY_KW = {cls: w for w, cls in _UNARY.items()}
 
 # tokens that may begin a prefix-level term, for application runs
 _PREFIX_HEADS = set(_UNARY) | {"inl", "inr", "fold", "true", "false"}
@@ -466,66 +462,3 @@ def load_file(path) -> Term:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_program(fh.read())
 
-
-# --- printing ----------------------------------------------------------------
-
-_TRUE = true_term()
-_FALSE = false_term()
-
-
-def pretty(t: Term, _depth=0, _prec=0) -> str:
-    """Minimal-paren concrete syntax with canonical binder names.
-
-    Beta-redexes print as lets; bool injections print as true/false.
-    Application/case annotations are dropped (elaboration restores them), so
-    parse(pretty(elab(t))) elaborates to the same tree as t does.
-    """
-    def wrap(s, level):
-        return "(%s)" % s if _prec > level else s
-
-    if isinstance(t, Star):
-        return "*"
-    if isinstance(t, Num):
-        return str(t.n)
-    if isinstance(t, Var):
-        return "x%d" % (_depth - 1 - t.k)
-    if isinstance(t, Inj):
-        if t == _TRUE:
-            return "true"
-        if t == _FALSE:
-            return "false"
-        return wrap("in%s[%s] %s" % (t.side, render_ty(t.ann),
-                                     pretty(t.m, _depth, 2)), 1)
-    if type(t) in _UNARY_KW:
-        return wrap("%s %s" % (_UNARY_KW[type(t)], pretty(t.m, _depth, 2)), 1)
-    if isinstance(t, Fold):
-        return wrap("fold[%s] %s" % (render_ty(t.ann), pretty(t.m, _depth, 2)), 1)
-    if isinstance(t, Pair):
-        return "(%s, %s)" % (pretty(t.a, _depth, 0), pretty(t.b, _depth, 0))
-    if isinstance(t, Ifz):
-        return wrap("ifz %s then %s else %s"
-                    % (pretty(t.cond, _depth, 0), pretty(t.zero, _depth, 0),
-                       pretty(t.succ, _depth, 0)), 0)
-    if isinstance(t, Case):
-        name = "x%d" % _depth
-        return wrap("case %s of { inl %s => %s ; inr %s => %s }"
-                    % (pretty(t.scrut, _depth, 0), name,
-                       pretty(t.left, _depth + 1, 0), name,
-                       pretty(t.right, _depth + 1, 0)), 0)
-    if isinstance(t, Lam):
-        name = "x%d" % _depth
-        ann = render_ty(t.var_ty) if t.var_ty is not None else "?"
-        return wrap("fn %s : %s => %s" % (name, ann,
-                                          pretty(t.body, _depth + 1, 0)), 0)
-    if isinstance(t, App):
-        if isinstance(t.fn, Lam):
-            name = "x%d" % _depth
-            return wrap("let %s = %s in %s"
-                        % (name, pretty(t.arg, _depth, 0),
-                           pretty(t.fn.body, _depth + 1, 0)), 0)
-        return wrap("%s %s" % (pretty(t.fn, _depth, 1),
-                               pretty(t.arg, _depth, 2)), 1)
-    if isinstance(t, Choice):
-        return wrap("choice %s %s %s"
-                    % (t.p, pretty(t.left, _depth, 3), pretty(t.right, _depth, 3)), 0)
-    raise TypeError("not a term: %r" % (t,))

@@ -13,7 +13,7 @@ Two validated ranges appear in signatures:
 
 from fractions import Fraction
 
-Rat = Fraction
+__all__ = ["ZERO", "ONE", "ProbRangeError", "as_prob", "as_uprob", "parse_rat"]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -39,29 +39,6 @@ def as_uprob(x) -> Fraction:
     return p
 
 
-def complement(p: Fraction) -> Fraction:
-    """1 - p; an involution on (0,1)."""
-    return ONE - p
-
-
-def assoc_coeff(p: Fraction, q: Fraction) -> Fraction:
-    """The reweighting coefficient (q - pq) / (1 - pq) of the convex
-    associativity law
-
-        q (+) (p (+) (a, b), c)  =  pq (+) (a, assoc_coeff(p,q) (+) (b, c))
-
-    Defined for p, q strictly inside (0,1), where 1 - pq > 0, and the result
-    is again strictly inside (0,1).
-    """
-    pq = p * q
-    return (q - pq) / (ONE - pq)
-
-
-def convex_combine(p: Fraction, x: Fraction, y: Fraction) -> Fraction:
-    """p*x + (1-p)*y, exact."""
-    return p * x + (ONE - p) * y
-
-
 def parse_rat(text: str) -> Fraction:
     """Parse "p/q" or a decimal literal ("0.25" -> 1/4) exactly."""
     try:
@@ -69,7 +46,3 @@ def parse_rat(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError("not a rational literal: %r (%s)" % (text, e))
 
-
-def render_rat(x: Fraction) -> str:
-    """Canonical "num/den" rendering; integers render without a denominator."""
-    return str(x)

@@ -1,13 +1,11 @@
 """Couplings, relational lifting, and the refinement checker.
 
-`max_coupling` decides, by exact rational max-flow, whether a distribution's
-mass can be transported onto a (sub-)distribution along a relation, up to a
-declared slack.  `lift_check` extends a value relation to delay trees: at
-each level the value part must be coupled against what the right side has
-delivered within some run horizon, and the delayed remainder recurses with
-one unit of fuel less; fuel 0 accepts the truncated obligation, so Holds at
-fuel F certifies the F-level approximation and Unknown is never a
-refutation.
+`lift_check` extends a value relation to delay trees: at each level the
+value part must be coupled against what the right side has delivered within
+some run horizon, with the coupling decided by exact rational max-flow; the
+delayed remainder recurses with one unit of fuel less.  Fuel 0 accepts the
+truncated obligation, so Holds at fuel F certifies the F-level
+approximation and Unknown is never a refutation.
 
 `logrel_val` is the type-indexed relation between semantic and syntactic
 values: ground types by equality, pairs and sums structurally, recursive
@@ -24,9 +22,7 @@ from fractions import Fraction
 from .rational import ZERO, as_uprob
 from .delay import Delay, Frontier, continuation, split
 from .dist import Dist, Inl, Inr
-from .densem import (
-    STANDARD, Interp, NatV, PairV, FunV, FoldV, UNIT, val_interp,
-)
+from .densem import STANDARD, Interp, NatV, PairV, FunV, FoldV, UNIT
 from .opsem import Evaluator
 from .syntax import (
     UnitT, NatT, ProdT, SumT, FnT, MuT, mu_unfold, render_ty,
@@ -35,8 +31,8 @@ from .syntax import (
 from .typecheck import TypecheckError, elaborate
 
 __all__ = [
-    "Coupling", "max_coupling", "LiftVerdict", "lift_check",
-    "RelateCfg", "default_probes", "logrel_val", "refine_check",
+    "LiftVerdict", "lift_check", "RelateCfg", "default_probes", "logrel_val",
+    "refine_check",
 ]
 
 
@@ -105,52 +101,6 @@ def _flow(left, right, rel):
     edges = [(i, j) for i, (_, a) in enumerate(left)
              for j, (_, b) in enumerate(right) if rel(a, b)]
     return _max_flow([w for w, _ in left], [w for w, _ in right], edges)
-
-
-class Coupling:
-    """Transport plan: rows (a, supply, ((b, w), ...), leftover).  The left
-    marginal is exact by construction; `matched` is the transported mass."""
-    __slots__ = ("rows", "matched")
-
-    def __init__(self, rows, matched):
-        self.rows = tuple(rows)
-        self.matched = matched
-
-    def pairs(self):
-        for a, _, alloc, _ in self.rows:
-            for b, w in alloc:
-                yield (a, b), w
-
-    def left_marginal(self):
-        return tuple((a, supply) for a, supply, _, _ in self.rows)
-
-    def right_allocation(self):
-        """Mass received per right element, in right-hand entry order of the
-        allocation lists (callers aggregate as needed)."""
-        got = {}
-        for a, _, alloc, _ in self.rows:
-            for b, w in alloc:
-                got[id(b)] = (b, got.get(id(b), (b, ZERO))[1] + w)
-        return tuple(got.values())
-
-
-def max_coupling(mu, nu, rel, eps):
-    """Best transport of mu onto the weighted list nu (mass <= 1) along rel;
-    Some (a Coupling) iff matched mass >= total left mass - eps.  mu may be
-    a Dist or a weighted list; decision is exact."""
-    eps = as_uprob(eps)
-    left = list(mu.entries) if isinstance(mu, Dist) else list(mu)
-    right = list(nu.entries) if isinstance(nu, Dist) else list(nu)
-    total = sum((w for w, _ in left), ZERO)
-    value, flow = _flow(left, right, rel)
-    if value < total - eps:
-        return None
-    rows = []
-    for i, (w, a) in enumerate(left):
-        alloc = tuple((right[j][1], f) for (i2, j), f in flow.items() if i2 == i)
-        sent = sum((f for _, f in alloc), ZERO)
-        rows.append((a, w, alloc, w - sent))
-    return Coupling(rows, value)
 
 
 # --- relational lifting -----------------------------------------------------
@@ -264,47 +214,44 @@ def lift_check(d: Delay, e: Delay, rel, fuel: int, horizon: int, eps) -> LiftVer
 # --- the type-indexed relation ---------------------------------------------
 
 class RelateCfg:
-    """Budgets and probe sets for the logical relation."""
-    __slots__ = ("fuel", "horizon", "eps", "probes", "interp", "evaluator")
+    """Budgets for the logical relation."""
+    __slots__ = ("fuel", "horizon", "eps", "interp", "evaluator")
 
-    def __init__(self, fuel=6, horizon=64, eps=Fraction(1, 1024), probes=None):
+    def __init__(self, fuel=6, horizon=64, eps=Fraction(1, 1024)):
         self.fuel = fuel
         self.horizon = horizon
         self.eps = as_uprob(eps)
-        self.probes = probes
         self.interp = Interp(STANDARD)
         self.evaluator = Evaluator()
 
-    def probes_for(self, ty):
-        if self.probes is not None and ty in self.probes:
-            return self.probes[ty]
-        return default_probes(ty)
+
+PROBE_CAP = 4       # most probes per argument type
 
 
-def default_probes(ty, cap=4):
+def default_probes(ty):
     """Related (semantic, syntactic) argument pairs for a probe at this
     type: numerals 0..3 at Nat, the unit, both booleans, and componentwise
-    products/sums of those, capped."""
+    products/sums of those, capped at PROBE_CAP."""
     if isinstance(ty, NatT):
-        return tuple((NatV(k), Num(k)) for k in range(cap))
+        return tuple((NatV(k), Num(k)) for k in range(PROBE_CAP))
     if isinstance(ty, UnitT):
         return ((UNIT, Star()),)
     if isinstance(ty, SumT):
-        out = [(Inl(v), Inj("l", V, ty)) for v, V in default_probes(ty.a, cap)]
-        out += [(Inr(v), Inj("r", V, ty)) for v, V in default_probes(ty.b, cap)]
-        return tuple(out[:cap])
+        out = [(Inl(v), Inj("l", V, ty)) for v, V in default_probes(ty.a)]
+        out += [(Inr(v), Inj("r", V, ty)) for v, V in default_probes(ty.b)]
+        return tuple(out[:PROBE_CAP])
     if isinstance(ty, ProdT):
         out = [(PairV(va, vb), Pair(Va, Vb))
-               for va, Va in default_probes(ty.a, cap)
-               for vb, Vb in default_probes(ty.b, cap)]
-        return tuple(out[:cap])
+               for va, Va in default_probes(ty.a)
+               for vb, Vb in default_probes(ty.b)]
+        return tuple(out[:PROBE_CAP])
     return ()
 
 
 def logrel_val(ty, v, V, cfg: RelateCfg, _fuel=None) -> LiftVerdict:
     """Is the semantic value v related to the closed syntactic value V at
     type ty?  Ground types decide; function types check the lifting on each
-    configured probe; recursive types unfold once per fuel unit."""
+    default probe; recursive types unfold once per fuel unit."""
     fuel = cfg.fuel if _fuel is None else _fuel
     if isinstance(ty, UnitT):
         if v is UNIT and isinstance(V, Star):
@@ -340,7 +287,7 @@ def logrel_val(ty, v, V, cfg: RelateCfg, _fuel=None) -> LiftVerdict:
     if isinstance(ty, FnT):
         if not (isinstance(v, FunV) and isinstance(V, Lam)):
             return LiftVerdict(False, "function shape mismatch", {"ty": "fn"})
-        probes = cfg.probes_for(ty.a)
+        probes = default_probes(ty.a)
         if not probes:
             return LiftVerdict(False,
                                "no probes for argument type %s" % render_ty(ty.a),
@@ -376,7 +323,7 @@ def refine_check(a, b, cfg: RelateCfg = None) -> LiftVerdict:
         raise TypecheckError("refinement needs one type on both sides: %s vs %s"
                              % (render_ty(ty_a), render_ty(ty_b)))
     if is_value(a2) and is_value(b2):
-        return logrel_val(ty_a, val_interp(a2, (), cfg.interp), b2, cfg)
+        return logrel_val(ty_a, cfg.interp.val(a2), b2, cfg)
     d = cfg.interp.interp(a2)
     e = cfg.evaluator.eval(b2)
     return lift_check(d, e,

@@ -13,13 +13,13 @@ Anywhere else it is an error.
 """
 
 from .syntax import (
-    Ty, UnitT, NatT, ProdT, SumT, FnT, MuT,
+    UnitT, NatT, ProdT, SumT, FnT, MuT,
     ty_closed, mu_unfold, render_ty,
     Term, Star, Num, Var, Suc, Pred, Ifz, Pair, Fst, Snd,
     Inj, Case, Lam, App, Fold, Unfold, Choice,
 )
 
-__all__ = ["TypecheckError", "typecheck", "elaborate"]
+__all__ = ["TypecheckError", "elaborate"]
 
 
 class TypecheckError(Exception):
@@ -168,7 +168,3 @@ def _elab(t: Term, ctx) -> tuple:
 def elaborate(t: Term, ctx=()) -> tuple:
     """Return (annotated term, type); raises TypecheckError."""
     return _elab(t, tuple(ctx))
-
-
-def typecheck(t: Term, ctx=()) -> Ty:
-    return _elab(t, tuple(ctx))[1]

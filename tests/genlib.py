@@ -1,19 +1,31 @@
-"""Random generators shared by the property suites.
+"""Generators, reference implementations and fixtures shared by the suites.
 
-Everything here is deterministic given the caller's seeded ``random.Random``;
-the suites fix their seeds so failures replay.
+The random generators are deterministic given the caller's seeded
+``random.Random``; the suites fix their seeds so failures replay.  The rest
+is what the tests compare the package against and build their programs
+from: the fuelled reduction witnesses, the literal n-fold ``run``, the
+canonical prefix comparison, read-back soundness, the pretty-printer, and
+the corpus programs only the tests use.
 """
 
 from fractions import Fraction
 
-from probfpc.dist import Dist, Inl, Inr, dirac
+from probfpc.dist import Dist, Inl, Inr, dirac, key_of
 from probfpc.delay import (
-    Delay, DelayThunk, ChoiceCong, Refl, Seq, StepElim, dchoice, now, step_of,
+    Delay, DelayThunk, Frontier, continuation, dchoice, delay_map, now, run,
+    split, step, step_fn,
 )
+from probfpc.densem import STANDARD, STEP_FAITHFUL, Interp
+from probfpc.opsem import Evaluator
+from probfpc.parser import _UNARY, parse_term
+from probfpc.rational import ONE, ZERO, as_prob
+from probfpc.corpus import _LL, _TAIL, head_term
 from probfpc.syntax import (
     App, Case, Choice, Fold, Fst, Ifz, Inj, Lam, MuT, NatT, Num, Pair, Pred,
-    ProdT, Snd, Star, Suc, SumT, TVarT, Unfold, UnitT, Var, _Node,
+    ProdT, Snd, Star, Suc, SumT, Term, TVarT, Ty, Unfold, UnitT, Var, _Node,
+    false_term, render_ty, true_term,
 )
+from probfpc.typecheck import elaborate
 
 PROBS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4))
 
@@ -89,6 +101,54 @@ def gen_term(rng, ty, ctx=(), depth=3):
                gen_term(rng, a, ctx, depth - 1))
 
 
+# --- the literal run and example processes ---------------------------------
+
+def step_of(d: Delay) -> Delay:
+    """One delay step in front of an already-built computation."""
+    return step(DelayThunk(lambda: d))
+
+
+def run_n(d: Delay, n: int) -> Delay:
+    for _ in range(n):
+        d = run(d)
+    return d
+
+
+def probterm0(d: Delay) -> Fraction:
+    return sum((w for w, el in d.node.entries if isinstance(el, Inl)),
+               Fraction(0))
+
+
+def probterm(n: int, d: Delay) -> Fraction:
+    f = Frontier(d)
+    for _ in range(n):
+        f.step()
+    return f.mass
+
+
+def value_part(d: Delay, n: int):
+    """Mass delivered within n runs, together with the delivered weighted
+    values (weights unnormalized)."""
+    f = Frontier(d, values=True)
+    for _ in range(n):
+        f.step()
+    return f.mass, tuple(f.values())
+
+
+def geo(p, n: int = 0) -> Delay:
+    """Geometric process: deliver n with probability p, else one step and
+    retry from n+1."""
+    p = as_prob(p)
+    return dchoice(p, now(n), step_fn(lambda: geo(p, n + 1)))
+
+
+def hesitant(q, a) -> Delay:
+    """Hesitant point distribution: each round, one step, then deliver a with
+    probability q or hesitate again.  Mass after m runs is 1 - (1-q)^m."""
+    q = as_prob(q)
+    return step_fn(lambda: dchoice(q, now(a), hesitant(q, a)))
+
+
 # --- random delay trees ------------------------------------------------------
 
 _GEN_WEIGHTS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
@@ -153,7 +213,127 @@ def shared_delay(rng, depth: int = 4, pool=None) -> Delay:
                    shared_delay(rng, depth - 1, pool))
 
 
-# --- random reduction witnesses ---------------------------------------------
+# --- reduction witnesses -----------------------------------------------------
+#
+# The fuelled step reduction of a delay tree, as explicit witnesses: a
+# witness says which branches lose a step, ``check_witness`` replays it, and
+# replaying ``witness_for_run(d, n)`` must give ``run_n(d, n)``.
+
+class Refl:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "Refl"
+
+
+class StepElim:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "StepElim"
+
+
+class Seq:
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second):
+        self.first = first
+        self.second = second
+
+    def __repr__(self):
+        return "Seq(%r, %r)" % (self.first, self.second)
+
+
+class ChoiceCong:
+    __slots__ = ("p", "left", "right")
+
+    def __init__(self, p, left, right):
+        self.p = as_prob(p)
+        self.left = left
+        self.right = right
+
+    def __repr__(self):
+        return "ChoiceCong(%s, %r, %r)" % (self.p, self.left, self.right)
+
+
+class WitnessShapeError(ValueError):
+    """Witness node does not match the shape of the Delay it reduces."""
+
+
+def check_witness(w, d: Delay) -> Delay:
+    """Replay a reduction witness against d, returning the reduct.
+
+    StepElim demands a pure step node.  ChoiceCong(p, _, _) splits the
+    canonical support list at the unique minimal prefix of mass exactly p;
+    witnesses produced by ``witness_for_run`` always split that way.
+    """
+    if isinstance(w, Refl):
+        return d
+    if isinstance(w, StepElim):
+        es = d.node.entries
+        if len(es) != 1 or not isinstance(es[0][1], Inr):
+            raise WitnessShapeError("StepElim applied to a non-step node: %r" % (d.node,))
+        return es[0][1].val.force()
+    if isinstance(w, Seq):
+        return check_witness(w.second, check_witness(w.first, d))
+    if isinstance(w, ChoiceCong):
+        es = d.node.entries
+        acc = ZERO
+        for i in range(len(es)):
+            acc += es[i][0]
+            if acc == w.p:
+                left = Delay(Dist([(wt / w.p, v) for wt, v in es[: i + 1]]))
+                right = Delay(Dist([(wt / (ONE - w.p), v) for wt, v in es[i + 1:]]))
+                return dchoice(w.p, check_witness(w.left, left),
+                               check_witness(w.right, right))
+            if acc > w.p:
+                break
+        raise WitnessShapeError(
+            "ChoiceCong(%s, ..) has no prefix of that mass in %r" % (w.p, d.node))
+    raise TypeError("not a witness: %r" % (w,))
+
+
+def _witness_one(d: Delay):
+    """Witness for one run: eliminates exactly the top step layer of d."""
+    es = d.node.entries
+    if len(es) == 1:
+        return Refl() if isinstance(es[0][1], Inl) else StepElim()
+    w0 = es[0][0]
+    head = Delay(dirac(es[0][1]))
+    rest = Delay(Dist([(wt / (ONE - w0), v) for wt, v in es[1:]]))
+    return ChoiceCong(w0, _witness_one(head), _witness_one(rest))
+
+
+def witness_for_run(d: Delay, n: int = 1):
+    """A witness w with check_witness(w, d) = run_n(d, n)."""
+    if n == 0:
+        return Refl()
+    w = _witness_one(d)
+    cur = run(d)
+    for _ in range(n - 1):
+        w = Seq(w, _witness_one(cur))
+        cur = run(cur)
+    return w
+
+
+def node_eq(d: Delay, e: Delay) -> bool:
+    """Exact one-level equality: same canonical entry list, pending entries
+    compared by thunk identity.  Used by the witness tests."""
+    des, ees = d.node.entries, e.node.entries
+    if len(des) != len(ees):
+        return False
+    for (w1, v1), (w2, v2) in zip(des, ees):
+        if w1 != w2:
+            return False
+        if isinstance(v1, Inl) != isinstance(v2, Inl):
+            return False
+        if isinstance(v1, Inl):
+            if key_of(v1.val) != key_of(v2.val):
+                return False
+        elif v1.val is not v2.val:
+            return False
+    return True
+
 
 def random_witness(rng, d, depth=3):
     """A witness valid for d that advances a random subset of its branches.
@@ -191,6 +371,176 @@ def witness_steps(w):
     if isinstance(w, Seq):
         return witness_steps(w.first) + witness_steps(w.second)
     return max(witness_steps(w.left), witness_steps(w.right))
+
+
+# --- canonical comparison and read-back soundness ---------------------------
+
+def _merge_by_key(pairs):
+    out = {}
+    for w, v in pairs:
+        k = key_of(v)
+        if k is None:
+            raise TypeError("unkeyed element %r in a keyed comparison" % (v,))
+        out[k] = out.get(k, ZERO) + w
+    return out
+
+
+def prefix_eq(d: Delay, e: Delay, depth: int) -> bool:
+    """Structural equality of two delay trees to a forcing depth, comparing
+    at each level the canonical decomposition: merged keyed value entries,
+    total delayed mass, and (recursively) the combined continuation."""
+    dv, dp = split(d)
+    ev, ep = split(e)
+    if _merge_by_key(dv) != _merge_by_key(ev):
+        return False
+    dm = sum((w for w, _ in dp), Fraction(0))
+    em = sum((w for w, _ in ep), Fraction(0))
+    if dm != em:
+        return False
+    if depth == 0 or not dp:
+        return True
+    return prefix_eq(continuation(dp), continuation(ep), depth - 1)
+
+
+def is_ground_ty(ty: Ty) -> bool:
+    """Unit/Nat closed under products and sums: the types whose semantic
+    values carry no computation."""
+    if isinstance(ty, (UnitT, NatT)):
+        return True
+    if isinstance(ty, (ProdT, SumT)):
+        return is_ground_ty(ty.a) and is_ground_ty(ty.b)
+    return False
+
+
+def soundness_check(t: Term, depth: int) -> bool:
+    """Evaluate-then-read-back vs step-faithful interpretation, compared as
+    canonical trees through the given depth.  Requires a first-order type:
+    the read-back of a lambda would need the full logical relation."""
+    t2, ty = elaborate(t)
+    if not is_ground_ty(ty):
+        raise TypeError("soundness_check needs a ground-typed term, got %r"
+                        % (ty,))
+    reader = Interp(STANDARD)
+    left = delay_map(Evaluator().eval(t2), lambda v: reader.val(v, ()))
+    right = Interp(STEP_FAITHFUL).interp(t2, ())
+    return prefix_eq(left, right, depth)
+
+
+def typecheck(t: Term, ctx=()) -> Ty:
+    """The type elaboration synthesizes for t in ctx."""
+    return elaborate(t, ctx)[1]
+
+
+# --- printing ------------------------------------------------------------------
+
+_UNARY_KW = {cls: w for w, cls in _UNARY.items()}
+_TRUE = true_term()
+_FALSE = false_term()
+
+
+def pretty(t: Term, _depth=0, _prec=0) -> str:
+    """Minimal-paren concrete syntax with canonical binder names.
+
+    Beta-redexes print as lets; bool injections print as true/false.
+    Application/case annotations are dropped (elaboration restores them), so
+    parse(pretty(elab(t))) elaborates to the same tree as t does.
+    """
+    def wrap(s, level):
+        return "(%s)" % s if _prec > level else s
+
+    if isinstance(t, Star):
+        return "*"
+    if isinstance(t, Num):
+        return str(t.n)
+    if isinstance(t, Var):
+        return "x%d" % (_depth - 1 - t.k)
+    if isinstance(t, Inj):
+        if t == _TRUE:
+            return "true"
+        if t == _FALSE:
+            return "false"
+        return wrap("in%s[%s] %s" % (t.side, render_ty(t.ann),
+                                     pretty(t.m, _depth, 2)), 1)
+    if type(t) in _UNARY_KW:
+        return wrap("%s %s" % (_UNARY_KW[type(t)], pretty(t.m, _depth, 2)), 1)
+    if isinstance(t, Fold):
+        return wrap("fold[%s] %s" % (render_ty(t.ann), pretty(t.m, _depth, 2)), 1)
+    if isinstance(t, Pair):
+        return "(%s, %s)" % (pretty(t.a, _depth, 0), pretty(t.b, _depth, 0))
+    if isinstance(t, Ifz):
+        return wrap("ifz %s then %s else %s"
+                    % (pretty(t.cond, _depth, 0), pretty(t.zero, _depth, 0),
+                       pretty(t.succ, _depth, 0)), 0)
+    if isinstance(t, Case):
+        name = "x%d" % _depth
+        return wrap("case %s of { inl %s => %s ; inr %s => %s }"
+                    % (pretty(t.scrut, _depth, 0), name,
+                       pretty(t.left, _depth + 1, 0), name,
+                       pretty(t.right, _depth + 1, 0)), 0)
+    if isinstance(t, Lam):
+        name = "x%d" % _depth
+        ann = render_ty(t.var_ty) if t.var_ty is not None else "?"
+        return wrap("fn %s : %s => %s" % (name, ann,
+                                          pretty(t.body, _depth + 1, 0)), 0)
+    if isinstance(t, App):
+        if isinstance(t.fn, Lam):
+            name = "x%d" % _depth
+            return wrap("let %s = %s in %s"
+                        % (name, pretty(t.arg, _depth, 0),
+                           pretty(t.fn.body, _depth + 1, 0)), 0)
+        return wrap("%s %s" % (pretty(t.fn, _depth, 1),
+                               pretty(t.arg, _depth, 2)), 1)
+    if isinstance(t, Choice):
+        return wrap("choice %s %s %s"
+                    % (t.p, pretty(t.left, _depth, 3), pretty(t.right, _depth, 3)), 0)
+    raise TypeError("not a term: %r" % (t,))
+
+
+# --- corpus programs only the tests use ---------------------------------------
+
+def omega_nat() -> Term:
+    """Divergence at Nat in two steps per round."""
+    r = "(mu X. X -> Nat)"
+    w = "(fn w : %s => (unfold w) w)" % r
+    return parse_term("%s (fold[%s] %s)" % (w, r, w))
+
+
+def geo_chain(p, levels: int) -> Term:
+    """Unrolled geometric chain: exactly one delay step between consecutive
+    candidate values, so probterm(n) = 1 - (1-p)^(n+1) for n < levels; the
+    tail past the last level diverges."""
+    p = as_prob(p)
+    t = omega_nat()
+    for k in range(levels - 1, -1, -1):
+        # let u = * in <next> costs exactly one step
+        t = parse_term("choice %s %d (let u = * in next)" % (p, k),
+                       defs={"next": t})
+    return t
+
+
+def force_k(k: int) -> Term:
+    """Unit-valued observer forcing the first k cells of a lazy list."""
+    t = parse_term("fn l : %s => *" % _LL)
+    for _ in range(k):
+        t = parse_term(
+            "fn l : %s => case unfold l of { inl u => * ; inr c => rest (snd c *) }"
+            % _LL, defs={"rest": t})
+    return t
+
+
+def nth_head(j: int) -> Term:
+    """Observer reading the j-th head (0-based): head after j tails.
+    Type LazyList -> Nat + Unit."""
+    src = "l"
+    for _ in range(j):
+        src = "tl (%s)" % src
+    return parse_term("fn l : %s => hd (%s)" % (_LL, src),
+                      defs={"hd": head_term(), "tl": parse_term(_TAIL)})
+
+
+def unitize(t: Term, ty: Ty) -> Term:
+    """Discard a result: (fn q : ty => *) t.  One extra step on delivery."""
+    return App(Lam(ty, Star()), t)
 
 
 # --- reference implementations of the node traversals -------------------------

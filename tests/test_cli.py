@@ -250,6 +250,36 @@ def test_deep_compare_op_against_den_steps():
     assert out.startswith("eqlim holds at eps=1/1024, depth=5000 ")
 
 
+DEEP = ("probfpc: the input or a budget nests too deeply "
+        "for the interpreter's recursion limit\n")
+
+
+def test_deep_inputs_exit_1_with_one_line(tmp_path):
+    assert sys.getrecursionlimit() <= 1000
+    parens, sucs = tmp_path / "parens.pfpc", tmp_path / "sucs.pfpc"
+    parens.write_text("(" * 3000 + "0" + ")" * 3000 + "\n")
+    sucs.write_text("suc " * 3000 + "0\n")
+    hes, ident = example("id_hes.pfpc"), example("id.pfpc")
+    for argv in (["probterm", str(parens)], ["probterm", str(sucs)],
+                 ["refine", hes, ident, "--fuel", "5000"]):
+        for fmt in ("table", "json"):
+            code, out, err = run(argv + ["--format", fmt])
+            assert (code, out, err) == (1, "", DEEP), argv
+            assert "Traceback" not in err
+
+
+def test_refine_at_horizon_5000():
+    assert sys.getrecursionlimit() <= 1000
+    argv = ["refine", example("id_hes.pfpc"), example("id.pfpc"),
+            "--horizon", "5000"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "") and "Traceback" not in out
+    assert out.startswith("Holds: 4 probes passed (fuel=6, horizon=5000, ")
+    code, out, err = run(argv + ["--format", "json"])
+    assert (code, err) == (0, "") and "Traceback" not in out
+    assert json.loads(out)["holds"] is True
+
+
 # --- global flags ----------------------------------------------------------------
 
 def test_negative_tolerance_rejected():

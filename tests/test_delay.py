@@ -1,4 +1,5 @@
-"""Convex delay trees: run, bind, witnesses, and limit comparison."""
+"""Convex delay trees: run, the frontier, bind, witnesses, and limit
+comparison."""
 
 import random
 from fractions import Fraction
@@ -9,16 +10,15 @@ from probfpc.cli import _delay_of
 from probfpc.corpus import CATALOGUE, corpus
 from probfpc.dist import Dist, Inl, Inr, dirac
 from probfpc.delay import (
-    ChoiceCong, Delay, DelayThunk, Frontier, Refl, Seq, StepElim, TermSeq,
-    WitnessShapeError, check_witness, dchoice, delay_bind, delay_map,
-    embed_approx, eqlim_upto, geo, hesitant, leqlim_upto, node_eq, now,
-    prefix_eq, probterm, probterm0, probterm_seq, run, run_n, split, step,
-    step_of, value_part, witness_for_run, witness_from_text, witness_to_text,
-    zeta,
+    Delay, DelayThunk, Frontier, TermSeq, dchoice, delay_bind, delay_map,
+    eqlim_upto, leqlim_upto, now, probterm_seq, run, split, step, zeta,
 )
 
 from genlib import (
-    OPAQUE, random_delay, random_witness, shared_delay, witness_steps,
+    OPAQUE, ChoiceCong, Refl, StepElim, WitnessShapeError, check_witness, geo,
+    hesitant, node_eq, prefix_eq, probterm, probterm0, random_delay,
+    random_witness, run_n, shared_delay, step_of, value_part, witness_for_run,
+    witness_steps,
 )
 
 HALF = Fraction(1, 2)
@@ -334,33 +334,7 @@ def test_bind_preserves_reduction():
             assert probterm(n, delay_bind(red, f)) <= probterm(n + k, delay_bind(d, f))
 
 
-def test_witness_text_round_trip():
-    assert witness_to_text(Refl()) == "R"
-    assert witness_to_text(Seq(StepElim(), Refl())) == "(S;R)"
-    assert witness_to_text(ChoiceCong(HALF, StepElim(), Refl())) == "C(1/2,S,R)"
-    assert isinstance(witness_from_text(" ( S ; R ) "), Seq)
-    rng = random.Random(39)
-    for _ in range(200):
-        d = random_delay(rng)
-        w = random_witness(rng, d)
-        w2 = witness_from_text(witness_to_text(w))
-        assert witness_to_text(w2) == witness_to_text(w)
-        assert node_eq(check_witness(w2, d), check_witness(w, d))
-    with pytest.raises(ValueError):
-        witness_from_text("(S;R)X")
-    with pytest.raises(ValueError):
-        witness_from_text("Q")
-
-
-# --- approximate embedding and limit comparison ------------------------------
-
-def test_embed_approx():
-    assert embed_approx(now("a"), [(Fraction(1), "a")], 4, 0) == 0
-    assert embed_approx(hesitant(HALF, "a"), [(Fraction(1), "a")],
-                        8, Fraction(1, 16)) == 4
-    assert embed_approx(now("b"), [(Fraction(1), "a")], 8, Fraction(1, 16)) is None
-    assert embed_approx(now("b"), [(Fraction(1), "a")], 8, 1) == 0
-
+# --- limit comparison --------------------------------------------------------
 
 def test_leqlim_eqlim_basics():
     rng = random.Random(40)

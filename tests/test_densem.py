@@ -5,18 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.dist import Inl, Inr
-from probfpc.delay import prefix_eq, probterm, probterm_seq, step_of
+from probfpc.dist import Inl
+from probfpc.delay import probterm_seq
 from probfpc.densem import (
-    STANDARD, STEP_FAITHFUL, FoldV, FunV, Interp, NatV, PairV,
-    UNIT, ground_eq, is_ground_ty, soundness_check, val_interp,
+    STANDARD, STEP_FAITHFUL, FoldV, FunV, Interp, NatV, PairV, UNIT,
 )
 from probfpc.parser import parse_term, parse_ty
 from probfpc.syntax import App, Choice, FnT, Lam, NatT, Num, Star, Suc, Var
 from probfpc.typecheck import elaborate
-from probfpc.corpus import geo_loop, id_hes, unitize, y_comb
+from probfpc.corpus import geo_loop, id_hes, y_comb
 
-from genlib import gen_ground_ty, gen_term, gen_value
+from genlib import (
+    gen_ground_ty, gen_term, gen_value, is_ground_ty, prefix_eq, probterm,
+    soundness_check, step_of, unitize,
+)
 
 NAT = NatT()
 HALF = Fraction(1, 2)
@@ -29,29 +31,18 @@ def elab(t):
 # --- semantic values ----------------------------------------------------------
 
 def test_val_interp_goldens():
-    assert val_interp(Star()) is UNIT
-    assert val_interp(Num(3)) == NatV(3)
-    assert ground_eq(val_interp(elab(parse_term("(1, inl[Nat + Unit] 2)"))),
-                     PairV(NatV(1), Inl(NatV(2))))
-    f = val_interp(elab(Lam(NAT, Suc(Var(0)))))
+    val = Interp().val
+    assert val(Star()) is UNIT
+    assert val(Num(3)) == NatV(3)
+    assert val(elab(parse_term("(1, inl[Nat + Unit] 2)"))) == \
+        PairV(NatV(1), Inl(NatV(2)))
+    f = val(elab(Lam(NAT, Suc(Var(0)))))
     assert isinstance(f, FunV)
     d = f.fn(NatV(2))
     assert probterm(0, d) == 1
-    cell = val_interp(elab(parse_term("fold[(mu X. Nat)] 3")))
+    cell = val(elab(parse_term("fold[(mu X. Nat)] 3")))
     assert isinstance(cell, FoldV)
-    assert ground_eq(cell.force(), NatV(3))
-
-
-def test_ground_eq_and_ground_ty():
-    assert ground_eq(NatV(2), NatV(2))
-    assert not ground_eq(NatV(2), NatV(3))
-    assert not ground_eq(Inl(UNIT), Inr(UNIT))
-    assert ground_eq(PairV(NatV(0), UNIT), PairV(NatV(0), UNIT))
-    with pytest.raises(TypeError):
-        ground_eq(val_interp(elab(Lam(NAT, Var(0)))), NatV(0))
-    assert is_ground_ty(parse_ty("Nat + Unit * Nat"))
-    assert not is_ground_ty(parse_ty("Nat -> Nat"))
-    assert not is_ground_ty(parse_ty("mu X. Nat"))
+    assert cell.force() == NatV(3)
 
 
 # --- step discipline ------------------------------------------------------------
@@ -110,7 +101,7 @@ def test_substitution_lemma_at_observables():
         m = gen_term(rng, ty, (a,), 3)
         m2, _ = elaborate(m, (a,))
         v2 = elab(gen_value(rng, a))
-        left = it.interp(m2, (val_interp(v2),))
+        left = it.interp(m2, (it.val(v2),))
         right = it.interp(subst(m2, v2))
         assert prefix_eq(left, right, 12)
 
@@ -118,6 +109,10 @@ def test_substitution_lemma_at_observables():
 # --- read-back soundness ----------------------------------------------------------
 
 def test_soundness_examples():
+    # the check is defined on ground types only
+    assert is_ground_ty(parse_ty("Nat + Unit * Nat"))
+    assert not is_ground_ty(parse_ty("Nat -> Nat"))
+    assert not is_ground_ty(parse_ty("mu X. Nat"))
     assert soundness_check(Star(), 8)
     assert soundness_check(Choice(HALF, Num(0), Num(1)), 12)
     assert soundness_check(App(id_hes(HALF), Num(2)), 12)

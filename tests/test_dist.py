@@ -5,12 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.rational import assoc_coeff
-from probfpc.dist import (
-    Dist, Inl, Inr, LeftOnly, Mixed, RightOnly, UnkeyedEqError, choice,
-    decompose_sum, dirac, dist_bind, dist_eq, dist_map, key_of, prob_of,
-    recompose,
-)
+from probfpc.dist import Dist, choice, dirac, dist_bind, dist_map, key_of
 
 PROBS = tuple(Fraction(k, 16) for k in range(1, 16))
 
@@ -21,6 +16,11 @@ def rand_dist(rng, atoms=(0, 1, 2, 3), size=None):
     ws = [Fraction(rng.randrange(1, 8)) for _ in range(k)]
     total = sum(ws)
     return Dist([(w / total, rng.choice(atoms)) for w in ws])
+
+
+def same(mu, nu):
+    """Equality of keyed distributions: canonical forms are equal."""
+    return mu.entries == nu.entries
 
 
 # --- canonical form ---------------------------------------------------------
@@ -40,6 +40,7 @@ def test_keyed_entries_merge_and_sort():
 def test_zero_weight_entries_drop():
     mu = Dist([(Fraction(0), 99), (Fraction(1), 0)])
     assert mu.entries == ((Fraction(1), 0),)
+    assert dirac("a").entries == ((Fraction(1), "a"),)
 
 
 def test_normalization_closed_under_construction():
@@ -60,21 +61,6 @@ def test_unkeyed_entries_keep_formal_order_and_merge_by_identity():
     mu = Dist([(Fraction(1, 4), f), (Fraction(1, 2), g), (Fraction(1, 4), f)])
     assert mu.entries == ((Fraction(1, 2), f), (Fraction(1, 2), g))
     assert key_of(f) is None
-    assert not mu.is_keyed()
-
-
-def test_dist_eq_requires_keyed_carrier():
-    assert dist_eq(Dist([(Fraction(1), 0)]), dirac(0))
-    assert not dist_eq(dirac(0), dirac(1))
-    with pytest.raises(UnkeyedEqError):
-        dist_eq(dirac(lambda: 0), dirac(lambda: 0))
-
-
-def test_prob_of_and_dirac():
-    mu = choice(Fraction(1, 4), dirac(0), dirac(1))
-    assert prob_of(mu, lambda v: v == 0) == Fraction(1, 4)
-    assert prob_of(mu, lambda v: True) == 1
-    assert dirac("a").entries == ((Fraction(1), "a"),)
 
 
 # --- convex algebra laws ----------------------------------------------------
@@ -83,7 +69,7 @@ def test_choice_idempotent():
     rng = random.Random(22)
     for _ in range(200):
         mu = rand_dist(rng)
-        assert dist_eq(choice(rng.choice(PROBS), mu, mu), mu)
+        assert same(choice(rng.choice(PROBS), mu, mu), mu)
 
 
 def test_choice_commutes_with_complement():
@@ -91,18 +77,18 @@ def test_choice_commutes_with_complement():
     for _ in range(200):
         mu, nu = rand_dist(rng), rand_dist(rng)
         p = rng.choice(PROBS)
-        assert dist_eq(choice(p, mu, nu), choice(1 - p, nu, mu))
+        assert same(choice(p, mu, nu), choice(1 - p, nu, mu))
 
 
 def test_choice_associates_via_assoc_coeff():
-    # q (+) (p (+) (a, b), c)  =  pq (+) (a, assoc_coeff(p,q) (+) (b, c))
+    # q (+) (p (+) (a, b), c)  =  pq (+) (a, (q - pq)/(1 - pq) (+) (b, c))
     rng = random.Random(24)
     for _ in range(200):
         a, b, c = (rand_dist(rng) for _ in range(3))
         p, q = rng.choice(PROBS), rng.choice(PROBS)
         lhs = choice(q, choice(p, a, b), c)
-        rhs = choice(p * q, a, choice(assoc_coeff(p, q), b, c))
-        assert dist_eq(lhs, rhs)
+        rhs = choice(p * q, a, choice((q - p * q) / (1 - p * q), b, c))
+        assert same(lhs, rhs)
 
 
 def test_nested_choice_rebalancing_identity():
@@ -114,7 +100,7 @@ def test_nested_choice_rebalancing_identity():
     assert dict((v, w) for w, v in lhs.entries) == {
         0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
     rhs = choice(2 * p * (1 - p), choice(Fraction(1, 2), b, c), a)
-    assert dist_eq(lhs, rhs)
+    assert same(lhs, rhs)
     rng = random.Random(25)
     for _ in range(200):
         p = rng.choice(PROBS)
@@ -122,7 +108,7 @@ def test_nested_choice_rebalancing_identity():
         a, b, c = (dirac(x) for x in atoms)
         lhs = choice(p, choice(p, a, b), choice(p, c, a))
         rhs = choice(2 * p * (1 - p), choice(Fraction(1, 2), b, c), a)
-        assert dist_eq(lhs, rhs)
+        assert same(lhs, rhs)
 
 
 # --- monad structure --------------------------------------------------------
@@ -135,9 +121,9 @@ def test_monad_laws():
     for _ in range(200):
         mu = rand_dist(rng)
         a = rng.randrange(4)
-        assert dist_eq(dist_bind(dirac(a), f), f(a))
-        assert dist_eq(dist_bind(mu, dirac), mu)
-        assert dist_eq(dist_bind(dist_bind(mu, f), g),
+        assert same(dist_bind(dirac(a), f), f(a))
+        assert same(dist_bind(mu, dirac), mu)
+        assert same(dist_bind(dist_bind(mu, f), g),
                        dist_bind(mu, lambda x: dist_bind(f(x), g)))
 
 
@@ -148,7 +134,7 @@ def test_bind_is_a_convex_homomorphism():
     for _ in range(200):
         mu, nu = rand_dist(rng), rand_dist(rng)
         p = rng.choice(PROBS)
-        assert dist_eq(dist_bind(choice(p, mu, nu), f),
+        assert same(dist_bind(choice(p, mu, nu), f),
                        choice(p, dist_bind(mu, f), dist_bind(nu, f)))
 
 
@@ -158,9 +144,9 @@ def test_map_functoriality():
     g = lambda a: ("tag", a)
     for _ in range(200):
         mu = rand_dist(rng)
-        assert dist_eq(dist_map(g, dist_map(f, mu)),
+        assert same(dist_map(g, dist_map(f, mu)),
                        dist_map(lambda a: g(f(a)), mu))
-        assert dist_eq(dist_map(lambda a: a, mu), mu)
+        assert same(dist_map(lambda a: a, mu), mu)
 
 
 def test_two_paired_fair_coins_are_uniform():
@@ -169,36 +155,3 @@ def test_two_paired_fair_coins_are_uniform():
     assert dict((v, w) for w, v in both.entries) == {
         (x, y): Fraction(1, 4) for x in (0, 1) for y in (0, 1)}
 
-
-# --- sum decomposition ------------------------------------------------------
-
-def test_decompose_shapes():
-    assert isinstance(decompose_sum(dirac(Inl(0))), LeftOnly)
-    assert isinstance(decompose_sum(dirac(Inr(0))), RightOnly)
-    d = decompose_sum(choice(Fraction(1, 2), dirac(Inl(0)),
-                             choice(Fraction(1, 2), dirac(Inl(5)), dirac(Inr(7)))))
-    assert isinstance(d, Mixed)
-    assert d.p == Fraction(3, 4)
-    assert dict((v, w) for w, v in d.left.entries) == {
-        0: Fraction(2, 3), 5: Fraction(1, 3)}
-    assert dist_eq(d.right, dirac(7))
-
-
-def test_decompose_rejects_non_sum_carrier():
-    with pytest.raises(TypeError):
-        decompose_sum(dirac(0))
-
-
-def rand_sum_dist(rng):
-    k = rng.randrange(1, 6)
-    ws = [Fraction(rng.randrange(1, 8)) for _ in range(k)]
-    total = sum(ws)
-    side = lambda a: Inl(a) if rng.random() < 0.5 else Inr(a)
-    return Dist([(w / total, side(rng.randrange(4))) for w in ws])
-
-
-def test_decompose_recompose_round_trip():
-    rng = random.Random(29)
-    for _ in range(500):
-        mu = rand_sum_dist(rng)
-        assert dist_eq(recompose(decompose_sum(mu)), mu)

@@ -14,17 +14,19 @@ from probfpc.syntax import (
     render_ty, subst, true_term, ty_closed,
 )
 from probfpc.parser import (
-    ParseError, load_file, parse_program, parse_term, parse_ty, pretty,
+    ParseError, load_file, parse_program, parse_term, parse_ty,
 )
-from probfpc.typecheck import TypecheckError, elaborate, typecheck
+from probfpc.typecheck import TypecheckError, elaborate
 from probfpc.corpus import (
     CATALOGUE, LAZY_LIST, corpus, diverge_term, everysnd_term, fair_from,
-    force_k, geo_chain, geo_loop, head_term, id_hes, nth_head, omega_nat,
-    randw2_fn, randw_fn, unitize, y_comb,
+    geo_loop, head_term, id_hes, randw2_fn, randw_fn, y_comb,
 )
 
 from conftest import example
-from genlib import gen_ground_ty, gen_term
+from genlib import (
+    force_k, gen_ground_ty, gen_term, geo_chain, nth_head, omega_nat, pretty,
+    typecheck, unitize,
+)
 
 NAT = NatT()
 

@@ -3,24 +3,22 @@
 import random
 from fractions import Fraction
 
-from probfpc.delay import (
-    dchoice, eqlim_upto, geo, prefix_eq, probterm, probterm_seq, run,
-    step_of, value_part,
-)
-from probfpc.densem import STEP_FAITHFUL, Interp, soundness_check
-from probfpc.opsem import Evaluator, eval_probterm
+from probfpc.delay import dchoice, eqlim_upto, probterm_seq, run
+from probfpc.densem import STEP_FAITHFUL, Interp
+from probfpc.opsem import Evaluator
 from probfpc.parser import parse_term
 from probfpc.syntax import (
     App, Choice, FnT, Lam, NatT, Num, Pair, Star, Suc, UnitT, Var, false_term,
     subst, true_term,
 )
-from probfpc.typecheck import elaborate, typecheck
-from probfpc.corpus import (
-    diverge_term, fair_from, geo_chain, geo_loop, id_hes, unitize, y_comb,
-)
+from probfpc.typecheck import elaborate
+from probfpc.corpus import diverge_term, fair_from, geo_loop, id_hes, y_comb
 from probfpc.syntax import BOOL_T
 
-from genlib import gen_ground_ty, gen_term
+from genlib import (
+    gen_ground_ty, gen_term, geo, geo_chain, prefix_eq, probterm,
+    soundness_check, step_of, typecheck, unitize, value_part,
+)
 
 NAT = NatT()
 HALF = Fraction(1, 2)
@@ -28,6 +26,11 @@ HALF = Fraction(1, 2)
 
 def elab(t):
     return elaborate(t)[0]
+
+
+def eval_probterm(t, depth):
+    """Termination sequence of t's evaluation, depths 0..depth."""
+    return probterm_seq(Evaluator().eval(elab(t)), depth)
 
 
 def delivered(d, n):

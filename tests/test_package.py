@@ -1,11 +1,15 @@
-"""The package imports, and every module's export list names real objects.
+"""The package imports, and every module's export list names real objects
+that something in `src/` uses.
 
 A deletion that leaves a stale name in `__all__` fails here rather than in
-a user's `from probfpc.<module> import *`.
+a user's `from probfpc.<module> import *`; so does a public name that only
+the tests call, which belongs in `tests/genlib.py`.
 """
 
+import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 
 import pytest
@@ -25,3 +29,48 @@ def test_every_exported_name_resolves(name):
     mod = importlib.import_module("probfpc." + name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, "probfpc.%s.__all__ names missing objects: %s" % (name, missing)
+
+
+# Public names that need no caller in src/, each with its reason.
+NO_CALLER_NEEDED = {
+    "cli.main": "the console-script entry point",
+    "delay.run": "the paper's one-layer elimination, the reference for Frontier",
+    "dist.dist_map": "the functor action of Dist",
+}
+
+
+def _uses(tree):
+    """Names a module loads, leaving out uses inside the module-level
+    definition of the same name: recursion is not a caller."""
+    used = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        used.update(n.id for n in ast.walk(top) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load) and n.id != own)
+    return used
+
+
+def test_public_names_have_a_caller_in_src():
+    # code only the tests use lives in tests/: each exported name needs a
+    # use in src/ outside its own definition and __init__.py, in its own
+    # module or in one that imports it from there
+    src = importlib.util.find_spec("probfpc").submodule_search_locations[0]
+    trees = {}
+    for name in MODULES:
+        with open(os.path.join(src, name + ".py"), encoding="utf-8") as fh:
+            trees[name] = ast.parse(fh.read())
+    uses = {m: _uses(t) for m, t in trees.items()}
+    imports = {m: {(n.module, a.name) for n in ast.walk(t)
+                   if isinstance(n, ast.ImportFrom) for a in n.names}
+               for m, t in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        exported = next(ast.literal_eval(n.value) for n in tree.body
+                        if isinstance(n, ast.Assign)
+                        and getattr(n.targets[0], "id", None) == "__all__")
+        for name in exported:
+            callers = [m for m in trees if name in uses[m]
+                       and (m == module or (module, name) in imports[m])]
+            if not callers and "%s.%s" % (module, name) not in NO_CALLER_NEEDED:
+                unused.append("%s.%s" % (module, name))
+    assert not unused, "exported but never used in src/: %s" % unused

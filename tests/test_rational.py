@@ -5,10 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.rational import (
-    ONE, ZERO, ProbRangeError, as_prob, as_uprob, assoc_coeff, complement,
-    convex_combine, parse_rat, render_rat,
-)
+from probfpc.rational import ONE, ZERO, ProbRangeError, as_prob, as_uprob, parse_rat
 
 
 def test_as_prob_open_interval():
@@ -28,14 +25,6 @@ def test_as_uprob_closed_interval():
             as_uprob(bad)
 
 
-def test_complement_involution():
-    rng = random.Random(11)
-    for _ in range(200):
-        p = Fraction(rng.randrange(1, 64), 64)
-        assert complement(complement(p)) == p
-        assert complement(p) + p == ONE
-
-
 def test_canonical_form_closed_under_arithmetic():
     # lowest terms and positive denominator survive +, *, /
     rng = random.Random(12)
@@ -48,38 +37,15 @@ def test_canonical_form_closed_under_arithmetic():
             assert gcd(abs(c.numerator), c.denominator) == 1
 
 
-def test_assoc_coeff_range_and_value():
-    rng = random.Random(13)
-    for _ in range(200):
-        p = Fraction(rng.randrange(1, 16), 16)
-        q = Fraction(rng.randrange(1, 16), 16)
-        r = assoc_coeff(p, q)
-        assert 0 < r < 1
-        assert r == (q - p * q) / (1 - p * q)
-
-
-def test_convex_combine_endpoints_and_symmetry():
-    rng = random.Random(14)
-    for _ in range(200):
-        p = Fraction(rng.randrange(1, 32), 32)
-        x = Fraction(rng.randrange(0, 33), 32)
-        y = Fraction(rng.randrange(0, 33), 32)
-        v = convex_combine(p, x, y)
-        assert v == convex_combine(1 - p, y, x)
-        assert min(x, y) <= v <= max(x, y)
-    assert convex_combine(Fraction(1, 2), ONE, ZERO) == Fraction(1, 2)
-
-
 def test_parse_render_round_trip():
     assert parse_rat("3/4") == Fraction(3, 4)
     assert parse_rat("0.25") == Fraction(1, 4)
     assert parse_rat(" 7/8 ") == Fraction(7, 8)
-    assert render_rat(Fraction(3, 4)) == "3/4"
-    assert render_rat(Fraction(2)) == "2"
+    # the CLI renders rationals with str(): "3/4", and "2" for integers
     rng = random.Random(15)
     for _ in range(200):
         x = Fraction(rng.randrange(0, 100), rng.randrange(1, 100))
-        assert parse_rat(render_rat(x)) == x
+        assert parse_rat(str(x)) == x
     with pytest.raises(ValueError):
         parse_rat("one half")
     with pytest.raises(ValueError):

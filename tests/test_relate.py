@@ -7,63 +7,55 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.dist import Dist, Inl, dirac
+from probfpc.dist import Dist, Inl
 from probfpc.delay import (
-    dchoice, delay_bind, hesitant, leqlim_upto, now, probterm_seq,
-    run_n, step_fn, step_of,
+    dchoice, delay_bind, leqlim_upto, now, probterm_seq, step_fn,
 )
 from probfpc.densem import NatV, UNIT
 from probfpc.relate import (
-    RelateCfg, default_probes, lift_check, logrel_val, max_coupling,
-    refine_check,
+    RelateCfg, _flow, default_probes, lift_check, logrel_val, refine_check,
 )
 from probfpc.syntax import BOOL_T, Fold, Inj, Lam, NatT, Num, Star, UnitT, Var
 from probfpc.parser import parse_term, parse_ty
 from probfpc.typecheck import TypecheckError
 from probfpc.corpus import diverge_term, id_hes, y_comb
 
-from genlib import random_delay
+from genlib import hesitant, random_delay, run_n, step_of
 
 NAT = NatT()
 HALF = Fraction(1, 2)
 eq = lambda a, b: a == b
 
 
-# --- max_coupling -------------------------------------------------------------
+# --- the exact max-flow coupling ---------------------------------------------
 
 def test_coupling_trivial_and_golden():
-    c = max_coupling(dirac("a"), [(Fraction(1), "a")], eq, 0)
-    assert c is not None and c.matched == 1
-    mu = Dist([(HALF, "a"), (HALF, "b")])
+    assert _flow([(Fraction(1), "a")], [(Fraction(1), "a")], eq) == \
+        (1, {(0, 0): 1})
+    mu = [(HALF, "a"), (HALF, "b")]
     nu = [(Fraction(3, 4), "a"), (Fraction(1, 4), "b")]
-    assert max_coupling(mu, nu, eq, 0) is None
-    assert max_coupling(mu, nu, eq, Fraction(1, 8)) is None
-    c = max_coupling(mu, nu, eq, Fraction(1, 4))
-    assert c is not None and c.matched == Fraction(3, 4)
+    assert _flow(mu, nu, eq) == \
+        (Fraction(3, 4), {(0, 0): HALF, (1, 1): Fraction(1, 4)})
+    assert _flow(mu, nu, lambda a, b: False) == (0, {})
 
 
 def test_coupling_marginals_are_exact():
+    # every edge carries positive flow along rel; no left entry sends more
+    # than its supply, no right entry takes more than its capacity, and the
+    # edges sum to the flow value
     rng = random.Random(81)
-    some = 0
     for _ in range(200):
-        mu, nu, rel, eps = rand_instance(rng)
-        c = max_coupling(mu, nu, rel, eps)
-        if c is None:
-            continue
-        some += 1
-        assert c.left_marginal() == tuple((a, w) for w, a in mu.entries)
-        got = {b: w for b, w in c.right_allocation()}
-        caps = {}
-        for w, b in nu:
-            caps[b] = caps.get(b, Fraction(0)) + w
-        for b, w in got.items():
-            assert w <= caps[b]
-        assert sum(w for _, w in c.pairs()) == c.matched
-        for a, supply, alloc, leftover in c.rows:
-            assert sum((w for _, w in alloc), Fraction(0)) + leftover == supply
-            for b, w in alloc:
-                assert rel(a, b) and w > 0
-    assert some >= 50
+        mu, nu, rel = rand_instance(rng)
+        left = list(mu.entries)
+        value, flow = _flow(left, nu, rel)
+        sent, got = {}, {}
+        for (i, j), f in flow.items():
+            assert f > 0 and rel(left[i][1], nu[j][1])
+            sent[i] = sent.get(i, 0) + f
+            got[j] = got.get(j, 0) + f
+        assert all(f <= left[i][0] for i, f in sent.items())
+        assert all(f <= nu[j][0] for j, f in got.items())
+        assert sum(flow.values()) == value
 
 
 def rand_instance(rng):
@@ -79,10 +71,7 @@ def rand_instance(rng):
         nu = nu[:-1]
     table = {(a, b): rng.random() < 0.6 for a in atoms for b in atoms}
     rel = lambda a, b: table[(a, b)]
-    eps = Fraction(rng.randrange(0, 7), 6)
-    if eps > 1:
-        eps = Fraction(1)
-    return mu, nu, rel, eps
+    return mu, nu, rel
 
 
 def oracle_matched(mu, nu, rel):
@@ -107,13 +96,8 @@ def oracle_matched(mu, nu, rel):
 def test_coupling_against_deficiency_oracle():
     rng = random.Random(82)
     for _ in range(200):
-        mu, nu, rel, eps = rand_instance(rng)
-        best = oracle_matched(mu, nu, rel)
-        total = sum(w for w, _ in mu.entries)
-        c = max_coupling(mu, nu, rel, eps)
-        assert (c is not None) == (best >= total - eps)
-        if c is not None:
-            assert c.matched == best
+        mu, nu, rel = rand_instance(rng)
+        assert _flow(list(mu.entries), nu, rel)[0] == oracle_matched(mu, nu, rel)
 
 
 # --- lift_check -----------------------------------------------------------------
