@@ -1,0 +1,113 @@
+"""Golden outputs: the exit code, stdout and stderr of about a hundred
+command lines, pinned by SHA-1 in `golden_outputs.txt`.
+
+A change that must keep every output byte-identical passes this table
+unchanged.  A deliberate output change regenerates it with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_outputs.txt
+
+and names the rows that changed, and why, in CHANGES.md.
+
+Arguments are written with two placeholders, `examples/` for the shipped
+programs and `tmp/` for the inputs written below; labels keep the
+placeholders, and outputs have the real directories replaced by them.
+"""
+
+import hashlib
+import io
+import os
+import tempfile
+
+from probfpc.cli import main
+from probfpc.corpus import CATALOGUE
+
+from conftest import EXAMPLES
+
+TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                     "golden_outputs.txt")
+MODES = ("op", "den", "den-steps")
+FORMATS = ("table", "json")
+
+# inputs of the exit-1 requests
+BAD_FILES = {
+    "ill_typed.pfpc": "fst *\n",
+    "stray.pfpc": "suc ²\n",
+    "empty.pfpc": "-- nothing here\n",
+    "trailing.pfpc": "1 )\n",
+    "parens.pfpc": "(" * 3000 + "0" + ")" * 3000 + "\n",
+}
+
+
+def requests():
+    """Every pinned command line, as argv lists with placeholders."""
+    progs = sorted(n for n in os.listdir(EXAMPLES) if n.endswith(".pfpc"))
+    out = []
+    for name in progs:
+        f = "examples/" + name
+        out.append(["check", f])
+        out += [["probterm", f, "--mode", m, "--format", fmt, "--depth", "40"]
+                for m in MODES for fmt in FORMATS]
+    out.append(["examples", "list"])
+    out += [["examples", "run", name, "--mode", m, "--depth", "120"]
+            for name, _ in CATALOGUE for m in MODES]
+    for a, b, extra in (("id_hes", "id", []), ("id", "id_hes", []),
+                        ("randw_even_head", "randw2_head", ["--fuel", "4"]),
+                        ("randw2_head", "randw_even_head", ["--fuel", "4"])):
+        out += [["refine", "examples/%s.pfpc" % a, "examples/%s.pfpc" % b,
+                 "--format", fmt] + extra for fmt in FORMATS]
+    for a, b, extra in (("fair_harness", "coin_harness", []),
+                        ("fair_harness", "coin_harness", ["--mode-a", "den"]),
+                        ("coin_harness", "coin_harness", ["--eps", "0"])):
+        out += [["compare", "examples/%s.pfpc" % a, "examples/%s.pfpc" % b,
+                 "--format", fmt] + extra for fmt in FORMATS]
+    out += [["check", "tmp/" + name] for name in sorted(BAD_FILES)]
+    out += [
+        ["check", "tmp/missing.pfpc"],
+        ["probterm", "tmp/parens.pfpc", "--format", "json"],
+        ["compare", "examples/geo.pfpc", "examples/geo.pfpc"],
+        ["refine", "examples/id.pfpc", "examples/fair.pfpc"],
+        ["examples", "run", "nonesuch"],
+        ["examples", "run", "geo(2/3"],
+        ["examples", "run", "geo(2/3)x"],
+        ["examples", "run", "diverge(1)"],
+        ["examples", "run", "id_hes(1/2,Foo)"],
+        ["compare", "examples/coin_harness.pfpc", "examples/coin_harness.pfpc",
+         "--eps=-1/2"],
+        ["probterm", "examples/coin_harness.pfpc", "--depth", "two"],
+    ]
+    return out
+
+
+def outputs():
+    """(label, SHA-1 of exit code, stdout and stderr) per request."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, src in BAD_FILES.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(src)
+        dirs = (("examples/", EXAMPLES + os.sep), ("tmp/", tmp + os.sep))
+        for argv in requests():
+            real = list(argv)
+            for short, full in dirs:
+                real = [full + a[len(short):] if a.startswith(short) else a
+                        for a in real]
+            out, err = io.StringIO(), io.StringIO()
+            code = main(real, out=out, err=err)
+            text = repr((code, out.getvalue(), err.getvalue()))
+            for short, full in dirs:
+                text = text.replace(full, short)
+            yield " ".join(argv), hashlib.sha1(text.encode("utf-8")).hexdigest()
+
+
+def test_outputs_match_the_golden_table():
+    with open(TABLE, encoding="utf-8") as fh:
+        table = [tuple(line.split("\t")) for line in fh.read().splitlines()]
+    rows = list(outputs())
+    for row, want in zip(rows, table):
+        assert row == want, "first request that differs: %s" % row[0]
+    assert len(rows) == len(table), "the table has %d rows for %d requests" \
+        % (len(table), len(rows))
+
+
+if __name__ == "__main__":
+    for label, sha in outputs():
+        print("%s\t%s" % (label, sha))
