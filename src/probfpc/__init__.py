@@ -11,9 +11,9 @@ refinements between the two through couplings and a type-indexed relation.
 from .rational import ZERO, ONE, ProbRangeError, as_prob, as_uprob, parse_rat
 from .dist import Dist, Inl, Inr, dirac, choice, dist_bind, dist_map, key_of
 from .delay import (
-    Delay, DelayThunk, now, step, step_fn, dchoice, delay_bind, delay_map,
-    zeta, run, Frontier, TermSeq, probterm_seq, split, continuation,
-    leqlim_upto, eqlim_upto,
+    DelayThunk, now, step, step_fn, delay_bind, delay_map, zeta, run,
+    Frontier, TermSeq, probterm_seq, split, continuation, leqlim_upto,
+    eqlim_upto,
 )
 from .syntax import (
     Ty, UnitT, NatT, ProdT, SumT, FnT, MuT, TVarT, render_ty, mu_unfold,
@@ -21,9 +21,7 @@ from .syntax import (
     Lam, App, Fold, Unfold, Choice, is_value, subst, true_term, false_term,
 )
 from .typecheck import TypecheckError, elaborate
-from .parser import (
-    ParseError, parse_program, parse_term, parse_ty, load_file, pretty_ty,
-)
+from .parser import ParseError, parse_term, parse_ty, load_file
 from .opsem import EvalDefect, Evaluator
 from .densem import (
     STANDARD, STEP_FAITHFUL, NatV, UNIT, PairV, FunV, FoldV, SemDefect, Interp,

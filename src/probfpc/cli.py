@@ -17,10 +17,10 @@ from .corpus import CATALOGUE, corpus
 from .delay import eqlim_upto, probterm_seq
 from .densem import STANDARD, STEP_FAITHFUL, Interp
 from .opsem import Evaluator
-from .parser import ParseError, load_file, pretty_ty
+from .parser import ParseError, load_file
 from .rational import parse_rat
 from .relate import RelateCfg, refine_check
-from .syntax import UnitT
+from .syntax import UnitT, render_ty
 from .typecheck import TypecheckError, elaborate
 
 __all__ = ["main"]
@@ -66,7 +66,7 @@ def _print_seq(seq, fmt, approx, out):
 def cmd_check(args, out):
     term = load_file(args.file)
     _, ty = elaborate(term)
-    out.write(pretty_ty(ty) + "\n")
+    out.write(render_ty(ty) + "\n")
     return 0
 
 
@@ -87,7 +87,7 @@ def cmd_compare(args, out):
     ty_b, db = _delay_of(tb, mode_b)
     if not isinstance(ty_a, UnitT) or not isinstance(ty_b, UnitT):
         raise TypecheckError("compare needs Unit programs, got %s and %s"
-                             % (pretty_ty(ty_a), pretty_ty(ty_b)))
+                             % (render_ty(ty_a), render_ty(ty_b)))
     fa = probterm_seq(da, args.depth)
     fb = probterm_seq(db, args.depth)
     ok = eqlim_upto(fa, fb, args.eps)
@@ -136,7 +136,7 @@ def cmd_examples(args, out):
         # a bad type argument: its position inside the argument means nothing
         raise UsageError("%s: %s" % (args.name, e.msg)) from None
     ty, d = _delay_of(term, args.mode)
-    out.write("type: %s\n" % pretty_ty(ty))
+    out.write("type: %s\n" % render_ty(ty))
     seq = probterm_seq(d, args.depth)
     _print_seq(seq, args.format, args.approx, out)
     return 0

@@ -10,7 +10,7 @@ names listed in CATALOGUE, with optional arguments in parentheses, e.g.
 
 from fractions import Fraction
 
-from .parser import parse_term, parse_ty
+from .parser import _DIGITS, parse_term, parse_ty
 from .rational import as_prob, parse_rat
 from .syntax import (
     Ty, UnitT, NatT, FnT, MuT, TVarT, mu_unfold, render_ty, BOOL_T,
@@ -168,6 +168,13 @@ def _parse_call(name):
     return base.strip(), [a.strip() for a in inner.split(",")] if inner else []
 
 
+def _nat(text):
+    """A natural argument, spelt as the lexer reads numerals: ASCII digits."""
+    if not text or text.strip(_DIGITS):
+        raise ValueError("not a natural: %r" % text)
+    return int(text)
+
+
 _ARITY = {"geo": 1, "id_hes": 2, "fair_from": 1, "randw": 1, "randw2": 1,
           "everysnd": 0, "lazylist-ops": 0, "diverge": 0}
 
@@ -189,10 +196,10 @@ def corpus(name: str) -> Term:
         p = parse_rat(args[0]) if args else Fraction(1, 3)
         return fair_from(p)
     if base == "randw":
-        n = int(args[0]) if args else 2
+        n = _nat(args[0]) if args else 2
         return App(randw_fn(), Num(n))
     if base == "randw2":
-        n = int(args[0]) if args else 2
+        n = _nat(args[0]) if args else 2
         return App(randw2_fn(), Num(n))
     if base == "everysnd":
         return everysnd_term()

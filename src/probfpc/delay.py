@@ -1,17 +1,19 @@
 """The convex delay monad: distributions over "a value now, or a thunk of
 more computation", observed by running one layer at a time.
 
-A Delay node is Dist over Inl(value) | Inr(DelayThunk).  Thunks are memoized,
-so every finite prefix is a finite tree and repeated observation is stable.
-The equational quotient on trees is realized operationally rather than by
-construction: keyed value entries merge canonically inside each Dist node,
-and pending entries stay formal.
+A delay tree is its node, a Dist over Inl(value) | Inr(DelayThunk): the
+paper's D(A + |>L A).  Thunks are memoized, so every finite prefix is a
+finite tree and repeated observation is stable.  The equational quotient
+on trees is realized operationally rather than by construction: keyed
+value entries merge canonically inside each Dist node, and pending entries
+stay formal.
 
 ``run`` is the paper's one-layer elimination.  Every "run n levels and
 look" loop goes through ``Frontier`` instead: run is the identity on
 delivered values, so the frontier keeps their mass as one scalar and
 carries only the pending thunks from level to level, which makes
-termination tables cost time linear in depth.
+termination tables cost time linear in depth.  A frontier folds the
+delivered values too when asked, and then they must be keyed.
 
 Also here: termination-probability sequences, the split of a node into its
 value part and combined continuation, and the bounded limit comparison
@@ -19,17 +21,17 @@ leqlim/eqlim.
 """
 
 from .rational import ONE, ZERO, as_uprob
-from .dist import Dist, Inl, Inr, dirac, choice, dist_bind, key_of
+from .dist import Dist, Inl, Inr, dirac, dist_bind, key_of
 
 __all__ = [
-    "DelayThunk", "Delay", "now", "step", "step_fn", "dchoice", "delay_bind",
+    "DelayThunk", "now", "step", "step_fn", "delay_bind",
     "delay_map", "zeta", "run", "Frontier", "TermSeq", "probterm_seq",
     "split", "continuation", "leqlim_upto", "eqlim_upto",
 ]
 
 
 class DelayThunk:
-    """Memoized deferred Delay; forcing is idempotent."""
+    """Memoized deferred delay tree; forcing is idempotent."""
     __slots__ = ("_fn", "_val")
 
     def __init__(self, fn):
@@ -46,37 +48,20 @@ class DelayThunk:
         return "<thunk forced>" if self._fn is None else "<thunk>"
 
 
-class Delay:
-    __slots__ = ("node",)
-
-    def __init__(self, node: Dist):
-        object.__setattr__(self, "node", node)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Delay is immutable")
-
-    def __repr__(self):
-        return "Delay(%r)" % (self.node,)
+def now(a) -> Dist:
+    return dirac(Inl(a))
 
 
-def now(a) -> Delay:
-    return Delay(dirac(Inl(a)))
+def step(t: DelayThunk) -> Dist:
+    return dirac(Inr(t))
 
 
-def step(t: DelayThunk) -> Delay:
-    return Delay(dirac(Inr(t)))
-
-
-def step_fn(fn) -> Delay:
+def step_fn(fn) -> Dist:
     """One delay step whose continuation is computed lazily by fn()."""
     return step(DelayThunk(fn))
 
 
-def dchoice(p, d: Delay, e: Delay) -> Delay:
-    return Delay(choice(p, d.node, e.node))
-
-
-def delay_bind(d: Delay, f) -> Delay:
+def delay_bind(d: Dist, f) -> Dist:
     """Kleisli extension; value leaves are substituted immediately, pending
     branches defer the recursive bind inside a thunk.
 
@@ -92,22 +77,19 @@ def delay_bind(d: Delay, f) -> Delay:
         hit = memo.get(id(t))
         if hit is not None:
             return hit[0]
-        w = DelayThunk(lambda: go(t.force()))
+        w = DelayThunk(lambda: dist_bind(t.force(), ext))
         memo[id(t)] = (w, t)
         return w
 
     def ext(el):
         if isinstance(el, Inl):
-            return f(el.val).node
+            return f(el.val)
         return dirac(Inr(wrap(el.val)))
 
-    def go(d2):
-        return Delay(dist_bind(d2.node, ext))
-
-    return go(d)
+    return dist_bind(d, ext)
 
 
-def delay_map(d: Delay, f) -> Delay:
+def delay_map(d: Dist, f) -> Dist:
     return delay_bind(d, lambda a: now(f(a)))
 
 
@@ -116,14 +98,13 @@ def zeta(m: Dist) -> DelayThunk:
     combination; zeta(dirac t) = t."""
     if len(m.entries) == 1:
         return m.entries[0][1]
-    return DelayThunk(lambda: Delay(dist_bind(m, lambda t: t.force().node)))
+    return DelayThunk(lambda: dist_bind(m, lambda t: t.force()))
 
 
-def run(d: Delay) -> Delay:
+def run(d: Dist) -> Dist:
     """Eliminate one layer of steps in every branch."""
-    return Delay(dist_bind(d.node,
-                           lambda el: dirac(el) if isinstance(el, Inl)
-                           else el.val.force().node))
+    return dist_bind(d, lambda el: dirac(el) if isinstance(el, Inl)
+                     else el.val.force())
 
 
 class Frontier:
@@ -136,71 +117,55 @@ class Frontier:
     that delivered plus pending mass is exactly 1, as ``Dist`` does.
 
     With ``values=True`` the delivered values are also folded, merged by
-    ``key_of`` (unkeyed ones by the identity of their ``Inl``), and
-    ``values()`` lists them as ``split`` does after m runs: keyed values
-    sorted by key, then unkeyed ones in tree order.  Tree order is kept by
-    a position per entry, (parent position, index in its node).
+    ``key_of``, and ``values()`` lists them as ``split`` does after m runs,
+    sorted by key.  Such a frontier takes keyed values only: an unkeyed one
+    raises TypeError.
     """
-    __slots__ = ("mass", "_pending", "_keyed", "_unkeyed")
+    __slots__ = ("mass", "_pending", "_values")
 
-    def __init__(self, d: Delay, values=False):
+    def __init__(self, d: Dist, values=False):
         self.mass = ZERO
-        self._pending = {}      # id(thunk) -> [weight, thunk, position]
-        self._keyed = {} if values else None    # key -> [weight, value]
-        self._unkeyed = {}      # id(Inl) -> [weight, Inl, root-first path]
-        self._absorb(((ONE, d, ()),))
+        self._pending = {}      # id(thunk) -> [weight, thunk]
+        self._values = {} if values else None   # key -> [weight, value]
+        self._absorb(((ONE, d),))
 
     def step(self):
         """Run one level; returns the level's deliveries [(w, value)]."""
-        return self._absorb([(w, t.force(), pos)
-                             for w, t, pos in self._pending.values()])
+        return self._absorb([(w, t.force()) for w, t in self._pending.values()])
 
     def _absorb(self, forced):
         mass, pending, new = self.mass, {}, []
-        for w, d, pos in forced:
-            for j, (w2, el) in enumerate(d.node.entries):
+        for w, d in forced:
+            for w2, el in d.entries:
                 w2 = w * w2
                 if isinstance(el, Inl):
                     mass += w2
-                    new.append((w2, el, (pos, j)))
+                    new.append((w2, el.val))
                 elif id(el.val) in pending:
                     pending[id(el.val)][0] += w2
                 else:
-                    pending[id(el.val)] = [w2, el.val, (pos, j)]
-        total = sum((w for w, _, _ in pending.values()), mass)
+                    pending[id(el.val)] = [w2, el.val]
+        total = sum((w for w, _ in pending.values()), mass)
         if total != ONE:
             raise ValueError("distribution weights sum to %s, not 1" % total)
         self.mass, self._pending = mass, pending
-        if self._keyed is not None:
-            for w, el, pos in new:
-                self._fold(w, el, pos)
-        return [(w, el.val) for w, el, _ in new]
-
-    def _fold(self, w, el, pos):
-        k = key_of(el.val)
-        if k is not None:
-            self._keyed.setdefault(k, [ZERO, el.val])[0] += w
-            return
-        path = []
-        while pos:
-            pos, j = pos
-            path.append(j)
-        path = tuple(reversed(path))
-        hit = self._unkeyed.setdefault(id(el), [ZERO, el, path])
-        hit[0] += w
-        hit[2] = min(hit[2], path)
+        if self._values is not None:
+            for w, a in new:
+                k = key_of(a)
+                if k is None:
+                    raise TypeError("unkeyed value %r on a frontier that "
+                                    "folds values" % (a,))
+                self._values.setdefault(k, [ZERO, a])[0] += w
+        return new
 
     def values(self):
         """Delivered values [(w, a)] in canonical order; needs values=True."""
-        out = [(w, a) for _, (w, a) in sorted(self._keyed.items(),
-                                               key=lambda kv: kv[0])]
-        out += [(w, el.val) for w, el, _ in sorted(self._unkeyed.values(),
-                                                    key=lambda r: r[2])]
-        return out
+        return [(w, a) for _, (w, a) in sorted(self._values.items(),
+                                                key=lambda kv: kv[0])]
 
     def pendings(self):
         """Pending thunks [(w, t)] in first-occurrence order."""
-        return [(w, t) for w, t, _ in self._pending.values()]
+        return [(w, t) for w, t in self._pending.values()]
 
 
 class TermSeq:
@@ -224,7 +189,7 @@ class TermSeq:
                 "probterm": [str(v) for v in self.values]}
 
 
-def probterm_seq(d: Delay, n: int) -> TermSeq:
+def probterm_seq(d: Dist, n: int) -> TermSeq:
     f = Frontier(d)
     out = [f.mass]
     for _ in range(n):
@@ -233,17 +198,17 @@ def probterm_seq(d: Delay, n: int) -> TermSeq:
     return TermSeq(out)
 
 
-def split(d: Delay):
+def split(d: Dist):
     """Entries of the node split into values [(w, a)] and pendings [(w, t)]."""
     vals, pend = [], []
-    for w, el in d.node.entries:
+    for w, el in d.entries:
         (vals if isinstance(el, Inl) else pend).append((w, el.val))
     return vals, pend
 
 
-def continuation(pend) -> Delay:
+def continuation(pend) -> Dist:
     """Combined continuation of a node's weighted pendings [(w, t)]: the
-    Delay of their convex combination, renormalised to mass 1."""
+    delay tree of their convex combination, renormalised to mass 1."""
     mass = sum((w for w, _ in pend), ZERO)
     return zeta(Dist([(w / mass, t) for w, t in pend])).force()
 

@@ -1,8 +1,8 @@
-"""Denotational semantics: environment-based interpretation into Delay.
+"""Denotational semantics: environment-based interpretation into delay trees.
 
 Semantic values are ground data (units, naturals, pairs, and injections
 as `dist.Inl`/`Inr`), closures (`FunV`, a Python function from semantic
-value to Delay), and recursive-type cells (`FoldV`, a memoised thunk).
+value to delay tree), and recursive-type cells (`FoldV`, a memoised thunk).
 Ground values compare structurally and carry sort keys, so distributions
 over them canonicalize; closures and cells compare by identity.
 
@@ -15,10 +15,8 @@ Two step disciplines:
                 interpretation step-for-step comparable with evaluation
 """
 
-from .delay import (
-    Delay, DelayThunk, delay_bind, delay_map, dchoice, now, step_fn,
-)
-from .dist import Inl, Inr, key_of
+from .delay import DelayThunk, delay_bind, delay_map, now, step_fn
+from .dist import Dist, Inl, Inr, choice, key_of
 from .syntax import (
     Term, Star, Num, Var, Suc, Pred, Ifz, Pair, Fst, Snd,
     Inj, Case, Lam, App, Fold, Unfold, Choice, is_value,
@@ -94,7 +92,7 @@ class PairV:
 
 
 class FunV:
-    """Closure: fn maps a semantic value to a Delay of semantic values.
+    """Closure: fn maps a semantic value to a delay tree of semantic values.
     Identity equality; two closures are never merged."""
     __slots__ = ("fn",)
 
@@ -124,7 +122,7 @@ class Interp:
         self.mode = mode
         self._memo = {}
 
-    def interp(self, t: Term, env=()) -> Delay:
+    def interp(self, t: Term, env=()) -> Dist:
         """Delay tree of semantic values; env is a tuple, innermost binding
         last.  Memoized per (term, env) since both are immutable."""
         if is_value(t):
@@ -155,7 +153,7 @@ class Interp:
             return FoldV(lambda: self.val(m, env))
         raise SemDefect("not a value term: %r" % (t,))
 
-    def _build(self, t: Term, env) -> Delay:
+    def _build(self, t: Term, env) -> Dist:
         itp = self.interp
         stepping = self.mode == STEP_FAITHFUL
         if isinstance(t, Var):
@@ -217,7 +215,7 @@ class Interp:
                 return step_fn(lambda: now(v.force()))
             return delay_bind(itp(t.m, env), unfolded)
         if isinstance(t, Choice):
-            return dchoice(t.p, itp(t.left, env), itp(t.right, env))
+            return choice(t.p, itp(t.left, env), itp(t.right, env))
         if isinstance(t, Lam):
             raise SemDefect("unreachable, lambdas are values")
         raise TypeError("not a term: %r" % (t,))

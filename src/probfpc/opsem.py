@@ -1,17 +1,18 @@
 """Operational semantics: substitution-based evaluation into the delay monad.
 
-`Evaluator.eval` maps a closed term to a Delay tree over value terms.  Cost
+`Evaluator.eval` maps a closed term to a delay tree over value terms.  Cost
 accounting is part of the semantics: a step node is emitted at exactly three
 places (entering a case branch, entering a function body, and collapsing
 unfold-of-fold); everything else, probabilistic choice included, is free.
 
-The evaluator memoizes closed term -> Delay.  Delay trees are persistent and
-thunks memoize their forcing, so a shared subterm explored along many
-probabilistic branches is walked once.  This changes nothing observable,
+The evaluator memoizes closed term -> delay tree.  Delay trees are
+persistent and thunks memoize their forcing, so a shared subterm explored
+along many probabilistic branches is walked once.  This changes nothing observable,
 only the cost of asking.
 """
 
-from .delay import Delay, delay_bind, delay_map, dchoice, now, step_fn
+from .delay import delay_bind, delay_map, now, step_fn
+from .dist import Dist, choice
 from .syntax import (
     Term, Num, Var, Suc, Pred, Ifz, Pair, Fst, Snd,
     Inj, Case, Lam, App, Fold, Unfold, Choice, is_value, subst,
@@ -32,7 +33,7 @@ class Evaluator:
     def __init__(self):
         self._memo = {}
 
-    def eval(self, t: Term) -> Delay:
+    def eval(self, t: Term) -> Dist:
         """Delay tree of t; t must be closed (well-typedness is assumed, the
         shape guards only catch internal slips)."""
         if is_value(t):
@@ -43,7 +44,7 @@ class Evaluator:
             self._memo[t] = d
         return d
 
-    def _build(self, t: Term) -> Delay:
+    def _build(self, t: Term) -> Dist:
         ev = self.eval
         if isinstance(t, Suc):
             return delay_map(ev(t.m), self._suc)
@@ -96,7 +97,7 @@ class Evaluator:
                 return step_fn(lambda: now(v.m))
             return delay_bind(ev(t.m), unfolded)
         if isinstance(t, Choice):
-            return dchoice(t.p, ev(t.left), ev(t.right))
+            return choice(t.p, ev(t.left), ev(t.right))
         if isinstance(t, Var):
             _defect("open term", t)
         raise TypeError("not a term: %r" % (t,))

@@ -16,15 +16,12 @@ Comments run from `--` to end of line.
 
 from .rational import parse_rat, ProbRangeError
 from .syntax import (
-    UnitT, NatT, ProdT, SumT, FnT, MuT, TVarT, render_ty,
+    UnitT, NatT, ProdT, SumT, FnT, MuT, TVarT,
     Term, Star, Num, Var, Suc, Pred, Ifz, Pair, Fst, Snd,
     Inj, Case, Lam, App, Fold, Unfold, Choice, true_term, false_term,
 )
 
-__all__ = ["ParseError", "parse_program", "parse_term", "parse_ty",
-           "load_file", "pretty_ty"]
-
-pretty_ty = render_ty
+__all__ = ["ParseError", "parse_term", "parse_ty", "load_file"]
 
 _KEYWORDS = {
     "fn", "let", "in", "if", "then", "else", "ifz", "case", "of",
@@ -161,7 +158,11 @@ class _Parser:
             raise ParseError("expected a numeral, found %r" % (t.text or "end of input"),
                              t.line, t.col)
         self.next()
-        return int(t.text)
+        try:
+            return int(t.text)
+        except ValueError:      # more digits than int() converts
+            raise ParseError("numeral too long: %d digits" % len(t.text),
+                             t.line, t.col) from None
 
     # --- programs ---
 
@@ -440,13 +441,9 @@ class _Parser:
                          t.line, t.col)
 
 
-def parse_program(src: str, defs=None) -> Term:
+def parse_term(src: str, defs=None) -> Term:
     """Parse defs plus one top-level term; returns the unelaborated term."""
     return _Parser(src).program(defs)
-
-
-def parse_term(src: str, defs=None) -> Term:
-    return parse_program(src, defs)
 
 
 def parse_ty(src: str):
@@ -459,6 +456,14 @@ def parse_ty(src: str):
 
 
 def load_file(path) -> Term:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            src = fh.read()
+    except UnicodeDecodeError as e:
+        # located at the first byte that is not UTF-8
+        head = e.object[:e.start]
+        col = len(head.rpartition(b"\n")[2].decode("utf-8")) + 1
+        raise ParseError("%s is not UTF-8 text (%s)" % (path, e.reason),
+                         head.count(b"\n") + 1, col) from None
+    return parse_term(src)
 

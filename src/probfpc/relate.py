@@ -20,7 +20,7 @@ from collections import deque
 from fractions import Fraction
 
 from .rational import ZERO, as_uprob
-from .delay import Delay, Frontier, continuation, split
+from .delay import Frontier, continuation, split
 from .dist import Dist, Inl, Inr
 from .densem import STANDARD, Interp, NatV, PairV, FunV, FoldV, UNIT
 from .opsem import Evaluator
@@ -132,9 +132,6 @@ class LiftVerdict:
         self.reason = reason
         self.trace = trace
 
-    def __bool__(self):
-        return self.holds
-
     def __repr__(self):
         return "%s(%s)" % ("Holds" if self.holds else "Unknown", self.reason)
 
@@ -142,7 +139,7 @@ class LiftVerdict:
         return {"holds": self.holds, "reason": self.reason, "trace": self.trace}
 
 
-def lift_check(d: Delay, e: Delay, rel, fuel: int, horizon: int, eps) -> LiftVerdict:
+def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdict:
     """Bounded check that rel's lifting relates d to e.
 
     Per level: split d into delivered values (mass p) and pending branches.
@@ -204,7 +201,7 @@ def lift_check(d: Delay, e: Delay, rel, fuel: int, horizon: int, eps) -> LiftVer
         # the continuation against
         return LiftVerdict(False, "right side exhausted before left",
                            dict(level, case="no-residue"))
-    nu2 = Delay(Dist([(w / rmass, el) for w, el in resid]))
+    nu2 = Dist([(w / rmass, el) for w, el in resid])
     sub = lift_check(continuation(pend), nu2, rel, fuel - 1, horizon, eps)
     level["child"] = sub.trace
     return LiftVerdict(sub.holds, sub.reason if not sub.holds else "per-level couplings found",

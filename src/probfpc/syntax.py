@@ -9,13 +9,15 @@ evaluator and interpreter memo tables key on whole closed terms and
 distributions sort by the key, so both must be O(1) after build.  Equality
 compares the keys.  Source positions ride along outside equality.
 
-A node class states only its data: `_tag`, `_fields`, the fields under a
-binder (`_binders`) and how many trailing fields default to None
-(`_optional`).  `subst`, `ty_shift` and `ty_subst` share `_Node._rebuild`.
+A node class states only its data: `_tag`, `_fields` and the fields under
+a binder (`_binders`).  `subst`, `ty_shift` and `ty_subst` share
+`_Node._rebuild`.
 
 Annotation policy: lambda binders, inl/inr (full sum type), and fold (the
-recursive type) always carry their annotation; application argument types
-and case scrutinee types are optional and are filled in by elaboration.
+recursive type) carry their annotation.  The one exception is the binder
+of a `let`, which the parser leaves as None for elaboration to fill in.
+Applications and case analyses carry none: the types of their subterms
+determine them.
 """
 
 from .rational import as_prob
@@ -34,18 +36,14 @@ class _Node:
     _tag = ""
     _fields = ()
     _binders = ()
-    _optional = 0
 
     def __init__(self, *args, pos=None):
         fields = self._fields
-        missing = len(fields) - len(args)
-        if missing:
-            if not 0 < missing <= self._optional:
-                raise TypeError("%s takes %d fields, got %d"
-                                % (type(self).__name__, len(fields), len(args)))
-            args += (None,) * missing
-        # None annotations encode as a tuple so keys at the same field slot
-        # stay mutually comparable.
+        if len(args) != len(fields):
+            raise TypeError("%s takes %d fields, got %d"
+                            % (type(self).__name__, len(fields), len(args)))
+        # a let binder's missing type encodes as a tuple, so keys at the
+        # same field slot stay mutually comparable
         key = [self._tag]
         for name, v in zip(fields, args):
             setattr(self, name, v)
@@ -258,10 +256,9 @@ class Inj(Term):
 
 class Case(Term):
     """Branches each bind one variable (de Bruijn index 0 inside)."""
-    __slots__ = _fields = ("scrut", "left", "right", "ann")
+    __slots__ = _fields = ("scrut", "left", "right")
     _tag = "case"
     _binders = ("left", "right")
-    _optional = 1
 
 
 class Lam(Term):
@@ -271,9 +268,8 @@ class Lam(Term):
 
 
 class App(Term):
-    __slots__ = _fields = ("fn", "arg", "ann")
+    __slots__ = _fields = ("fn", "arg")
     _tag = "app"
-    _optional = 1
 
 
 class Fold(Term):

@@ -1,15 +1,13 @@
-"""Type synthesis and annotation elaboration.
+"""Type synthesis and elaboration.
 
-Terms arrive with required annotations on lambda binders, injections, and
-folds; application argument types and case scrutinee types may be missing.
-`elaborate` synthesizes the type and returns a copy of the term with every
-optional annotation filled in, rejecting any provided annotation that
-disagrees with the synthesized type.
+Terms arrive with their annotations on lambda binders, injections and
+folds.  `elaborate` synthesizes the type, rejecting any annotation that
+disagrees with it, and returns a copy of the term in which the one
+annotation the parser leaves out is filled in: the binder type of a `let`.
 
-One deliberate wrinkle: a lambda with a missing binder type is accepted when
-it sits directly in function position of an application (the shape the
-let-binding sugar produces), because the argument determines the binder type.
-Anywhere else it is an error.
+That binder is a lambda with no type directly in function position of an
+application (the shape the let sugar produces); the argument determines the
+binder type.  A lambda without a binder type anywhere else is an error.
 """
 
 from .syntax import (
@@ -107,15 +105,12 @@ def _elab(t: Term, ctx) -> tuple:
     if isinstance(t, Case):
         s, sty = _elab(t.scrut, ctx)
         _want(sty, SumT, "case scrutinee", t.pos)
-        if t.ann is not None and t.ann != sty:
-            _fail("case annotation %s, scrutinee has %s"
-                  % (render_ty(t.ann), render_ty(sty)), t.pos)
         l, lty = _elab(t.left, ctx + (sty.a,))
         r, rty = _elab(t.right, ctx + (sty.b,))
         if lty != rty:
             _fail("case branches disagree: %s vs %s"
                   % (render_ty(lty), render_ty(rty)), t.pos)
-        return Case(s, l, r, sty, pos=t.pos), lty
+        return Case(s, l, r, pos=t.pos), lty
     if isinstance(t, Lam):
         if t.var_ty is None:
             _fail("lambda binder needs a type annotation here", t.pos)
@@ -127,21 +122,14 @@ def _elab(t: Term, ctx) -> tuple:
             # let-style redex: the argument supplies the binder type
             a, aty = _elab(t.arg, ctx)
             b, bty = _elab(t.fn.body, ctx + (aty,))
-            fn = Lam(aty, b, pos=t.fn.pos)
-            if t.ann is not None and t.ann != aty:
-                _fail("application annotation %s, argument has %s"
-                      % (render_ty(t.ann), render_ty(aty)), t.pos)
-            return App(fn, a, aty, pos=t.pos), bty
+            return App(Lam(aty, b, pos=t.fn.pos), a, pos=t.pos), bty
         f, fty = _elab(t.fn, ctx)
         _want(fty, FnT, "applied term", t.pos)
         a, aty = _elab(t.arg, ctx)
         if aty != fty.a:
             _fail("argument has type %s, function wants %s"
                   % (render_ty(aty), render_ty(fty.a)), t.pos)
-        if t.ann is not None and t.ann != aty:
-            _fail("application annotation %s, argument has %s"
-                  % (render_ty(t.ann), render_ty(aty)), t.pos)
-        return App(f, a, aty, pos=t.pos), fty.b
+        return App(f, a, pos=t.pos), fty.b
     if isinstance(t, Fold):
         ann = _closed_ann(t.ann, "fold", t.pos)
         _want(ann, MuT, "fold annotation", t.pos)

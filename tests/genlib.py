@@ -10,10 +10,10 @@ the corpus programs only the tests use.
 
 from fractions import Fraction
 
-from probfpc.dist import Dist, Inl, Inr, dirac, key_of
+from probfpc.dist import Dist, Inl, Inr, choice, dirac, key_of
 from probfpc.delay import (
-    Delay, DelayThunk, Frontier, continuation, dchoice, delay_map, now, run,
-    split, step, step_fn,
+    DelayThunk, Frontier, continuation, delay_map, now, run, split, step,
+    step_fn,
 )
 from probfpc.densem import STANDARD, STEP_FAITHFUL, Interp
 from probfpc.opsem import Evaluator
@@ -103,30 +103,30 @@ def gen_term(rng, ty, ctx=(), depth=3):
 
 # --- the literal run and example processes ---------------------------------
 
-def step_of(d: Delay) -> Delay:
+def step_of(d: Dist) -> Dist:
     """One delay step in front of an already-built computation."""
     return step(DelayThunk(lambda: d))
 
 
-def run_n(d: Delay, n: int) -> Delay:
+def run_n(d: Dist, n: int) -> Dist:
     for _ in range(n):
         d = run(d)
     return d
 
 
-def probterm0(d: Delay) -> Fraction:
-    return sum((w for w, el in d.node.entries if isinstance(el, Inl)),
+def probterm0(d: Dist) -> Fraction:
+    return sum((w for w, el in d.entries if isinstance(el, Inl)),
                Fraction(0))
 
 
-def probterm(n: int, d: Delay) -> Fraction:
+def probterm(n: int, d: Dist) -> Fraction:
     f = Frontier(d)
     for _ in range(n):
         f.step()
     return f.mass
 
 
-def value_part(d: Delay, n: int):
+def value_part(d: Dist, n: int):
     """Mass delivered within n runs, together with the delivered weighted
     values (weights unnormalized)."""
     f = Frontier(d, values=True)
@@ -135,18 +135,18 @@ def value_part(d: Delay, n: int):
     return f.mass, tuple(f.values())
 
 
-def geo(p, n: int = 0) -> Delay:
+def geo(p, n: int = 0) -> Dist:
     """Geometric process: deliver n with probability p, else one step and
     retry from n+1."""
     p = as_prob(p)
-    return dchoice(p, now(n), step_fn(lambda: geo(p, n + 1)))
+    return choice(p, now(n), step_fn(lambda: geo(p, n + 1)))
 
 
-def hesitant(q, a) -> Delay:
+def hesitant(q, a) -> Dist:
     """Hesitant point distribution: each round, one step, then deliver a with
     probability q or hesitate again.  Mass after m runs is 1 - (1-q)^m."""
     q = as_prob(q)
-    return step_fn(lambda: dchoice(q, now(a), hesitant(q, a)))
+    return step_fn(lambda: choice(q, now(a), hesitant(q, a)))
 
 
 # --- random delay trees ------------------------------------------------------
@@ -154,7 +154,7 @@ def hesitant(q, a) -> Delay:
 _GEN_WEIGHTS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
 
-def random_delay(rng, depth: int = 5, alphabet=(0, 1, 2, 3)) -> Delay:
+def random_delay(rng, depth: int = 5, alphabet=(0, 1, 2, 3)) -> Dist:
     """Finite random delay tree: depth <= 5, branching <= 3, keyed leaves
     from a small alphabet, weights from a fixed rational set.  Deterministic
     given the rng's seed."""
@@ -170,10 +170,10 @@ def random_delay(rng, depth: int = 5, alphabet=(0, 1, 2, 3)) -> Delay:
     left = random_delay(rng, depth - 1, alphabet)
     right = random_delay(rng, depth - 1, alphabet)
     if kind < 9:
-        return dchoice(p, left, right)
+        return choice(p, left, right)
     q = rng.choice(_GEN_WEIGHTS)
     mid = random_delay(rng, depth - 1, alphabet)
-    return dchoice(p, left, dchoice(q, mid, right))
+    return choice(p, left, choice(q, mid, right))
 
 
 class Opaque:
@@ -190,7 +190,7 @@ class Opaque:
 OPAQUE = tuple(Opaque(c) for c in "abc")
 
 
-def shared_delay(rng, depth: int = 4, pool=None) -> Delay:
+def shared_delay(rng, depth: int = 4, pool=None) -> Dist:
     """Random delay tree whose steps rejoin: pending entries reach a pool of
     three shared thunks, each time through a fresh Inr object, and the pool's
     trees may step back into the pool, so the tree is infinite.  Leaves mix
@@ -205,11 +205,11 @@ def shared_delay(rng, depth: int = 4, pool=None) -> Delay:
     if depth <= 0 or kind < 2:
         return now(rng.choice((0, 1, 2) + OPAQUE))
     if kind < 4:
-        return Delay(dirac(Inr(rng.choice(pool))))
+        return dirac(Inr(rng.choice(pool)))
     if kind < 5:
         return step_of(shared_delay(rng, depth - 1, pool))
     p = rng.choice(_GEN_WEIGHTS)
-    return dchoice(p, shared_delay(rng, depth - 1, pool),
+    return choice(p, shared_delay(rng, depth - 1, pool),
                    shared_delay(rng, depth - 1, pool))
 
 
@@ -257,10 +257,10 @@ class ChoiceCong:
 
 
 class WitnessShapeError(ValueError):
-    """Witness node does not match the shape of the Delay it reduces."""
+    """Witness node does not match the shape of the delay tree it reduces."""
 
 
-def check_witness(w, d: Delay) -> Delay:
+def check_witness(w, d: Dist) -> Dist:
     """Replay a reduction witness against d, returning the reduct.
 
     StepElim demands a pure step node.  ChoiceCong(p, _, _) splits the
@@ -270,41 +270,41 @@ def check_witness(w, d: Delay) -> Delay:
     if isinstance(w, Refl):
         return d
     if isinstance(w, StepElim):
-        es = d.node.entries
+        es = d.entries
         if len(es) != 1 or not isinstance(es[0][1], Inr):
-            raise WitnessShapeError("StepElim applied to a non-step node: %r" % (d.node,))
+            raise WitnessShapeError("StepElim applied to a non-step node: %r" % (d,))
         return es[0][1].val.force()
     if isinstance(w, Seq):
         return check_witness(w.second, check_witness(w.first, d))
     if isinstance(w, ChoiceCong):
-        es = d.node.entries
+        es = d.entries
         acc = ZERO
         for i in range(len(es)):
             acc += es[i][0]
             if acc == w.p:
-                left = Delay(Dist([(wt / w.p, v) for wt, v in es[: i + 1]]))
-                right = Delay(Dist([(wt / (ONE - w.p), v) for wt, v in es[i + 1:]]))
-                return dchoice(w.p, check_witness(w.left, left),
+                left = Dist([(wt / w.p, v) for wt, v in es[: i + 1]])
+                right = Dist([(wt / (ONE - w.p), v) for wt, v in es[i + 1:]])
+                return choice(w.p, check_witness(w.left, left),
                                check_witness(w.right, right))
             if acc > w.p:
                 break
         raise WitnessShapeError(
-            "ChoiceCong(%s, ..) has no prefix of that mass in %r" % (w.p, d.node))
+            "ChoiceCong(%s, ..) has no prefix of that mass in %r" % (w.p, d))
     raise TypeError("not a witness: %r" % (w,))
 
 
-def _witness_one(d: Delay):
+def _witness_one(d: Dist):
     """Witness for one run: eliminates exactly the top step layer of d."""
-    es = d.node.entries
+    es = d.entries
     if len(es) == 1:
         return Refl() if isinstance(es[0][1], Inl) else StepElim()
     w0 = es[0][0]
-    head = Delay(dirac(es[0][1]))
-    rest = Delay(Dist([(wt / (ONE - w0), v) for wt, v in es[1:]]))
+    head = dirac(es[0][1])
+    rest = Dist([(wt / (ONE - w0), v) for wt, v in es[1:]])
     return ChoiceCong(w0, _witness_one(head), _witness_one(rest))
 
 
-def witness_for_run(d: Delay, n: int = 1):
+def witness_for_run(d: Dist, n: int = 1):
     """A witness w with check_witness(w, d) = run_n(d, n)."""
     if n == 0:
         return Refl()
@@ -316,10 +316,10 @@ def witness_for_run(d: Delay, n: int = 1):
     return w
 
 
-def node_eq(d: Delay, e: Delay) -> bool:
+def node_eq(d: Dist, e: Dist) -> bool:
     """Exact one-level equality: same canonical entry list, pending entries
     compared by thunk identity.  Used by the witness tests."""
-    des, ees = d.node.entries, e.node.entries
+    des, ees = d.entries, e.entries
     if len(des) != len(ees):
         return False
     for (w1, v1), (w2, v2) in zip(des, ees):
@@ -341,7 +341,7 @@ def random_witness(rng, d, depth=3):
     Splits are generated at actual prefix boundaries of the canonical entry
     list, which is exactly where replay expects them.
     """
-    es = d.node.entries
+    es = d.entries
     if depth <= 0 or rng.random() < 0.25:
         return Refl()
     if len(es) == 1:
@@ -356,8 +356,8 @@ def random_witness(rng, d, depth=3):
         return StepElim()
     i = rng.randrange(len(es) - 1)
     p = sum((w for w, _ in es[: i + 1]), Fraction(0))
-    left = Delay(Dist([(w / p, v) for w, v in es[: i + 1]]))
-    right = Delay(Dist([(w / (1 - p), v) for w, v in es[i + 1:]]))
+    left = Dist([(w / p, v) for w, v in es[: i + 1]])
+    right = Dist([(w / (1 - p), v) for w, v in es[i + 1:]])
     return ChoiceCong(p, random_witness(rng, left, depth - 1),
                       random_witness(rng, right, depth - 1))
 
@@ -385,7 +385,7 @@ def _merge_by_key(pairs):
     return out
 
 
-def prefix_eq(d: Delay, e: Delay, depth: int) -> bool:
+def prefix_eq(d: Dist, e: Dist, depth: int) -> bool:
     """Structural equality of two delay trees to a forcing depth, comparing
     at each level the canonical decomposition: merged keyed value entries,
     total delayed mass, and (recursively) the combined continuation."""
@@ -441,9 +441,9 @@ _FALSE = false_term()
 def pretty(t: Term, _depth=0, _prec=0) -> str:
     """Minimal-paren concrete syntax with canonical binder names.
 
-    Beta-redexes print as lets; bool injections print as true/false.
-    Application/case annotations are dropped (elaboration restores them), so
-    parse(pretty(elab(t))) elaborates to the same tree as t does.
+    Beta-redexes print as lets, whose binder type elaboration restores;
+    bool injections print as true/false.  So parse(pretty(elab(t)))
+    elaborates to the same tree as t does.
     """
     def wrap(s, level):
         return "(%s)" % s if _prec > level else s
@@ -616,11 +616,11 @@ def ref_subst(t, v, k=0):
         return Inj(t.side, ref_subst(t.m, v, k), t.ann)
     if isinstance(t, Case):
         return Case(ref_subst(t.scrut, v, k), ref_subst(t.left, v, k + 1),
-                    ref_subst(t.right, v, k + 1), t.ann)
+                    ref_subst(t.right, v, k + 1))
     if isinstance(t, Lam):
         return Lam(t.var_ty, ref_subst(t.body, v, k + 1))
     if isinstance(t, App):
-        return App(ref_subst(t.fn, v, k), ref_subst(t.arg, v, k), t.ann)
+        return App(ref_subst(t.fn, v, k), ref_subst(t.arg, v, k))
     if isinstance(t, Fold):
         return Fold(ref_subst(t.m, v, k), t.ann)
     if isinstance(t, Unfold):

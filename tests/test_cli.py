@@ -208,7 +208,11 @@ def test_examples_run_unknown_name():
     for name, reason in (("geo(2/3", "missing ')' after the arguments"),
                          ("geo(2/3)x", "unexpected text after ')': 'x'"),
                          ("geo(1/2,5)", "takes at most 1 argument(s), got 2"),
-                         ("diverge(1)", "takes at most 0 argument(s), got 1")):
+                         ("diverge(1)", "takes at most 0 argument(s), got 1"),
+                         # walk starts are read as the lexer reads numerals
+                         ("randw(+3)", "not a natural: '+3'"),
+                         ("randw2(3_0)", "not a natural: '3_0'"),
+                         ("randw(\u0663)", "not a natural: '\u0663'")):
         assert run(["examples", "run", name, "--depth", "2"]) == \
             (1, "", "probfpc: %s: %s\n" % (name, reason))
 
@@ -325,3 +329,22 @@ def test_unicode_digit_is_a_stray_character(tmp_path):
     code, out, err = run(["check", str(f)])
     assert (code, out) == (1, "")
     assert err == "probfpc: line 1, col 5: stray character '\u00b2'\n"
+
+
+def test_huge_numeral_is_a_located_parse_error(tmp_path):
+    f = tmp_path / "huge.pfpc"
+    f.write_text("suc 1" + "0" * 5000 + "\n")
+    assert run(["check", str(f)]) == \
+        (1, "", "probfpc: line 1, col 5: numeral too long: 5001 digits\n")
+
+
+def test_non_utf8_file_names_the_file(tmp_path):
+    f = tmp_path / "utf16.pfpc"
+    f.write_bytes("*\n".encode("utf-16"))      # starts with ff fe
+    assert run(["check", str(f)]) == \
+        (1, "", "probfpc: line 1, col 1: %s is not UTF-8 text "
+                "(invalid start byte)\n" % f)
+    f.write_bytes(b"-- caf\xc3\xa9\n(1,\n  2\xff)\n")
+    assert run(["probterm", str(f)]) == \
+        (1, "", "probfpc: line 3, col 4: %s is not UTF-8 text "
+                "(invalid start byte)\n" % f)

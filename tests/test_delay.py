@@ -8,10 +8,10 @@ import pytest
 
 from probfpc.cli import _delay_of
 from probfpc.corpus import CATALOGUE, corpus
-from probfpc.dist import Dist, Inl, Inr, dirac
+from probfpc.dist import Dist, Inl, Inr, choice, dirac, key_of
 from probfpc.delay import (
-    Delay, DelayThunk, Frontier, TermSeq, dchoice, delay_bind, delay_map,
-    eqlim_upto, leqlim_upto, now, probterm_seq, run, split, step, zeta,
+    DelayThunk, Frontier, TermSeq, delay_bind, delay_map, eqlim_upto,
+    leqlim_upto, now, probterm_seq, run, split, step, zeta,
 )
 
 from genlib import (
@@ -25,16 +25,16 @@ HALF = Fraction(1, 2)
 
 
 def vals_of(d):
-    return {el.val: w for w, el in d.node.entries if isinstance(el, Inl)}
+    return {el.val: w for w, el in d.entries if isinstance(el, Inl)}
 
 
 # --- constructors and run ---------------------------------------------------
 
 def test_now_and_step_shapes():
     d = now(3)
-    assert d.node.entries == ((Fraction(1), Inl(3)),)
+    assert d.entries == ((Fraction(1), Inl(3)),)
     s = step_of(d)
-    (w, el), = s.node.entries
+    (w, el), = s.entries
     assert w == 1 and isinstance(el, Inr)
     assert el.val.force() is d
 
@@ -48,7 +48,7 @@ def test_run_eliminates_one_layer():
 
 def test_run_worked_example():
     # p to a value after one step, else two steps to another value
-    nu = dchoice(Fraction(1, 3), step_of(now(0)), step_of(step_of(now(1))))
+    nu = choice(Fraction(1, 3), step_of(now(0)), step_of(step_of(now(1))))
     assert probterm_seq(nu, 3).values == (
         Fraction(0), Fraction(1, 3), Fraction(1), Fraction(1))
     assert vals_of(run(nu)) == {0: Fraction(1, 3)}
@@ -57,7 +57,7 @@ def test_run_worked_example():
 
 def test_run_geo_unfolds_one_round():
     for p in (Fraction(1, 3), HALF):
-        want = dchoice(p, now(0), dchoice(p, now(1), step_of(geo(p, 2))))
+        want = choice(p, now(0), choice(p, now(1), step_of(geo(p, 2))))
         assert prefix_eq(run(geo(p, 0)), want, 6)
 
 
@@ -141,16 +141,44 @@ def test_frontier_probterm_is_literal_probterm():
 
 
 def test_frontier_values_are_the_literal_value_part():
-    # in order, weight for weight, and the very objects run keeps
+    # in order, weight for weight, and the very objects run keeps, up to the
+    # level where the literal run first holds an unkeyed value: there the
+    # frontier raises
+    compared = unkeyed = 0
     for label, d in frontier_cases():
-        f = Frontier(d, values=True)
+        f = None
         for m, (vals, _) in enumerate(literal_levels(d)):
-            if m:
+            if any(key_of(a) is None for _, a in vals):
+                with pytest.raises(TypeError):
+                    if f is None:
+                        Frontier(d, values=True)
+                    else:
+                        f.step()
+                unkeyed += 1
+                break
+            if f is None:
+                f = Frontier(d, values=True)
+            else:
                 f.step()
             got = f.values()
             assert [w for w, _ in got] == [w for w, _ in vals], (label, m)
             assert all(a is b for (_, a), (_, b) in zip(got, vals)), (label, m)
             assert f.mass == sum((w for w, _ in vals), Fraction(0)), (label, m)
+            compared += 1
+    assert compared > 1000 and unkeyed > 200, (compared, unkeyed)
+
+
+def test_frontier_folds_keyed_values_only():
+    a = OPAQUE[0]
+    with pytest.raises(TypeError):
+        Frontier(now(a), values=True)
+    f = Frontier(choice(HALF, now(0), step_of(now(a))), values=True)
+    assert f.values() == [(HALF, 0)]
+    with pytest.raises(TypeError):
+        f.step()
+    # a frontier that does not fold values delivers unkeyed ones as they come
+    f = Frontier(step_of(now(a)))
+    assert f.step() == [(1, a)] and f.mass == 1
 
 
 def test_frontier_pending_mass_per_thunk_is_literal():
@@ -169,7 +197,7 @@ def test_frontier_pending_mass_per_thunk_is_literal():
 
 
 def test_frontier_step_returns_the_level_deliveries():
-    f = Frontier(dchoice(Fraction(1, 3), step_of(now(0)), step_of(step_of(now(1)))))
+    f = Frontier(choice(Fraction(1, 3), step_of(now(0)), step_of(step_of(now(1)))))
     assert f.mass == 0 and len(f.pendings()) == 2
     assert f.step() == [(Fraction(1, 3), 0)] and f.mass == Fraction(1, 3)
     assert f.step() == [(Fraction(2, 3), 1)] and f.pendings() == []
@@ -180,7 +208,7 @@ def test_frontier_checks_mass_as_dist_does():
     class HalfNode:
         entries = ((HALF, Inl(0)),)
 
-    d = step(DelayThunk(lambda: Delay(HalfNode())))
+    d = step(DelayThunk(HalfNode))
     with pytest.raises(ValueError) as literal:
         run(d)
     f = Frontier(d)
@@ -193,7 +221,7 @@ def test_frontier_checks_mass_as_dist_does():
 # --- zeta -------------------------------------------------------------------
 
 def test_zeta_singleton_is_identity():
-    t = step_of(now(0)).node.entries[0][1].val
+    t = step_of(now(0)).entries[0][1].val
     assert zeta(dirac(t)) is t
 
 
@@ -256,12 +284,12 @@ def test_bind_preserves_sharing():
     def body(k):
         if k == 0:
             return now(0)
-        return dchoice(HALF, step(tail(k - 1)), step(tail(k + 1)))
+        return choice(HALF, step(tail(k - 1)), step(tail(k + 1)))
 
     e = delay_bind(body(2), lambda a: now(a + 1))
     cur = e
     for _ in range(40):
-        assert len(cur.node.entries) <= 120
+        assert len(cur.entries) <= 120
         cur = run(cur)
     assert probterm0(cur) > HALF
 
@@ -270,19 +298,19 @@ def test_bind_preserves_sharing():
 
 def test_check_witness_choice_cong_example():
     inner = step_of(step_of(now(1)))
-    nu = dchoice(Fraction(1, 3), step_of(now(0)), inner)
+    nu = choice(Fraction(1, 3), step_of(now(0)), inner)
     red = check_witness(ChoiceCong(Fraction(1, 3), StepElim(), Refl()), nu)
-    assert node_eq(red, dchoice(Fraction(1, 3), now(0), inner))
+    assert node_eq(red, choice(Fraction(1, 3), now(0), inner))
 
 
 def test_check_witness_shape_errors():
     with pytest.raises(WitnessShapeError):
         check_witness(StepElim(), now(0))
     with pytest.raises(WitnessShapeError):
-        check_witness(StepElim(), dchoice(HALF, step_of(now(0)), now(1)))
+        check_witness(StepElim(), choice(HALF, step_of(now(0)), now(1)))
     with pytest.raises(WitnessShapeError):
         check_witness(ChoiceCong(Fraction(1, 5), Refl(), Refl()),
-                      dchoice(HALF, now(0), now(1)))
+                      choice(HALF, now(0), now(1)))
 
 
 def test_witness_for_run_replays_to_run():
@@ -385,8 +413,8 @@ def test_prefix_eq_detects_differences():
         assert prefix_eq(d, d, 8)
     assert not prefix_eq(now(0), now(1), 4)
     assert not prefix_eq(step_of(now(0)), now(0), 4)
-    assert prefix_eq(dchoice(HALF, now(0), now(1)),
-                     dchoice(HALF, now(1), now(0)), 4)
+    assert prefix_eq(choice(HALF, now(0), now(1)),
+                     choice(HALF, now(1), now(0)), 4)
 
 
 def test_node_eq_compares_pendings_by_identity():

@@ -13,9 +13,7 @@ from probfpc.syntax import (
     Star, Suc, SumT, TVarT, UnitT, Var, false_term, is_value, mu_unfold,
     render_ty, subst, true_term, ty_closed,
 )
-from probfpc.parser import (
-    ParseError, load_file, parse_program, parse_term, parse_ty,
-)
+from probfpc.parser import ParseError, load_file, parse_term, parse_ty
 from probfpc.typecheck import TypecheckError, elaborate
 from probfpc.corpus import (
     CATALOGUE, LAZY_LIST, corpus, diverge_term, everysnd_term, fair_from,
@@ -91,7 +89,7 @@ def test_parse_errors():
     ]
     for src, frag in cases:
         with pytest.raises(ParseError) as exc:
-            parse_program(src)
+            parse_term(src)
         assert frag in str(exc.value)
         assert "line" in str(exc.value)
 
@@ -104,7 +102,7 @@ def test_one_is_not_a_type():
 
 
 def test_defs_expand_at_use():
-    t = parse_program("def two = 2 ; (two, two)")
+    t = parse_term("def two = 2 ; (two, two)")
     assert t == Pair(Num(2), Num(2))
 
 

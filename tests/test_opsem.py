@@ -3,7 +3,8 @@
 import random
 from fractions import Fraction
 
-from probfpc.delay import dchoice, eqlim_upto, probterm_seq, run
+from probfpc.delay import eqlim_upto, probterm_seq, run
+from probfpc.dist import choice
 from probfpc.densem import STEP_FAITHFUL, Interp
 from probfpc.opsem import Evaluator
 from probfpc.parser import parse_term
@@ -53,7 +54,7 @@ def test_choice_clause():
     ev = Evaluator()
     m, n = Num(1), Num(2)
     d = ev.eval(elab(Choice(HALF, m, n)))
-    assert prefix_eq(d, dchoice(HALF, ev.eval(m), ev.eval(n)), 8)
+    assert prefix_eq(d, choice(HALF, ev.eval(m), ev.eval(n)), 8)
 
 
 def test_beta_value_costs_one_step():
@@ -150,7 +151,7 @@ def test_shared_recursion_keeps_nodes_narrow():
     t2 = elab(unitize(App(fair_from(HALF), Star()), BOOL_T))
     cur = Evaluator().eval(t2)
     for _ in range(100):
-        assert len(cur.node.entries) <= 8
+        assert len(cur.entries) <= 8
         cur = run(cur)
 
 

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.dist import Dist, Inl
+from probfpc.dist import Dist, Inl, choice
 from probfpc.delay import (
-    dchoice, delay_bind, leqlim_upto, now, probterm_seq, step_fn,
+    delay_bind, leqlim_upto, now, probterm_seq, step_fn,
 )
 from probfpc.densem import NatV, UNIT
 from probfpc.relate import (
@@ -130,8 +130,8 @@ def test_lift_divergent_left_holds_by_guardedness():
 
 
 def test_lift_trace_schema_and_stability():
-    mk = lambda: lift_check(dchoice(HALF, now(0), step_of(now(1))),
-                            dchoice(HALF, now(0), step_of(now(1))),
+    mk = lambda: lift_check(choice(HALF, now(0), step_of(now(1))),
+                            choice(HALF, now(0), step_of(now(1))),
                             eq, 3, 4, 0)
     v = mk()
     assert v.holds and v.reason == "per-level couplings found"
@@ -139,7 +139,7 @@ def test_lift_trace_schema_and_stability():
     for key in ("fuel", "m", "value_mass", "flow", "coupled_pairs", "child"):
         assert key in v.trace
     assert json.dumps(mk().to_json()) == json.dumps(mk().to_json())
-    assert bool(v) is True and "Holds" in repr(v)
+    assert v.holds is True and "Holds" in repr(v)
 
 
 def test_lift_bind_lemma():
@@ -162,7 +162,7 @@ def test_lift_choice_lemma():
         p = Fraction(rng.randrange(1, 8), 8)
         assert lift_check(d1, e1, eq, 3, 8, 0).holds
         assert lift_check(d2, e2, eq, 3, 8, 0).holds
-        assert lift_check(dchoice(p, d1, d2), dchoice(p, e1, e2),
+        assert lift_check(choice(p, d1, d2), choice(p, e1, e2),
                           eq, 3, 8, 0).holds
 
 
@@ -172,8 +172,8 @@ def test_lift_ignores_step_choice_order():
         a, b = random_delay(rng, 3), random_delay(rng, 3)
         t = random_delay(rng, 3)
         p = Fraction(rng.randrange(1, 8), 8)
-        x = step_of(dchoice(p, a, b))
-        y = dchoice(p, step_of(a), step_of(b))
+        x = step_of(choice(p, a, b))
+        y = choice(p, step_of(a), step_of(b))
         assert lift_check(x, t, eq, 3, 8, 0).holds == \
             lift_check(y, t, eq, 3, 8, 0).holds
         assert lift_check(t, x, eq, 3, 8, 0).holds == \
