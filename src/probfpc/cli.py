@@ -19,7 +19,7 @@ from .densem import STANDARD, STEP_FAITHFUL, Interp
 from .opsem import Evaluator
 from .parser import ParseError, load_file
 from .rational import parse_rat
-from .relate import RelateCfg, refine_check
+from .relate import NumeralTooLong, RelateCfg, refine_check
 from .syntax import UnitT, render_ty
 from .typecheck import TypecheckError, elaborate
 
@@ -232,7 +232,7 @@ def main(argv=None, out=None, err=None):
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args, out)
-    except (UsageError, ParseError, TypecheckError, OSError) as e:
+    except (UsageError, ParseError, TypecheckError, OSError, NumeralTooLong) as e:
         err.write("probfpc: %s\n" % e)
         return 1
     except RecursionError:

@@ -13,6 +13,10 @@ exactly 1.  Carriers split in two:
   list.  Entries are never merged by value; the single exception is entries
   whose element is the *identical object*, which collapse by idempotency.
   That exception is what keeps memoized pending branches from duplicating.
+
+`dirac` builds its one entry of weight 1 directly, and `dist_bind` over a
+one-entry node returns the continuation's Dist itself (the unit law): both
+are canonical with mass 1 already.  Everything else canonicalises.
 """
 
 from fractions import Fraction
@@ -140,7 +144,11 @@ class Dist:
 
 
 def dirac(a) -> Dist:
-    return Dist([(ONE, a)])
+    """The unit, built directly: one entry of weight 1 is canonical and has
+    mass 1 as it stands."""
+    d = object.__new__(Dist)
+    object.__setattr__(d, "entries", ((ONE, a),))
+    return d
 
 
 def choice(p, mu: Dist, nu: Dist) -> Dist:
@@ -152,10 +160,14 @@ def choice(p, mu: Dist, nu: Dist) -> Dist:
 
 def dist_bind(mu: Dist, f) -> Dist:
     """Kleisli extension: f maps elements to distributions; the result is the
-    convex-algebra homomorphism extending f."""
+    convex-algebra homomorphism extending f.  Over a one-entry node (weight
+    1) that is f's own distribution, by the unit law."""
     out = []
     for w, v in mu.entries:
-        out.extend((w * w2, v2) for w2, v2 in f(v).entries)
+        r = f(v)
+        if type(r) is Dist and len(mu.entries) == 1:
+            return r
+        out.extend((w * w2, v2) for w2, v2 in r.entries)
     return Dist(out)
 
 

@@ -32,7 +32,7 @@ from .typecheck import TypecheckError, elaborate
 
 __all__ = [
     "LiftVerdict", "lift_check", "RelateCfg", "default_probes", "logrel_val",
-    "refine_check",
+    "refine_check", "NumeralTooLong",
 ]
 
 
@@ -210,6 +210,16 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
 
 # --- the type-indexed relation ---------------------------------------------
 
+class NumeralTooLong(Exception):
+    """A run-time numeral with more decimal digits than Python prints."""
+
+    def __init__(self, n):
+        k = n.bit_length() * 3 // 10        # no more than n's digit count
+        while 10 ** k <= n:
+            k += 1
+        super().__init__("numeral too long to print: %d digits" % k)
+
+
 class RelateCfg:
     """Budgets for the logical relation."""
     __slots__ = ("fuel", "horizon", "eps", "interp", "evaluator")
@@ -255,10 +265,13 @@ def logrel_val(ty, v, V, cfg: RelateCfg, _fuel=None) -> LiftVerdict:
             return LiftVerdict(True, "unit", {"ty": "Unit"})
         return LiftVerdict(False, "unit mismatch", {"ty": "Unit"})
     if isinstance(ty, NatT):
-        if isinstance(v, NatV) and isinstance(V, Num) and v.n == V.n:
-            return LiftVerdict(True, "numeral %d" % v.n, {"ty": "Nat"})
-        return LiftVerdict(False, "coupling infeasible at these numerals",
-                           {"ty": "Nat", "den": repr(v), "op": repr(V)})
+        try:
+            if isinstance(v, NatV) and isinstance(V, Num) and v.n == V.n:
+                return LiftVerdict(True, "numeral %d" % v.n, {"ty": "Nat"})
+            return LiftVerdict(False, "coupling infeasible at these numerals",
+                               {"ty": "Nat", "den": repr(v), "op": repr(V)})
+        except ValueError:      # the verdict names a numeral Python will not print
+            raise NumeralTooLong(max(v.n, V.n)) from None
     if isinstance(ty, ProdT):
         if not (isinstance(v, PairV) and isinstance(V, Pair)):
             return LiftVerdict(False, "pair shape mismatch", {"ty": "product"})

@@ -11,7 +11,9 @@ compares the keys.  Source positions ride along outside equality.
 
 A node class states only its data: `_tag`, `_fields` and the fields under
 a binder (`_binders`).  `subst`, `ty_shift` and `ty_subst` share
-`_Node._rebuild`.
+`_Node._rebuild`.  Each node also caches `_fv`, one past its largest free
+index of its own sort (0 when closed); the three return a node whose `_fv`
+is at most the cutoff as it is, so closed subterms are shared.
 
 Annotation policy: lambda binders, inl/inr (full sum type), and fold (the
 recursive type) carry their annotation.  The one exception is the binder
@@ -32,7 +34,7 @@ __all__ = [
 
 
 class _Node:
-    __slots__ = ("pos", "_h", "_k")
+    __slots__ = ("pos", "_h", "_k", "_fv")
     _tag = ""
     _fields = ()
     _binders = ()
@@ -44,13 +46,16 @@ class _Node:
                             % (type(self).__name__, len(fields), len(args)))
         # a let binder's missing type encodes as a tuple, so keys at the
         # same field slot stay mutually comparable
-        key = [self._tag]
+        key, fv, sort = [self._tag], 0, self._sort
         for name, v in zip(fields, args):
             setattr(self, name, v)
             key.append(v._k if isinstance(v, _Node) else ("none",) if v is None else v)
+            if isinstance(v, sort):
+                fv = max(fv, v._fv - (name in self._binders))
         self.pos = pos
         self._h = hash((self._tag,) + args)
         self._k = tuple(key)
+        self._fv = args[0] + 1 if self._tag in ("var", "tvar") else fv
 
     def __hash__(self):
         return self._h
@@ -125,27 +130,22 @@ BOOL_T = SumT(UnitT(), UnitT())
 
 
 def ty_closed(t: Ty, depth: int = 0) -> bool:
-    if isinstance(t, TVarT):
-        return t.k < depth
-    return all(ty_closed(getattr(t, n), depth + 1 if n in t._binders else depth)
-               for n in t._fields)
+    return t._fv <= depth
 
 
 def ty_shift(t: Ty, d: int, cutoff: int = 0) -> Ty:
-    if isinstance(t, TVarT):
-        return TVarT(t.k + d) if t.k >= cutoff else t
-    if isinstance(t, (UnitT, NatT)):
+    if t._fv <= cutoff:
         return t
+    if isinstance(t, TVarT):
+        return TVarT(t.k + d)
     return t._rebuild(lambda u, c: ty_shift(u, d, c), cutoff)
 
 
 def ty_subst(t: Ty, s: Ty, j: int = 0) -> Ty:
-    if isinstance(t, TVarT):
-        if t.k == j:
-            return ty_shift(s, j)
-        return TVarT(t.k - 1) if t.k > j else t
-    if isinstance(t, (UnitT, NatT)):
+    if t._fv <= j:
         return t
+    if isinstance(t, TVarT):
+        return ty_shift(s, j) if t.k == j else TVarT(t.k - 1)
     return t._rebuild(lambda u, i: ty_subst(u, s, i), j)
 
 
@@ -315,12 +315,10 @@ def is_value(t: Term) -> bool:
 
 def subst(t: Term, v: Term, k: int = 0) -> Term:
     """Substitute the closed value v for index k, lowering higher frees."""
-    if isinstance(t, Var):
-        if t.k == k:
-            return v
-        return Var(t.k - 1) if t.k > k else t
-    if isinstance(t, (Star, Num)):
-        return t
     if not isinstance(t, Term):
         raise TypeError("not a term: %r" % (t,))
+    if t._fv <= k:
+        return t
+    if isinstance(t, Var):
+        return v if t.k == k else Var(t.k - 1)
     return t._rebuild(lambda m, j: subst(m, v, j), k)

@@ -558,6 +558,34 @@ def ref_key(node):
     return (node._tag,) + tuple(enc(getattr(node, n)) for n in node._fields)
 
 
+def ref_free(t):
+    """The free de Bruijn indices of t's own sort (term or type), class by
+    class; an index under a binder counts one less outside it."""
+    if isinstance(t, (Var, TVarT)):
+        return {t.k}
+    if isinstance(t, (Star, Num, UnitT, NatT)):
+        return set()
+    if isinstance(t, (Lam, MuT)):
+        return {i - 1 for i in ref_free(t.body) if i > 0}
+    if isinstance(t, Case):
+        under = ref_free(t.left) | ref_free(t.right)
+        return ref_free(t.scrut) | {i - 1 for i in under if i > 0}
+    if isinstance(t, (Suc, Pred, Fst, Snd, Inj, Fold, Unfold)):
+        return ref_free(t.m)
+    if isinstance(t, Ifz):
+        return ref_free(t.cond) | ref_free(t.zero) | ref_free(t.succ)
+    if isinstance(t, Choice):
+        return ref_free(t.left) | ref_free(t.right)
+    if isinstance(t, App):
+        return ref_free(t.fn) | ref_free(t.arg)
+    return ref_free(t.a) | ref_free(t.b)
+
+
+def ref_fv(t):
+    """One past the largest free index of t's own sort; 0 when t is closed."""
+    return max(ref_free(t), default=-1) + 1
+
+
 def ref_ty_closed(t, depth=0):
     if isinstance(t, TVarT):
         return t.k < depth

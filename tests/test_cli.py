@@ -338,6 +338,18 @@ def test_huge_numeral_is_a_located_parse_error(tmp_path):
         (1, "", "probfpc: line 1, col 5: numeral too long: 5001 digits\n")
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("extra", ["", "suc "])
+def test_refine_huge_run_time_numeral_is_one_line(tmp_path, fmt, extra):
+    # each side parses (4,300 digits) but evaluates to 10^4300 or past it,
+    # which Python will not print in decimal
+    a, b = tmp_path / "a.pfpc", tmp_path / "b.pfpc"
+    a.write_text("suc " + "9" * 4300 + "\n")
+    b.write_text(extra + "suc " + "9" * 4300 + "\n")
+    assert run(["refine", str(a), str(b), "--format", fmt]) == \
+        (1, "", "probfpc: numeral too long to print: 4301 digits\n")
+
+
 def test_non_utf8_file_names_the_file(tmp_path):
     f = tmp_path / "utf16.pfpc"
     f.write_bytes("*\n".encode("utf-16"))      # starts with ff fe

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.dist import Dist, choice, dirac, dist_bind, dist_map, key_of
+from probfpc.delay import DelayThunk, now
+from probfpc.dist import Dist, Inl, Inr, choice, dirac, dist_bind, dist_map, key_of
+from probfpc.rational import ONE
+from probfpc.syntax import Num, Pair, Star
 
 PROBS = tuple(Fraction(k, 16) for k in range(1, 16))
 
@@ -155,3 +158,79 @@ def test_two_paired_fair_coins_are_uniform():
     assert dict((v, w) for w, v in both.entries) == {
         (x, y): Fraction(1, 4) for x in (0, 1) for y in (0, 1)}
 
+
+
+# --- the trusted unit and the unit-law bind ----------------------------------
+
+def element_pool(rng, n=200):
+    """Keyed (ints, strings, tuples, terms), unkeyed (closures, thunks) and
+    Inl/Inr-wrapped elements, mixed at random."""
+    base = [0, 3, "a", (1, "b"), Fraction(2, 3), Star(), Num(4),
+            Pair(Num(1), Star()), (lambda: 0), DelayThunk(lambda: now(0))]
+    pool = []
+    for _ in range(n):
+        x = rng.choice(base)
+        r = rng.random()
+        pool.append(Inl(x) if r < 0.3 else Inr(x) if r < 0.6 else x)
+    return pool
+
+
+def test_dirac_is_the_canonical_one_entry_node():
+    pool = element_pool(random.Random(29))
+    assert any(key_of(a) is None for a in pool)
+    assert any(isinstance(a, (Inl, Inr)) and key_of(a) is not None for a in pool)
+    for a in pool:
+        d = dirac(a)
+        assert type(d) is Dist
+        assert d.entries == Dist([(ONE, a)]).entries
+        (w, v), = d.entries
+        assert type(w) is Fraction and w == 1 and v is a
+
+
+def test_trusted_dirac_is_immutable():
+    d = dirac(0)
+    with pytest.raises(AttributeError):
+        d.entries = ((Fraction(1, 2), 0), (Fraction(1, 2), 1))
+    with pytest.raises(AttributeError):
+        d.other = 1
+    assert d.entries == ((ONE, 0),)
+
+
+def test_bind_over_one_entry_is_the_continuations_node():
+    pool = element_pool(random.Random(30))
+    results = {}
+
+    def f(a):
+        if id(a) not in results:
+            results[id(a)] = (rand_dist(random.Random(id(a) % 97)), a)
+        return results[id(a)][0]
+
+    for a in pool:
+        assert dist_bind(dirac(a), f) is f(a)
+    one = Dist([(Fraction(1, 3), 5), (Fraction(2, 3), 5)])
+    assert len(one.entries) == 1 and dist_bind(one, f) is f(5)
+
+
+def test_bind_over_one_entry_checks_a_foreign_node():
+    class HalfNode:
+        entries = ((Fraction(1, 2), 0),)
+
+    class WholeNode:
+        entries = ((Fraction(1, 4), 1), (Fraction(3, 4), 0))
+
+    with pytest.raises(ValueError) as e:
+        dist_bind(dirac(7), lambda a: HalfNode())
+    assert str(e.value) == "distribution weights sum to 1/2, not 1"
+    out = dist_bind(dirac(7), lambda a: WholeNode())
+    assert type(out) is Dist
+    assert out.entries == ((Fraction(3, 4), 0), (Fraction(1, 4), 1))
+
+
+def test_two_entry_bind_merges_keyed_results():
+    coin = choice(Fraction(1, 2), dirac(0), dirac(1))
+    both = {0: Dist([(Fraction(1, 4), "x"), (Fraction(3, 4), "y")]),
+            1: Dist([(Fraction(1, 2), "y"), (Fraction(1, 2), "x")])}
+    out = dist_bind(coin, both.__getitem__)
+    assert out is not both[0] and out is not both[1]
+    assert out.entries == ((Fraction(3, 8), "x"), (Fraction(5, 8), "y"))
+    assert dist_bind(coin, lambda a: dirac("z")).entries == ((ONE, "z"),)

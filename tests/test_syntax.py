@@ -16,7 +16,7 @@ from probfpc.typecheck import elaborate
 
 from genlib import (
     gen_ground_ty, gen_term, gen_value,
-    ref_key, ref_subst, ref_ty_closed, ref_ty_shift, ref_ty_subst,
+    ref_fv, ref_key, ref_subst, ref_ty_closed, ref_ty_shift, ref_ty_subst,
 )
 
 CASES = 300
@@ -61,14 +61,31 @@ def mu_depth(t):
                                     default=0)
 
 
-def test_subst_matches_reference():
-    rng = random.Random(71)
-    under_binders = 0
+def seeded_terms(rng):
+    """(term, value, index) triples as the substitution test draws them:
+    open terms over a two-variable context, some under binders."""
+    out = []
     for _ in range(CASES):
         ctx = (gen_ground_ty(rng, 1), gen_ground_ty(rng, 1))
         t = wrap(rng, gen_term(rng, gen_ground_ty(rng, 2), ctx, rng.randrange(1, 5)))
         k = rng.randrange(3)
         v = gen_value(rng, ctx[-1 - k] if k < 2 else gen_ground_ty(rng, 1))
+        out.append((t, v, k))
+    return out
+
+
+def subterms(t):
+    yield t
+    for n in t._fields:
+        c = getattr(t, n)
+        if isinstance(c, t._sort):
+            yield from subterms(c)
+
+
+def test_subst_matches_reference():
+    rng = random.Random(71)
+    under_binders = 0
+    for t, v, k in seeded_terms(rng):
         got, want = subst(t, v, k), ref_subst(t, v, k)
         assert ref_key(got) == ref_key(want) and got == want
         under_binders += binders_in(t) > 0
@@ -89,6 +106,66 @@ def test_type_substitution_matches_reference():
         assert ref_key(mu_unfold(mu)) == ref_key(ref_ty_subst(mu.body, mu, 0))
         nested += mu_depth(mu) >= 2
     assert nested > CASES // 4
+
+
+def test_free_index_bound_matches_reference():
+    rng = random.Random(75)
+    terms = [t for t, _, _ in seeded_terms(rng)]
+    types = [gen_mu_ty(rng, 0, 5) for _ in range(CASES)]
+    seen = set()
+    for top in terms + types:
+        for u in subterms(top):
+            assert u._fv == ref_fv(u)
+            seen.add(u._fv)
+    assert {0, 1, 2, 3} <= seen
+    # annotations are types, so they never raise a term's bound
+    assert Inj("l", Star(), SumT(TVarT(4), UnitT()))._fv == 0
+    assert Lam(TVarT(3), Var(1))._fv == 1 and Fold(Var(0), TVarT(6))._fv == 1
+
+
+def test_traversals_return_closed_nodes_unchanged():
+    rng = random.Random(76)
+    same = 0
+    for t, v, k in seeded_terms(rng):
+        for j in range(4):
+            if t._fv <= j:
+                assert subst(t, v, j) is t
+                same += 1
+            else:
+                assert subst(t, v, j) is not t
+    for _ in range(CASES):
+        t, s = gen_mu_ty(rng, 0, 5), gen_mu_ty(rng, 0, 2)
+        for j in range(4):
+            if t._fv <= j:
+                assert ty_shift(t, 1 + j % 2, j) is t and ty_subst(t, s, j) is t
+                same += 1
+            else:
+                assert ty_shift(t, 1, j) is not t and ty_subst(t, s, j) is not t
+    assert same > CASES
+
+
+def test_subst_shares_closed_subterms():
+    def check(t, r, k):
+        """Every subterm of t closed at its depth comes back as itself."""
+        if t._fv <= k:
+            assert r is t
+            return 1
+        if isinstance(t, Var):
+            return 0
+        assert type(r) is type(t)
+        return sum(check(getattr(t, n), getattr(r, n),
+                         k + 1 if n in t._binders else k)
+                   for n in t._fields if isinstance(getattr(t, n), Term))
+
+    rng = random.Random(77)
+    shared = 0
+    for t, v, k in seeded_terms(rng):
+        shared += check(t, subst(t, v, k), k)
+    assert shared > CASES
+    closed = Lam(UnitT(), Pair(Var(0), Num(3)))
+    body = Pair(Var(0), App(closed, Var(1)))
+    r = subst(body, Star(), 0)
+    assert r == Pair(Star(), App(closed, Var(0))) and r.b.fn is closed
 
 
 def test_sort_order_matches_reference_key():
