@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from probfpc.dist import Inl
-from probfpc.delay import probterm_seq
+from probfpc.delay import Frontier, probterm_seq
 from probfpc.densem import (
     STANDARD, STEP_FAITHFUL, FoldV, FunV, Interp, NatV, PairV, UNIT,
 )
+from probfpc.opsem import Evaluator
 from probfpc.parser import parse_term, parse_ty
 from probfpc.syntax import App, Choice, FnT, Lam, NatT, Num, Star, Suc, Var
 from probfpc.typecheck import elaborate
@@ -126,3 +127,20 @@ def test_soundness_on_random_first_order_programs():
     for _ in range(200):
         t = gen_term(rng, gen_ground_ty(rng, 2), (), 3)
         assert soundness_check(t, 8)
+
+
+def test_op_and_den_list_ground_values_in_one_order():
+    # refine traces list delivered values in canonical order on both sides:
+    # op values sort by Term.dist_key, den values by key_of, and the two
+    # orders must agree once op values are read back through Interp.val
+    rng = random.Random(74)
+    val = Interp().val
+    for _ in range(200):
+        t = elab(gen_term(rng, gen_ground_ty(rng, 2), (), 3))
+        op = Frontier(Evaluator().eval(t), values=True)
+        den = Frontier(Interp(STEP_FAITHFUL).interp(t), values=True)
+        for level in range(8):
+            if level:
+                op.step()
+                den.step()
+            assert [(w, val(a)) for w, a in op.values()] == den.values()

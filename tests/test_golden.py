@@ -37,6 +37,20 @@ BAD_FILES = {
     "parens.pfpc": "(" * 3000 + "0" + ")" * 3000 + "\n",
 }
 
+# values on both sides: refine short-cuts to the value relation, whose
+# traces are the only outputs that print semantic values
+VALUE_FILES = {
+    "zero.pfpc": "0\n",
+    "one.pfpc": "1\n",
+    "star.pfpc": "*\n",
+    "pair.pfpc": "(1, inl[Nat + Unit] 2)\n",
+    "inl.pfpc": "inl[Nat + Unit] 0\n",
+    "inr.pfpc": "inr[Nat + Unit] *\n",
+    "fold.pfpc": "fold[(mu X. Nat)] 3\n",
+    "lam_suc.pfpc": "fn x : Nat => suc x\n",
+    "lam_id.pfpc": "fn x : Nat => x\n",
+}
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -75,13 +89,18 @@ def requests():
          "--eps=-1/2"],
         ["probterm", "examples/coin_harness.pfpc", "--depth", "two"],
     ]
+    for a, b in (("zero", "zero"), ("zero", "one"), ("star", "star"),
+                 ("pair", "pair"), ("inl", "inr"), ("fold", "fold"),
+                 ("lam_suc", "lam_id")):
+        out += [["refine", "tmp/%s.pfpc" % a, "tmp/%s.pfpc" % b,
+                 "--format", fmt] for fmt in FORMATS]
     return out
 
 
 def outputs():
     """(label, SHA-1 of exit code, stdout and stderr) per request."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, src in BAD_FILES.items():
+        for name, src in {**BAD_FILES, **VALUE_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(src)
         dirs = (("examples/", EXAMPLES + os.sep), ("tmp/", tmp + os.sep))
