@@ -23,9 +23,7 @@ from .syntax import (
 from .typecheck import TypecheckError, elaborate
 from .parser import ParseError, parse_term, parse_ty, load_file
 from .opsem import EvalDefect, Evaluator
-from .densem import (
-    STANDARD, STEP_FAITHFUL, NatV, UNIT, PairV, FunV, FoldV, SemDefect, Interp,
-)
+from .densem import STANDARD, STEP_FAITHFUL, FoldV, SemDefect, Interp
 from .relate import (
     LiftVerdict, lift_check, RelateCfg, default_probes, logrel_val,
     refine_check,

@@ -149,6 +149,8 @@ def _rat(text):
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
     if v < 0:
         raise argparse.ArgumentTypeError("eps must be >= 0")
+    if v > 1:
+        raise argparse.ArgumentTypeError("eps must be <= 1")
     return v
 
 

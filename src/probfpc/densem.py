@@ -1,10 +1,17 @@
 """Denotational semantics: environment-based interpretation into delay trees.
 
-Semantic values are ground data (units, naturals, pairs, and injections
-as `dist.Inl`/`Inr`), closures (`FunV`, a Python function from semantic
-value to delay tree), and recursive-type cells (`FoldV`, a memoised thunk).
-Ground values compare structurally and carry sort keys, so distributions
-over them canonicalize; closures and cells compare by identity.
+Semantic values are plain data, one shape per type:
+
+  Unit      ()
+  Nat       int
+  A * B     a 2-tuple
+  A + B     dist.Inl / dist.Inr
+  A -> B    a Python function from semantic value to delay tree
+  mu X. A   FoldV, a memoised cell
+
+Ground values compare structurally and sort by `dist.key_of`, so
+distributions over them canonicalize; functions and cells have no key and
+compare by identity.
 
 Two step disciplines:
 
@@ -16,16 +23,13 @@ Two step disciplines:
 """
 
 from .delay import DelayThunk, delay_bind, delay_map, now, step_fn
-from .dist import Dist, Inl, Inr, choice, key_of
+from .dist import Dist, Inl, Inr, choice
 from .syntax import (
     Term, Star, Num, Var, Suc, Pred, Ifz, Pair, Fst, Snd,
     Inj, Case, Lam, App, Fold, Unfold, Choice, is_value,
 )
 
-__all__ = [
-    "STANDARD", "STEP_FAITHFUL",
-    "NatV", "UNIT", "PairV", "FunV", "FoldV", "SemDefect", "Interp",
-]
+__all__ = ["STANDARD", "STEP_FAITHFUL", "FoldV", "SemDefect", "Interp"]
 
 STANDARD = "standard"
 STEP_FAITHFUL = "step-faithful"
@@ -33,74 +37,6 @@ STEP_FAITHFUL = "step-faithful"
 
 class SemDefect(Exception):
     """A semantic value shape that typing rules out."""
-
-
-class _UnitV:
-    __slots__ = ()
-
-    def dist_key(self):
-        return ("unitv",)
-
-    def __repr__(self):
-        return "UNIT"
-
-
-UNIT = _UnitV()
-
-
-class NatV:
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        self.n = n
-
-    def __eq__(self, other):
-        return isinstance(other, NatV) and self.n == other.n
-
-    def __hash__(self):
-        return hash(("natv", self.n))
-
-    def dist_key(self):
-        return ("natv", self.n)
-
-    def __repr__(self):
-        return "NatV(%d)" % self.n
-
-
-class PairV:
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def __eq__(self, other):
-        return isinstance(other, PairV) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash(("pairv", self.a, self.b))
-
-    def dist_key(self):
-        ka = key_of(self.a)
-        kb = key_of(self.b)
-        if ka is None or kb is None:
-            return None
-        return ("pairv", ka, kb)
-
-    def __repr__(self):
-        return "PairV(%r, %r)" % (self.a, self.b)
-
-
-class FunV:
-    """Closure: fn maps a semantic value to a delay tree of semantic values.
-    Identity equality; two closures are never merged."""
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __repr__(self):
-        return "FunV(<%x>)" % id(self)
 
 
 class FoldV(DelayThunk):
@@ -137,14 +73,14 @@ class Interp:
     def val(self, t: Term, env=()):
         """Semantic value of a value term."""
         if isinstance(t, Star):
-            return UNIT
+            return ()
         if isinstance(t, Num):
-            return NatV(t.n)
+            return t.n
         if isinstance(t, Lam):
             body = t.body
-            return FunV(lambda v: self.interp(body, env + (v,)))
+            return lambda v: self.interp(body, env + (v,))
         if isinstance(t, Pair):
-            return PairV(self.val(t.a, env), self.val(t.b, env))
+            return (self.val(t.a, env), self.val(t.b, env))
         if isinstance(t, Inj):
             inner = self.val(t.m, env)
             return Inl(inner) if t.side == "l" else Inr(inner)
@@ -165,15 +101,15 @@ class Interp:
         if isinstance(t, Ifz):
             zero, succ = t.zero, t.succ
             def branch(v):
-                if not isinstance(v, NatV):
+                if type(v) is not int:
                     _defect("ifz scrutinee", v)
-                return itp(zero, env) if v.n == 0 else itp(succ, env)
+                return itp(zero, env) if v == 0 else itp(succ, env)
             return delay_bind(itp(t.cond, env), branch)
         if isinstance(t, Pair):
             b = t.b
             return delay_bind(itp(t.a, env),
                               lambda va: delay_map(itp(b, env),
-                                                   lambda vb: PairV(va, vb)))
+                                                   lambda vb: (va, vb)))
         if isinstance(t, Fst):
             return delay_map(itp(t.m, env), _fst)
         if isinstance(t, Snd):
@@ -197,12 +133,12 @@ class Interp:
         if isinstance(t, App):
             arg = t.arg
             def applied(f):
-                if not isinstance(f, FunV):
+                if not callable(f):
                     _defect("applied non-closure", f)
                 if stepping:
                     return delay_bind(itp(arg, env),
-                                      lambda v: step_fn(lambda: f.fn(v)))
-                return delay_bind(itp(arg, env), f.fn)
+                                      lambda v: step_fn(lambda: f(v)))
+                return delay_bind(itp(arg, env), f)
             return delay_bind(itp(t.fn, env), applied)
         if isinstance(t, Fold):
             # non-value content: run it, then seal the result in a cell
@@ -222,25 +158,24 @@ class Interp:
 
 
 def _suc(v):
-    if not isinstance(v, NatV):
+    if type(v) is not int:
         _defect("suc of non-numeral", v)
-    return NatV(v.n + 1)
+    return v + 1
 
 
 def _pred(v):
-    if not isinstance(v, NatV):
+    if type(v) is not int:
         _defect("pred of non-numeral", v)
-    return NatV(v.n - 1 if v.n > 0 else 0)
+    return v - 1 if v > 0 else 0
 
 
 def _fst(v):
-    if not isinstance(v, PairV):
+    if type(v) is not tuple or len(v) != 2:
         _defect("fst of non-pair", v)
-    return v.a
+    return v[0]
 
 
 def _snd(v):
-    if not isinstance(v, PairV):
+    if type(v) is not tuple or len(v) != 2:
         _defect("snd of non-pair", v)
-    return v.b
-
+    return v[1]

@@ -3,11 +3,13 @@
 A distribution is a finite weighted support with weights in (0,1] summing to
 exactly 1.  Carriers split in two:
 
-* keyed carriers (naturals, syntactic values, ground semantic values, sums
-  and pairs of these) have a total order on elements; supports are merged by
-  key and sorted, giving a canonical form with decidable equality.  This is
-  the classical weighted-map reading of the free convex algebra on a set
-  with decidable equality.
+* keyed carriers have a total order on elements, given by `key_of`, the one
+  sort key: ints (semantic naturals), tuples (the semantic unit `()` and
+  semantic pairs), `Inl`/`Inr` (sums, delay-tree leaves), and syntactic
+  values through `Term.dist_key`, each keyed when all its parts are.
+  Supports are merged by key and sorted, giving a canonical form with
+  decidable equality.  This is the classical weighted-map reading of the
+  free convex algebra on a set with decidable equality.
 
 * unkeyed carriers (closures, thunks) keep a formal order-preserving support
   list.  Entries are never merged by value; the single exception is entries

@@ -55,6 +55,12 @@ class _Tok:
         return "%s(%r)" % (self.kind, self.text)
 
 
+def _expected(what, tok):
+    """The error for finding tok where `what` was expected."""
+    return ParseError("expected %s, found %r" % (what, tok.text or "end of input"),
+                      tok.line, tok.col)
+
+
 def _lex(src):
     toks = []
     i, line, col = 0, 1, 1
@@ -141,22 +147,19 @@ class _Parser:
     def eat(self, text):
         if not self.at(text):
             t = self.peek()
-            raise ParseError("expected %r, found %r" % (text, t.text or "end of input"),
-                             t.line, t.col)
+            raise _expected(repr(text), t)
         return self.next()
 
     def eat_ident(self):
         t = self.peek()
         if t.kind != "ident" or t.text in _KEYWORDS:
-            raise ParseError("expected a name, found %r" % (t.text or "end of input"),
-                             t.line, t.col)
+            raise _expected("a name", t)
         return self.next()
 
     def eat_nat(self):
         t = self.peek()
         if t.kind != "num" or "." in t.text:
-            raise ParseError("expected a numeral, found %r" % (t.text or "end of input"),
-                             t.line, t.col)
+            raise _expected("a numeral", t)
         self.next()
         try:
             return int(t.text)
@@ -281,16 +284,14 @@ class _Parser:
     def prob(self):
         t = self.peek()
         if t.kind != "num":
-            raise ParseError("expected a probability, found %r"
-                             % (t.text or "end of input"), t.line, t.col)
+            raise _expected("a probability", t)
         self.next()
         text = t.text
         if self.at("/"):
             self.next()
             d = self.peek()
             if d.kind != "num" or "." in d.text:
-                raise ParseError("expected a denominator, found %r"
-                                 % (d.text or "end of input"), d.line, d.col)
+                raise _expected("a denominator", d)
             self.next()
             text = "%s/%s" % (text, d.text)
         try:
@@ -368,8 +369,7 @@ class _Parser:
             if t.text not in _KEYWORDS:
                 self.next()
                 return self.resolve(t, env, defs)
-        raise ParseError("expected a term, found %r" % (t.text or "end of input"),
-                         t.line, t.col)
+        raise _expected("a term", t)
 
     def resolve(self, tok, env, defs):
         name = tok.text
@@ -437,8 +437,7 @@ class _Parser:
                         return TVarT(k)
                 raise ParseError("unknown type variable %r" % t.text,
                                  t.line, t.col)
-        raise ParseError("expected a type, found %r" % (t.text or "end of input"),
-                         t.line, t.col)
+        raise _expected("a type", t)
 
 
 def parse_term(src: str, defs=None) -> Term:

@@ -293,6 +293,16 @@ def test_negative_tolerance_rejected():
     assert err == "probfpc: argument --eps: eps must be >= 0\n"
 
 
+def test_tolerance_above_one_rejected():
+    geo, ident = example("geo.pfpc"), example("id.pfpc")
+    for argv in (["compare", geo, geo, "--eps", "2"],
+                 ["refine", ident, ident, "--eps", "3/2"]):
+        for fmt in ("table", "json"):
+            code, out, err = run(argv + ["--format", fmt])
+            assert (code, out) == (1, "")
+            assert err == "probfpc: argument --eps: eps must be <= 1\n"
+
+
 def test_negative_budgets_rejected():
     coin = example("coin_harness.pfpc")
     for argv in (["compare", coin, coin, "--depth", "-1"],

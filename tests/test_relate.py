@@ -11,7 +11,7 @@ from probfpc.dist import Dist, Inl, choice
 from probfpc.delay import (
     delay_bind, leqlim_upto, now, probterm_seq, step_fn,
 )
-from probfpc.densem import NatV, UNIT
+from probfpc.densem import FoldV
 from probfpc.relate import (
     RelateCfg, _flow, default_probes, lift_check, logrel_val, refine_check,
 )
@@ -201,20 +201,19 @@ def test_lift_consequence_bounds_probterm():
 
 def test_logrel_ground_goldens():
     cfg = RelateCfg()
-    assert logrel_val(NAT, NatV(3), Num(3), cfg).holds
-    assert not logrel_val(NAT, NatV(3), Num(4), cfg).holds
-    assert logrel_val(UnitT(), UNIT, Star(), cfg).holds
+    assert logrel_val(NAT, 3, Num(3), cfg).holds
+    assert not logrel_val(NAT, 3, Num(4), cfg).holds
+    assert logrel_val(UnitT(), (), Star(), cfg).holds
     mu = parse_ty("mu X. Nat")
-    from probfpc.densem import FoldV
-    assert logrel_val(mu, FoldV(lambda: NatV(3)), Fold(Num(3), mu), cfg).holds
-    assert not logrel_val(mu, FoldV(lambda: NatV(3)), Fold(Num(4), mu), cfg).holds
-    v = logrel_val(mu, FoldV(lambda: NatV(3)), Fold(Num(4), mu), cfg, _fuel=0)
+    assert logrel_val(mu, FoldV(lambda: 3), Fold(Num(3), mu), cfg).holds
+    assert not logrel_val(mu, FoldV(lambda: 3), Fold(Num(4), mu), cfg).holds
+    v = logrel_val(mu, FoldV(lambda: 3), Fold(Num(4), mu), cfg, _fuel=0)
     assert v.holds and "budget" in v.reason
 
 
 def test_logrel_sum_tag_mismatch():
     ty = parse_ty("Nat + Unit")
-    v = logrel_val(ty, Inl(NatV(0)), Inj("r", Star(), ty), RelateCfg())
+    v = logrel_val(ty, Inl(0), Inj("r", Star(), ty), RelateCfg())
     assert not v.holds and v.reason == "sum tag mismatch"
 
 
