@@ -51,6 +51,17 @@ VALUE_FILES = {
     "lam_id.pfpc": "fn x : Nat => x\n",
 }
 
+# one parser form each: `if`/`ifz` with a missing branch, the `[type]`
+# annotations of `inl` and `fold`, and how `+`, `*` and `->` nest
+PARSE_FILES = {
+    "ifz_no_else.pfpc": "ifz 0 then 1\n",
+    "if_no_then.pfpc": "if true 1 else 2\n",
+    "inl_no_ty.pfpc": "inl 0\n",
+    "fold_nat.pfpc": "fold[Nat] 0\n",
+    "sum_no_rhs.pfpc": "fn x : Nat + => x\n",
+    "nesting.pfpc": "fn x : Nat + Unit * Nat -> Nat * Nat + Unit => x\n",
+}
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -94,13 +105,18 @@ def requests():
                  ("lam_suc", "lam_id")):
         out += [["refine", "tmp/%s.pfpc" % a, "tmp/%s.pfpc" % b,
                  "--format", fmt] for fmt in FORMATS]
+    # catalogue arguments: a bad natural, one argument too many, the edge
+    # probability, and an argument to a name that takes none
+    out += [["examples", "run", name] for name in
+            ("randw(x)", "id_hes(1/2,Nat,3)", "geo(1)", "everysnd(1)")]
+    out += [["check", "tmp/" + name] for name in PARSE_FILES]
     return out
 
 
 def outputs():
     """(label, SHA-1 of exit code, stdout and stderr) per request."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, src in {**BAD_FILES, **VALUE_FILES}.items():
+        for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(src)
         dirs = (("examples/", EXAMPLES + os.sep), ("tmp/", tmp + os.sep))
