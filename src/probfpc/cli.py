@@ -4,8 +4,8 @@ Subcommands: check, probterm, compare, refine, examples {list, run}.
 Exit codes: 0 success/Holds, 1 usage, file or type errors and inputs or
 budgets that nest too deeply, 2 inconclusive (the deep checks are
 semidecisions, so "don't know" must not look like either success or
-refutation).  All probabilities print as exact fractions;
---approx adds a 6-decimal rendering for reading comfort.
+refutation).  All probabilities print as exact fractions; the tables of
+probterm and examples run take --approx for a 6-decimal rendering too.
 """
 
 import argparse
@@ -164,12 +164,12 @@ def _nat(text):
     return v
 
 
-def _add_common(sp, depth=True, fmt=True):
+def _add_common(sp, depth=True, approx=False):
     if depth:
         sp.add_argument("--depth", type=_nat, default=64,
                         help="run depth for termination tables (default 64)")
-    if fmt:
-        sp.add_argument("--format", choices=("table", "json"), default="table")
+    sp.add_argument("--format", choices=("table", "json"), default="table")
+    if approx:
         sp.add_argument("--approx", action="store_true",
                         help="also print 6-decimal approximations")
 
@@ -190,7 +190,7 @@ def build_parser():
                         help="termination probabilities by run depth")
     sp.add_argument("file")
     sp.add_argument("--mode", choices=MODES, default="op")
-    _add_common(sp)
+    _add_common(sp, approx=True)
     sp.set_defaults(fn=cmd_probterm)
 
     sp = sub.add_parser("compare",
@@ -222,7 +222,7 @@ def build_parser():
     run = ex.add_parser("run")
     run.add_argument("name", help="catalogue name, e.g. geo or id_hes(1/2,Nat)")
     run.add_argument("--mode", choices=MODES, default="op")
-    _add_common(run)
+    _add_common(run, approx=True)
     run.set_defaults(fn=cmd_examples, what="run")
 
     return ap

@@ -3,12 +3,11 @@ from a biased one, lazy random walks, and the lazy-list vocabulary they
 share.
 
 Everything is built by parsing concrete syntax, so the corpus doubles as a
-parser workout and stays printable.  `corpus(name)` accepts the catalogue
-names listed in CATALOGUE, with optional arguments in parentheses, e.g.
-"geo", "geo(2/3)", "id_hes(15/16,Nat)", "randw(4)".
+parser workout and stays printable.  The catalogue is the one table
+`_ENTRIES` of name -> (blurb, builder); CATALOGUE and each entry's arity
+come from it.  `corpus(name)` takes a catalogue name with optional
+arguments in parentheses, e.g. "geo", "geo(2/3)", "id_hes(15/16,Nat)".
 """
-
-from fractions import Fraction
 
 from .parser import _DIGITS, parse_term, parse_ty
 from .rational import as_prob, parse_rat
@@ -140,16 +139,43 @@ def randw2_fn() -> Term:
 
 # --- catalogue ----------------------------------------------------------------
 
-CATALOGUE = (
-    ("geo", "geo(p=1/2): geometric process at Nat, lean loop"),
-    ("id_hes", "id_hes(p=1/2, ty=Nat): hesitant identity function"),
-    ("fair_from", "fair_from(p=1/3): fair coin from a biased one, Unit -> Unit + Unit"),
-    ("randw", "randw(n=2): lazy random walk from n"),
-    ("randw2", "randw2(n=2): lazy two-step random walk from n"),
-    ("everysnd", "everysnd: every second element of a lazy list"),
-    ("lazylist-ops", "lazylist-ops: head (cons 3 nil-tail), exercising the list vocabulary"),
-    ("diverge", "diverge: the hereditarily silent Unit program"),
-)
+def _nat(text):
+    """A natural argument, spelt as the lexer reads numerals: ASCII digits."""
+    if not text or text.strip(_DIGITS):
+        raise ValueError("not a natural: %r" % text)
+    return int(text)
+
+
+# name -> (blurb, builder); a builder takes its arguments as text, each with
+# a default, so its parameters give both the arity and the usage line
+_ENTRIES = {
+    "geo": ("geometric process at Nat, lean loop",
+            lambda p="1/2": geo_loop(parse_rat(p))),
+    "id_hes": ("hesitant identity function",
+               lambda p="1/2", ty="Nat": id_hes(parse_rat(p), parse_ty(ty))),
+    "fair_from": ("fair coin from a biased one, Unit -> Unit + Unit",
+                  lambda p="1/3": fair_from(parse_rat(p))),
+    "randw": ("lazy random walk from n",
+              lambda n="2": App(randw_fn(), Num(_nat(n)))),
+    "randw2": ("lazy two-step random walk from n",
+               lambda n="2": App(randw2_fn(), Num(_nat(n)))),
+    "everysnd": ("every second element of a lazy list", everysnd_term),
+    "lazylist-ops": ("head (cons 3 nil-tail), exercising the list vocabulary",
+                     lambda: parse_term("hd (%s 3 (fn u : Unit => %s))" % (_CONS, _NIL),
+                                        defs={"hd": head_term()})),
+    "diverge": ("the hereditarily silent Unit program", diverge_term),
+}
+
+
+def _usage(name, build):
+    """The name with its parameters and their defaults, e.g. geo(p=1/2)."""
+    params = zip(build.__code__.co_varnames, build.__defaults__ or ())
+    return name + ("(%s)" % ", ".join("%s=%s" % p for p in params)
+                   if build.__defaults__ else "")
+
+
+CATALOGUE = tuple((name, "%s: %s" % (_usage(name, build), blurb))
+                  for name, (blurb, build) in _ENTRIES.items())
 
 
 def _parse_call(name):
@@ -168,44 +194,13 @@ def _parse_call(name):
     return base.strip(), [a.strip() for a in inner.split(",")] if inner else []
 
 
-def _nat(text):
-    """A natural argument, spelt as the lexer reads numerals: ASCII digits."""
-    if not text or text.strip(_DIGITS):
-        raise ValueError("not a natural: %r" % text)
-    return int(text)
-
-
-_ARITY = {"geo": 1, "id_hes": 2, "fair_from": 1, "randw": 1, "randw2": 1,
-          "everysnd": 0, "lazylist-ops": 0, "diverge": 0}
-
-
 def corpus(name: str) -> Term:
     """Catalogue lookup; optional arguments in parentheses, see CATALOGUE."""
     base, args = _parse_call(name)
-    if len(args) > _ARITY.get(base, len(args)):
-        raise ValueError("takes at most %d argument(s), got %d"
-                         % (_ARITY[base], len(args)))
-    if base == "geo":
-        p = parse_rat(args[0]) if args else Fraction(1, 2)
-        return geo_loop(p)
-    if base == "id_hes":
-        p = parse_rat(args[0]) if args else Fraction(1, 2)
-        ty = parse_ty(args[1]) if len(args) > 1 else NatT()
-        return id_hes(p, ty)
-    if base == "fair_from":
-        p = parse_rat(args[0]) if args else Fraction(1, 3)
-        return fair_from(p)
-    if base == "randw":
-        n = _nat(args[0]) if args else 2
-        return App(randw_fn(), Num(n))
-    if base == "randw2":
-        n = _nat(args[0]) if args else 2
-        return App(randw2_fn(), Num(n))
-    if base == "everysnd":
-        return everysnd_term()
-    if base == "lazylist-ops":
-        return parse_term("hd (%s 3 (fn u : Unit => %s))" % (_CONS, _NIL),
-                          defs={"hd": head_term()})
-    if base == "diverge":
-        return diverge_term()
-    raise KeyError("unknown corpus entry %r" % name)
+    if base not in _ENTRIES:
+        raise KeyError("unknown corpus entry %r" % name)
+    build = _ENTRIES[base][1]
+    arity = build.__code__.co_argcount
+    if len(args) > arity:
+        raise ValueError("takes at most %d argument(s), got %d" % (arity, len(args)))
+    return build(*args)

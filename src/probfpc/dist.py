@@ -4,9 +4,11 @@ A distribution is a finite weighted support with weights in (0,1] summing to
 exactly 1.  Carriers split in two:
 
 * keyed carriers have a total order on elements, given by `key_of`, the one
-  sort key: ints (semantic naturals), tuples (the semantic unit `()` and
-  semantic pairs), `Inl`/`Inr` (sums, delay-tree leaves), and syntactic
-  values through `Term.dist_key`, each keyed when all its parts are.
+  sort key.  It keys four shapes, each when all its parts are keyed:
+  `type(x) is int` (semantic naturals; no subclass of int), tuples (the
+  semantic unit `()` and semantic pairs), `Inl`/`Inr` (sums, delay-tree
+  leaves), and syntactic values through their `dist_key` hook
+  (`Term.dist_key`).
   Supports are merged by key and sorted, giving a canonical form with
   decidable equality.  This is the classical weighted-map reading of the
   free convex algebra on a set with decidable equality.
@@ -21,9 +23,7 @@ one-entry node returns the continuation's Dist itself (the unit law): both
 are canonical with mass 1 already.  Everything else canonicalises.
 """
 
-from fractions import Fraction
-
-from .rational import ONE, as_prob
+from .rational import ONE, ZERO, as_prob
 
 __all__ = [
     "Inl", "Inr", "key_of", "Dist", "dirac", "choice", "dist_bind", "dist_map",
@@ -66,19 +66,13 @@ class Inr:
 
 def key_of(x):
     """Canonical sort key of a carrier element, or None if the element is
-    unkeyed (thunks, closures, anything containing them).
+    unkeyed (thunks, closures, anything else, anything containing them).
 
     Keys are nested (tag, ...) tuples; the leading string tag keeps keys of
     different shapes comparable without cross-type comparisons.
     """
-    if isinstance(x, bool):
-        return ("bool", x)
-    if isinstance(x, int):
+    if type(x) is int:
         return ("int", x)
-    if isinstance(x, str):
-        return ("str", x)
-    if isinstance(x, Fraction):
-        return ("rat", x)
     if isinstance(x, tuple):
         parts = []
         for c in x:
@@ -94,9 +88,7 @@ def key_of(x):
         k = key_of(x.val)
         return None if k is None else ("inr", k)
     fn = getattr(x, "dist_key", None)
-    if fn is not None:
-        return fn()
-    return None
+    return None if fn is None else fn()
 
 
 def _canonical(entries):
@@ -133,7 +125,7 @@ class Dist:
 
     def __init__(self, entries):
         es = _canonical(entries)
-        total = sum((w for w, _ in es), Fraction(0))
+        total = sum((w for w, _ in es), ZERO)
         if total != ONE:
             raise ValueError("distribution weights sum to %s, not 1" % total)
         object.__setattr__(self, "entries", es)

@@ -197,10 +197,8 @@ class _Parser:
                 return self.lam(env, defs)
             if w == "let":
                 return self.let(env, defs)
-            if w == "if":
-                return self.ifbool(env, defs)
-            if w == "ifz":
-                return self.ifzero(env, defs)
+            if w in ("if", "ifz"):
+                return self.conditional(env, defs)
             if w == "case":
                 return self.case(env, defs)
             if w == "choice":
@@ -225,23 +223,18 @@ class _Parser:
         body = self.term(env + (("var", name.text),), defs)
         return App(Lam(None, body, pos=(t.line, t.col)), rhs, pos=(t.line, t.col))
 
-    def ifbool(self, env, defs):
-        t = self.eat("if")
+    def conditional(self, env, defs):
+        """`if B then M else N`, a Case whose branches bind an unnamed
+        variable, or `ifz N then M else P`, an Ifz, which binds none."""
+        t = self.next()
         cond = self.term(env, defs)
+        if t.text == "if":
+            env += (("var", None),)
         self.eat("then")
-        yes = self.term(env + (("var", None),), defs)
+        yes = self.term(env, defs)
         self.eat("else")
-        no = self.term(env + (("var", None),), defs)
-        return Case(cond, yes, no, pos=(t.line, t.col))
-
-    def ifzero(self, env, defs):
-        t = self.eat("ifz")
-        cond = self.term(env, defs)
-        self.eat("then")
-        zero = self.term(env, defs)
-        self.eat("else")
-        succ = self.term(env, defs)
-        return Ifz(cond, zero, succ, pos=(t.line, t.col))
+        no = self.term(env, defs)
+        return (Case if t.text == "if" else Ifz)(cond, yes, no, pos=(t.line, t.col))
 
     def case(self, env, defs):
         t = self.eat("case")
@@ -323,23 +316,18 @@ class _Parser:
             if w in _UNARY:
                 self.next()
                 return _UNARY[w](self.prefix(env, defs), pos=(t.line, t.col))
-            if w in ("inl", "inr"):
+            if w in ("inl", "inr", "fold"):
                 self.next()
                 self.eat("[")
                 ty = self.ty(())
                 self.eat("]")
-                m = self.prefix(env, defs)
-                return Inj(w[-1], m, ty, pos=(t.line, t.col))
-            if w == "fold":
-                self.next()
-                self.eat("[")
-                ty = self.ty(())
-                self.eat("]")
-                if not isinstance(ty, MuT):
+                if w == "fold" and not isinstance(ty, MuT):
                     raise ParseError("fold annotation must be a mu type",
                                      t.line, t.col)
                 m = self.prefix(env, defs)
-                return Fold(m, ty, pos=(t.line, t.col))
+                if w == "fold":
+                    return Fold(m, ty, pos=(t.line, t.col))
+                return Inj(w[-1], m, ty, pos=(t.line, t.col))
         return self.atom(env, defs)
 
     def atom(self, env, defs):
@@ -360,12 +348,10 @@ class _Parser:
             self.eat(")")
             return inner
         if t.kind == "ident":
-            if t.text == "true":
+            if t.text in ("true", "false"):
                 self.next()
-                return true_term(pos=(t.line, t.col))
-            if t.text == "false":
-                self.next()
-                return false_term(pos=(t.line, t.col))
+                make = true_term if t.text == "true" else false_term
+                return make(pos=(t.line, t.col))
             if t.text not in _KEYWORDS:
                 self.next()
                 return self.resolve(t, env, defs)
@@ -390,26 +376,24 @@ class _Parser:
     # --- types; tenv is a tuple of bound type-variable names ---
 
     def ty(self, tenv):
-        left = self.ty_sum(tenv)
+        left = self.ty_left(tenv, "+")
         if self.at("->"):
             self.next()
             right = self.ty(tenv)
             return FnT(left, right)
         return left
 
-    def ty_sum(self, tenv):
-        left = self.ty_prod(tenv)
-        while self.at("+"):
+    def ty_left(self, tenv, op):
+        """A left-associative run: sums (op "+") of products, or products
+        (op "*") of atoms."""
+        node, inner = (SumT, "*") if op == "+" else (ProdT, None)
+        left = None
+        while True:
+            right = self.ty_left(tenv, inner) if inner else self.ty_atom(tenv)
+            left = right if left is None else node(left, right)
+            if not self.at(op):
+                return left
             self.next()
-            left = SumT(left, self.ty_prod(tenv))
-        return left
-
-    def ty_prod(self, tenv):
-        left = self.ty_atom(tenv)
-        while self.at("*"):
-            self.next()
-            left = ProdT(left, self.ty_atom(tenv))
-        return left
 
     def ty_atom(self, tenv):
         t = self.peek()

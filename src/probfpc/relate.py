@@ -38,28 +38,29 @@ __all__ = [
 
 # --- exact max flow ---------------------------------------------------------
 
-def _max_flow(supplies, caps, edges):
-    """Maximum flow from left supplies to right capacities along the given
-    (i, j) edges; exact Fractions.  Returns (value, {(i, j): flow})."""
-    n, m = len(supplies), len(caps)
+def _max_flow(left, right, rel):
+    """Maximum flow of the weighted list left onto the weighted list right
+    along the pairs rel accepts; exact Fractions.  Returns (value,
+    {(i, j): flow})."""
+    n, m = len(left), len(right)
     src, snk = n + m, n + m + 1
     adj = [[] for _ in range(n + m + 2)]
     cap = {}
 
-    def add(u, v, c):
-        if (u, v) not in cap:
-            adj[u].append(v)
-            adj[v].append(u)
-            cap[(u, v)] = ZERO
-            cap[(v, u)] = ZERO
-        cap[(u, v)] += c
+    def add(u, v, c):       # each arc is added once, with its reverse at 0
+        adj[u].append(v)
+        adj[v].append(u)
+        cap[(u, v)] = c
+        cap[(v, u)] = ZERO
 
-    for i, s in enumerate(supplies):
-        add(src, i, s)
-    for j, c in enumerate(caps):
-        add(n + j, snk, c)
+    for i, (w, _) in enumerate(left):
+        add(src, i, w)
+    for j, (w, _) in enumerate(right):
+        add(n + j, snk, w)
+    edges = [(i, j) for i, (_, a) in enumerate(left)
+             for j, (_, b) in enumerate(right) if rel(a, b)]
     for i, j in edges:
-        add(i, n + j, supplies[i])
+        add(i, n + j, left[i][0])
 
     total = ZERO
     while True:
@@ -93,14 +94,6 @@ def _max_flow(supplies, caps, edges):
         if f > 0:
             flow[(i, j)] = f
     return total, flow
-
-
-def _flow(left, right, rel):
-    """Maximum flow of the weighted list left onto the weighted list right
-    along the pairs rel accepts; returns (value, {(i, j): flow})."""
-    edges = [(i, j) for i, (_, a) in enumerate(left)
-             for j, (_, b) in enumerate(right) if rel(a, b)]
-    return _max_flow([w for w, _ in left], [w for w, _ in right], edges)
 
 
 # --- relational lifting -----------------------------------------------------
@@ -168,7 +161,7 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     if p > 0:
         best = ZERO
         while True:
-            flowval, flow = _flow(vals, evals, rel)
+            flowval, flow = _max_flow(vals, evals, rel)
             best = flowval if flowval > best else best
             if flowval >= p - eps:
                 break

@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from probfpc.dist import choice, dirac, dist_map
+from probfpc.dist import Inr, choice, dirac, dist_map
 from probfpc.delay import eqlim_upto, probterm_seq, run
 from probfpc.densem import STANDARD, STEP_FAITHFUL, Interp
 from probfpc.opsem import Evaluator
@@ -66,7 +66,7 @@ def test_choice_rebalancing_identity_and_transport():
     assert lhs.entries == rhs.entries
     rng = random.Random(91)
     for _ in range(200):
-        relabel = {0: ("x", rng.randrange(100)), 1: "y%d" % rng.randrange(100),
+        relabel = {0: (rng.randrange(100), 0), 1: Inr(rng.randrange(100)),
                    2: rng.randrange(100) + 10}.__getitem__
         assert dist_map(relabel, lhs).entries == dist_map(relabel, rhs).entries
     budget(started, 1)

@@ -88,6 +88,17 @@ def test_probterm_approx_column():
     assert "0.500000" in out and "0.750000" in out
 
 
+def test_approx_belongs_to_the_termination_tables():
+    # compare and refine print no table, so they take no --approx
+    coin = example("coin_harness.pfpc")
+    for cmd in ("compare", "refine"):
+        code, out, err = run([cmd, coin, coin, "--approx"])
+        assert (code, out) == (1, "")
+        assert err == "probfpc: unrecognized arguments: --approx\n"
+    code, out, _ = run(["examples", "run", "geo", "--depth", "1", "--approx"])
+    assert code == 0 and out.splitlines()[1] == "depth  probterm  approx"
+
+
 def test_probterm_denotational_modes():
     for mode in ("den", "den-steps"):
         code, out, _ = run(["probterm", example("geo.pfpc"), "--depth", "4",

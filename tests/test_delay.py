@@ -70,13 +70,13 @@ def test_geo_probterm_closed_form():
 
 
 def test_hesitant_probterm_closed_form():
-    d = hesitant(HALF, "a")
+    d = hesitant(HALF, ())
     for m in range(8):
         assert probterm(m, d) == 1 - HALF ** m
 
 
 def test_value_part():
-    assert value_part(now("a"), 0) == (1, ((Fraction(1), "a"),))
+    assert value_part(now(()), 0) == (1, ((Fraction(1), ()),))
     mass, vals = value_part(geo(HALF, 0), 1)
     assert mass == Fraction(3, 4)
     assert dict((v, w) for w, v in vals) == {0: HALF, 1: Fraction(1, 4)}

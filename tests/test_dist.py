@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.delay import DelayThunk, now
+from probfpc.delay import DelayThunk, Frontier, now
 from probfpc.dist import Dist, Inl, Inr, choice, dirac, dist_bind, dist_map, key_of
 from probfpc.rational import ONE
 from probfpc.syntax import Num, Pair, Star
@@ -66,6 +66,16 @@ def test_unkeyed_entries_keep_formal_order_and_merge_by_identity():
     assert key_of(f) is None
 
 
+def test_only_ints_tuples_sums_and_terms_are_keyed():
+    # a bool is an int to Python but not a semantic natural: it is unkeyed,
+    # never silently keyed as 0 or 1
+    assert key_of(0) == ("int", 0)
+    for x in (True, False, "a", Fraction(1, 2), (0, True), Inl("a")):
+        assert key_of(x) is None, x
+    with pytest.raises(TypeError):
+        Frontier(now(True), values=True)
+
+
 # --- convex algebra laws ----------------------------------------------------
 
 def test_choice_idempotent():
@@ -107,7 +117,7 @@ def test_nested_choice_rebalancing_identity():
     rng = random.Random(25)
     for _ in range(200):
         p = rng.choice(PROBS)
-        atoms = rng.sample(["a", "b", "c", "d", "e", 0, 1, 2], 3)
+        atoms = rng.sample([Inr(0), Inr(1), (), (0,), (1,), 0, 1, 2], 3)
         a, b, c = (dirac(x) for x in atoms)
         lhs = choice(p, choice(p, a, b), choice(p, c, a))
         rhs = choice(2 * p * (1 - p), choice(Fraction(1, 2), b, c), a)
@@ -144,7 +154,7 @@ def test_bind_is_a_convex_homomorphism():
 def test_map_functoriality():
     rng = random.Random(28)
     f = lambda a: a + 10
-    g = lambda a: ("tag", a)
+    g = lambda a: (0, a)
     for _ in range(200):
         mu = rand_dist(rng)
         assert same(dist_map(g, dist_map(f, mu)),
@@ -163,9 +173,9 @@ def test_two_paired_fair_coins_are_uniform():
 # --- the trusted unit and the unit-law bind ----------------------------------
 
 def element_pool(rng, n=200):
-    """Keyed (ints, strings, tuples, terms), unkeyed (closures, thunks) and
+    """Keyed (ints, tuples, sums, terms), unkeyed (closures, thunks) and
     Inl/Inr-wrapped elements, mixed at random."""
-    base = [0, 3, "a", (1, "b"), Fraction(2, 3), Star(), Num(4),
+    base = [0, 3, (), (1, (2,)), Inr(5), Star(), Num(4),
             Pair(Num(1), Star()), (lambda: 0), DelayThunk(lambda: now(0))]
     pool = []
     for _ in range(n):
@@ -228,9 +238,10 @@ def test_bind_over_one_entry_checks_a_foreign_node():
 
 def test_two_entry_bind_merges_keyed_results():
     coin = choice(Fraction(1, 2), dirac(0), dirac(1))
-    both = {0: Dist([(Fraction(1, 4), "x"), (Fraction(3, 4), "y")]),
-            1: Dist([(Fraction(1, 2), "y"), (Fraction(1, 2), "x")])}
+    x, y = Inl(()), Inr(())
+    both = {0: Dist([(Fraction(1, 4), x), (Fraction(3, 4), y)]),
+            1: Dist([(Fraction(1, 2), Inr(())), (Fraction(1, 2), Inl(()))])}
     out = dist_bind(coin, both.__getitem__)
     assert out is not both[0] and out is not both[1]
-    assert out.entries == ((Fraction(3, 8), "x"), (Fraction(5, 8), "y"))
-    assert dist_bind(coin, lambda a: dirac("z")).entries == ((ONE, "z"),)
+    assert out.entries == ((Fraction(3, 8), x), (Fraction(5, 8), y))
+    assert dist_bind(coin, lambda a: dirac(())).entries == ((ONE, ()),)

@@ -39,6 +39,16 @@ NO_CALLER_NEEDED = {
 }
 
 
+def test_every_exemption_names_an_export():
+    # a deleted export cannot leave its exemption behind
+    stale = []
+    for entry in NO_CALLER_NEEDED:
+        module, _, name = entry.partition(".")
+        if name not in getattr(importlib.import_module("probfpc." + module), "__all__", ()):
+            stale.append(entry)
+    assert not stale, "NO_CALLER_NEEDED names no export: %s" % stale
+
+
 def _uses(tree):
     """Names a module loads, leaving out uses inside the module-level
     definition of the same name: recursion is not a caller."""

@@ -13,7 +13,7 @@ from probfpc.delay import (
 )
 from probfpc.densem import FoldV
 from probfpc.relate import (
-    RelateCfg, _flow, default_probes, lift_check, logrel_val, refine_check,
+    RelateCfg, _max_flow, default_probes, lift_check, logrel_val, refine_check,
 )
 from probfpc.syntax import BOOL_T, Fold, Inj, Lam, NatT, Num, Star, UnitT, Var
 from probfpc.parser import parse_term, parse_ty
@@ -30,13 +30,13 @@ eq = lambda a, b: a == b
 # --- the exact max-flow coupling ---------------------------------------------
 
 def test_coupling_trivial_and_golden():
-    assert _flow([(Fraction(1), "a")], [(Fraction(1), "a")], eq) == \
+    assert _max_flow([(Fraction(1), "a")], [(Fraction(1), "a")], eq) == \
         (1, {(0, 0): 1})
     mu = [(HALF, "a"), (HALF, "b")]
     nu = [(Fraction(3, 4), "a"), (Fraction(1, 4), "b")]
-    assert _flow(mu, nu, eq) == \
+    assert _max_flow(mu, nu, eq) == \
         (Fraction(3, 4), {(0, 0): HALF, (1, 1): Fraction(1, 4)})
-    assert _flow(mu, nu, lambda a, b: False) == (0, {})
+    assert _max_flow(mu, nu, lambda a, b: False) == (0, {})
 
 
 def test_coupling_marginals_are_exact():
@@ -47,7 +47,7 @@ def test_coupling_marginals_are_exact():
     for _ in range(200):
         mu, nu, rel = rand_instance(rng)
         left = list(mu.entries)
-        value, flow = _flow(left, nu, rel)
+        value, flow = _max_flow(left, nu, rel)
         sent, got = {}, {}
         for (i, j), f in flow.items():
             assert f > 0 and rel(left[i][1], nu[j][1])
@@ -63,7 +63,7 @@ def rand_instance(rng):
     k = rng.randrange(1, 4)
     cuts = sorted(rng.sample(range(1, 6), k - 1)) if k > 1 else []
     parts = [b - a for a, b in zip([0] + cuts, cuts + [6])]
-    atoms = rng.sample("abcde", 3)
+    atoms = rng.sample(range(5), 3)
     mu = Dist([(Fraction(p, 6), atoms[i]) for i, p in enumerate(parts)])
     m = rng.randrange(1, 4)
     nu = [(Fraction(rng.randrange(1, 4), 6), rng.choice(atoms)) for _ in range(m)]
@@ -97,7 +97,7 @@ def test_coupling_against_deficiency_oracle():
     rng = random.Random(82)
     for _ in range(200):
         mu, nu, rel = rand_instance(rng)
-        assert _flow(list(mu.entries), nu, rel)[0] == oracle_matched(mu, nu, rel)
+        assert _max_flow(list(mu.entries), nu, rel)[0] == oracle_matched(mu, nu, rel)
 
 
 # --- lift_check -----------------------------------------------------------------
