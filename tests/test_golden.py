@@ -110,6 +110,14 @@ def requests():
     out += [["examples", "run", name] for name in
             ("randw(x)", "id_hes(1/2,Nat,3)", "geo(1)", "everysnd(1)")]
     out += [["check", "tmp/" + name] for name in PARSE_FILES]
+    # traces that nest one dict per fuel unit, and the json `approx` list
+    out += [["refine", "examples/id_hes.pfpc", "examples/id.pfpc",
+             "--fuel", "120", "--format", fmt] for fmt in FORMATS]
+    out += [
+        ["refine", "examples/randw2_head.pfpc", "examples/randw_even_head.pfpc",
+         "--fuel", "12", "--horizon", "256", "--format", "json"],
+        ["probterm", "examples/geo.pfpc", "--format", "json", "--approx"],
+    ]
     return out
 
 
