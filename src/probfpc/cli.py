@@ -6,12 +6,17 @@ budgets that nest too deeply, 2 inconclusive (the deep checks are
 semidecisions, so "don't know" must not look like either success or
 refutation).  All probabilities print as exact fractions; the tables of
 probterm and examples run take --approx for a 6-decimal rendering too.
+JSON output is 2-space indented, written by `_dumps` without recursion.  A
+refine trace nests one dict per fuel unit, so its size grows quadratically
+in --fuel; past fuel of about 985 refine exits 1, as `relate.lift_check`
+recurses once per unit (ROADMAP item 1).
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _esc
 
 from .corpus import CATALOGUE, corpus
 from .delay import eqlim_upto, probterm_seq
@@ -25,18 +30,52 @@ from .typecheck import TypecheckError, elaborate
 
 __all__ = ["main"]
 
-MODES = ("op", "den", "den-steps")
+# mode name -> delay tree of an elaborated term; `--mode` chooses from it
+MODES = {"op": lambda t: Evaluator().eval(t),
+         "den": lambda t: Interp(STANDARD).interp(t),
+         "den-steps": lambda t: Interp(STEP_FAITHFUL).interp(t)}
 
 
 def _delay_of(term, mode):
     t2, ty = elaborate(term)
-    if mode == "op":
-        return ty, Evaluator().eval(t2)
-    if mode == "den":
-        return ty, Interp(STANDARD).interp(t2)
-    if mode == "den-steps":
-        return ty, Interp(STEP_FAITHFUL).interp(t2)
-    raise ValueError("unknown mode %r" % mode)
+    return ty, MODES[mode](t2)
+
+
+def _dumps(doc):
+    """`json.dumps(doc, indent=2)` from a stack of open containers, each with
+    its item iterator, "," + indent separator and closer, built once."""
+    out = []
+    write = out.append
+    stack = []
+    items, keyed, sep, close, lead = iter((doc,)), False, ",\n", "", ""
+    while True:
+        for value in items:
+            write(lead)
+            lead = sep
+            if keyed:
+                key, value = value
+                write(_esc(key) + ": ")     # a TypeError unless key is a str
+            if type(value) is str:
+                write(_esc(value))
+            elif type(value) is int:
+                write(int.__repr__(value))
+            elif isinstance(value, (dict, list, tuple)) and value:
+                stack.append((items, keyed, sep, close))
+                keyed = isinstance(value, dict)
+                items = iter(value.items() if keyed else value)
+                close = sep[1:] + ("}" if keyed else "]")
+                sep += "  "
+                lead = sep[1:]
+                write("{" if keyed else "[")
+                break               # on with the new container's items
+            else:                   # {}, [], true, false, null or a float
+                write(json.dumps(value))
+        else:                       # the container is done: back to its parent
+            write(close)
+            if not stack:
+                return "".join(out)
+            items, keyed, sep, close = stack.pop()
+            lead = sep
 
 
 class UsageError(Exception):
@@ -53,7 +92,7 @@ def _print_seq(seq, fmt, approx, out):
         doc = seq.to_json()
         if approx:
             doc["approx"] = ["%.6f" % float(v) for v in seq]
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_dumps(doc) + "\n")
         return
     out.write("depth  probterm%s\n" % ("  approx" if approx else ""))
     for n, v in enumerate(seq):
@@ -64,17 +103,14 @@ def _print_seq(seq, fmt, approx, out):
 
 
 def cmd_check(args, out):
-    term = load_file(args.file)
-    _, ty = elaborate(term)
+    _, ty = elaborate(load_file(args.file))
     out.write(render_ty(ty) + "\n")
     return 0
 
 
 def cmd_probterm(args, out):
-    term = load_file(args.file)
-    _, d = _delay_of(term, args.mode)
-    seq = probterm_seq(d, args.depth)
-    _print_seq(seq, args.format, args.approx, out)
+    _, d = _delay_of(load_file(args.file), args.mode)
+    _print_seq(probterm_seq(d, args.depth), args.format, args.approx, out)
     return 0
 
 
@@ -95,29 +131,25 @@ def cmd_compare(args, out):
            "mode_a": mode_a, "mode_b": mode_b,
            "max_a": str(max(fa)), "max_b": str(max(fb))}
     if args.format == "json":
-        out.write(json.dumps(doc, indent=2) + "\n")
-    elif ok:
-        out.write("eqlim holds at eps=%s, depth=%d (max %s vs %s)\n"
-                  % (args.eps, args.depth, doc["max_a"], doc["max_b"]))
+        out.write(_dumps(doc) + "\n")
     else:
-        out.write("inconclusive at eps=%s, depth=%d (max %s vs %s); "
-                  "larger depth or eps may settle it\n"
-                  % (args.eps, args.depth, doc["max_a"], doc["max_b"]))
+        out.write("%s at eps=%s, depth=%d (max %s vs %s)%s\n" % (
+            "eqlim holds" if ok else "inconclusive", args.eps, args.depth,
+            doc["max_a"], doc["max_b"],
+            "" if ok else "; larger depth or eps may settle it"))
     return 0 if ok else 2
 
 
 def cmd_refine(args, out):
-    ta = load_file(args.file_a)
-    tb = load_file(args.file_b)
     cfg = RelateCfg(fuel=args.fuel, horizon=args.horizon, eps=args.eps)
-    verdict = refine_check(ta, tb, cfg)
+    verdict = refine_check(load_file(args.file_a), load_file(args.file_b), cfg)
     if args.format == "json":
-        out.write(json.dumps(verdict.to_json(), indent=2) + "\n")
+        out.write(_dumps(verdict.to_json()) + "\n")
     else:
         head = "Holds" if verdict.holds else "Unknown"
         out.write("%s: %s (fuel=%d, horizon=%d, eps=%s)\n"
                   % (head, verdict.reason, args.fuel, args.horizon, args.eps))
-        out.write(json.dumps(verdict.trace, indent=2) + "\n")
+        out.write(_dumps(verdict.trace) + "\n")
     return 0 if verdict.holds else 2
 
 
@@ -137,8 +169,7 @@ def cmd_examples(args, out):
         raise UsageError("%s: %s" % (args.name, e.msg)) from None
     ty, d = _delay_of(term, args.mode)
     out.write("type: %s\n" % render_ty(ty))
-    seq = probterm_seq(d, args.depth)
-    _print_seq(seq, args.format, args.approx, out)
+    _print_seq(probterm_seq(d, args.depth), args.format, args.approx, out)
     return 0
 
 

@@ -41,10 +41,9 @@ def y_comb(a: Ty, b: Ty) -> Term:
         % (s, t, s, t, s, ef, r, ef))
 
 
-def id_hes(p, ty: Ty = None) -> Term:
-    """Hesitant identity: each round, return the argument with probability p
-    or hand it to the next round."""
-    ty = ty if ty is not None else NatT()
+def id_hes(p, ty: Ty) -> Term:
+    """Hesitant identity at type ty: each round, return the argument with
+    probability p or hand it to the next round."""
     p = as_prob(p)
     s = _pty(ty)
     helper = parse_term("fn f : %s -> %s => fn x : %s => choice %s x (f x)"

@@ -94,7 +94,7 @@ def test_read_back_soundness_on_first_order_corpus():
         geo_loop(HALF),
         geo_chain(Fraction(1, 3), 6),
         App(fair_from(Fraction(1, 3)), Star()),
-        App(id_hes(HALF), Num(5)),
+        App(id_hes(HALF, NAT), Num(5)),
         parse_term("ifz (choice 1/2 0 1) then 3 else (suc (choice 1/2 1 2))"),
         parse_term("fst (choice 1/3 (1, 2) (3, 4))"),
         unitize(Choice(HALF, true_term(), false_term()), BOOL_T),
@@ -113,7 +113,7 @@ def test_step_disciplines_agree_in_the_limit():
     programs = [
         Star(),
         diverge_term(),
-        unitize(App(id_hes(Fraction(3, 4)), Num(2)), NAT),
+        unitize(App(id_hes(Fraction(3, 4), NAT), Num(2)), NAT),
         unitize(geo_loop(Fraction(3, 4)), NAT),
         parse_term("let x = unfold (fold[(mu X. Unit)] *) in x"),
         App(force_k(1), App(randw2_fn(), Num(2))),
@@ -152,7 +152,7 @@ def test_hesitant_identity_refines_the_identity():
     started = time.monotonic()
     p = Fraction(15, 16)
     ident = Lam(NAT, Var(0))
-    hes = id_hes(p)
+    hes = id_hes(p, NAT)
     cfg = RelateCfg(fuel=6, horizon=16, eps=Fraction(1, 256))
     a = refine_check(hes, ident, cfg)
     b = refine_check(ident, hes, cfg)

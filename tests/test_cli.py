@@ -2,12 +2,13 @@
 
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from probfpc.cli import main
+from probfpc.cli import _dumps, main
 from probfpc.corpus import CATALOGUE
 
 from conftest import example
@@ -293,6 +294,50 @@ def test_refine_at_horizon_5000():
     code, out, err = run(argv + ["--format", "json"])
     assert (code, err) == (0, "") and "Traceback" not in out
     assert json.loads(out)["holds"] is True
+
+
+# --- the JSON writer -------------------------------------------------------------
+
+LEAVES = ("", "plain", 'a "quote"', "back\\slash", "ctl \x00\x07\x1f\n\t\x7f",
+          "caf\u00e9 \u03a9 \u221e \U0001f0a1", 0, 7, -42, 10 ** 400, -(10 ** 399),
+          True, False, None, 0.1)
+KEYS = ("k", 'q"', "b\\", "\u00e9", "\x07", "")
+
+
+def random_doc(rng, depth):
+    """A leaf, or a dict, list or tuple of up to three random documents."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(LEAVES)
+    kids = [random_doc(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if r < 0.65:
+        return {rng.choice(KEYS) + str(i): kid for i, kid in enumerate(kids)}
+    return tuple(kids) if r < 0.7 else kids
+
+
+def test_writer_is_json_dumps_indent_2():
+    rng = random.Random(12)
+    docs = [random_doc(rng, rng.randrange(7)) for _ in range(400)]
+    docs += [{}, [], (), {"a": {}, "b": [[], {}]}, [{"x": [1, [2, {"y": None}]]}]]
+    for doc in docs:
+        assert _dumps(doc) == json.dumps(doc, indent=2), doc
+
+
+def test_writer_renders_3000_nested_dicts():
+    assert sys.getrecursionlimit() <= 1000
+    doc = 0
+    for _ in range(3000):
+        doc = {"child": doc}
+    with pytest.raises(RecursionError):
+        json.dumps(doc, indent=2)
+    want = ("".join("{\n" + "  " * (d + 1) + '"child": ' for d in range(3000))
+            + "0" + "".join("\n" + "  " * d + "}" for d in reversed(range(3000))))
+    assert _dumps(doc) == want
+
+
+def test_writer_rejects_non_str_keys():
+    with pytest.raises(TypeError):
+        _dumps({"a": [{1: "x"}]})
 
 
 # --- global flags ----------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_recursion_unfolds_in_one_standard_step():
 
 
 def test_standard_terminates_no_later_than_step_faithful():
-    for src in (geo_loop(HALF), App(id_hes(HALF), Num(2)),
+    for src in (geo_loop(HALF), App(id_hes(HALF, NAT), Num(2)),
                 unitize(geo_loop(Fraction(3, 4)), NAT)):
         t = elab(src)
         f = probterm_seq(Interp(STANDARD).interp(t), 64)
@@ -114,7 +114,7 @@ def test_soundness_examples():
     assert not is_ground_ty(parse_ty("mu X. Nat"))
     assert soundness_check(Star(), 8)
     assert soundness_check(Choice(HALF, Num(0), Num(1)), 12)
-    assert soundness_check(App(id_hes(HALF), Num(2)), 12)
+    assert soundness_check(App(id_hes(HALF, NAT), Num(2)), 12)
     assert soundness_check(geo_loop(HALF), 12)
     with pytest.raises(TypeError):
         soundness_check(Lam(NAT, Var(0)), 8)

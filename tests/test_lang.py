@@ -224,14 +224,14 @@ def test_catalogue_entries_elaborate():
 
 def test_corpus_argument_parsing():
     assert corpus("geo(2/3)") == geo_loop(Fraction(2, 3))
-    assert corpus("id_hes(1/2)") == id_hes(Fraction(1, 2))
+    assert corpus("id_hes(1/2)") == id_hes(Fraction(1, 2), NAT)
     assert corpus("fair_from(1/4)") == fair_from(Fraction(1, 4))
     with pytest.raises(KeyError):
         corpus("nonesuch")
 
 
 def test_corpus_types():
-    assert typecheck(id_hes(Fraction(1, 2))) == FnT(NAT, NAT)
+    assert typecheck(id_hes(Fraction(1, 2), NAT)) == FnT(NAT, NAT)
     assert typecheck(fair_from(Fraction(1, 3))) == FnT(UnitT(), BOOL_T)
     assert typecheck(everysnd_term()) == FnT(LAZY_LIST, LAZY_LIST)
     assert typecheck(randw_fn()) == FnT(NAT, LAZY_LIST)
@@ -256,7 +256,7 @@ def test_example_files_match_builders():
          unitize(Choice(Fraction(1, 2), true_term(), false_term()), BOOL_T)),
         ("geo.pfpc", geo_chain(Fraction(1, 2), 12)),
         ("id.pfpc", Lam(NAT, Var(0))),
-        ("id_hes.pfpc", id_hes(Fraction(1, 2))),
+        ("id_hes.pfpc", id_hes(Fraction(1, 2), NAT)),
         ("diverge.pfpc", diverge_term()),
         ("randw_even_head.pfpc",
          App(head_term(), App(everysnd_term(), App(randw_fn(), Num(2))))),

@@ -133,7 +133,7 @@ def test_recursion_unfolds_in_four_steps():
 def test_evaluation_is_deterministic():
     programs = [geo_loop(HALF), unitize(App(fair_from(Fraction(1, 3)), Star()),
                                         BOOL_T),
-                App(id_hes(HALF), Num(2)), geo_chain(Fraction(1, 3), 6)]
+                App(id_hes(HALF, NAT), Num(2)), geo_chain(Fraction(1, 3), 6)]
     for t in programs:
         t2 = elab(t)
         a = Evaluator().eval(t2)
@@ -173,7 +173,7 @@ def test_value_leaves_typecheck_at_the_program_type():
 
 
 def test_corpus_value_leaves_typecheck():
-    for t in (geo_loop(HALF), App(id_hes(HALF), Num(2)),
+    for t in (geo_loop(HALF), App(id_hes(HALF, NAT), Num(2)),
               App(fair_from(Fraction(1, 3)), Star())):
         t2, ty = elaborate(t)
         d = Evaluator().eval(t2)

@@ -60,15 +60,21 @@ def _uses(tree):
     return used
 
 
-def test_public_names_have_a_caller_in_src():
-    # code only the tests use lives in tests/: each exported name needs a
-    # use in src/ outside its own definition and __init__.py, in its own
-    # module or in one that imports it from there
+def _trees():
+    """The parsed source of every module, by name."""
     src = importlib.util.find_spec("probfpc").submodule_search_locations[0]
     trees = {}
     for name in MODULES:
         with open(os.path.join(src, name + ".py"), encoding="utf-8") as fh:
             trees[name] = ast.parse(fh.read())
+    return trees
+
+
+def test_public_names_have_a_caller_in_src():
+    # code only the tests use lives in tests/: each exported name needs a
+    # use in src/ outside its own definition and __init__.py, in its own
+    # module or in one that imports it from there
+    trees = _trees()
     uses = {m: _uses(t) for m, t in trees.items()}
     imports = {m: {(n.module, a.name) for n in ast.walk(t)
                    if isinstance(n, ast.ImportFrom) for a in n.names}
@@ -84,3 +90,14 @@ def test_public_names_have_a_caller_in_src():
             if not callers and "%s.%s" % (module, name) not in NO_CALLER_NEEDED:
                 unused.append("%s.%s" % (module, name))
     assert not unused, "exported but never used in src/: %s" % unused
+
+
+def test_indented_json_goes_through_one_writer():
+    # json's indenting encoder recurses once per nesting level and costs
+    # depth x size; cli._dumps writes the same text with neither
+    calls = ["%s.py:%d" % (module, n.lineno)
+             for module, tree in _trees().items() for n in ast.walk(tree)
+             if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", getattr(n.func, "id", None)) in ("dump", "dumps")
+             and any(k.arg == "indent" for k in n.keywords)]
+    assert not calls, "indented json.dump(s) outside cli._dumps: %s" % calls

@@ -235,7 +235,7 @@ def test_relatecfg_defaults():
 
 def test_refine_hesitant_identity_both_ways():
     ident = Lam(NAT, Var(0))
-    hes = id_hes(HALF)
+    hes = id_hes(HALF, NAT)
     a = refine_check(hes, ident)
     b = refine_check(ident, hes)
     assert a.holds and a.reason == "4 probes passed"
