@@ -98,6 +98,6 @@ def test_indented_json_goes_through_one_writer():
     calls = ["%s.py:%d" % (module, n.lineno)
              for module, tree in _trees().items() for n in ast.walk(tree)
              if isinstance(n, ast.Call)
-             and getattr(n.func, "attr", getattr(n.func, "id", None)) in ("dump", "dumps")
+             and ast.unparse(n.func).rpartition(".")[2] in ("dump", "dumps")
              and any(k.arg == "indent" for k in n.keywords)]
     assert not calls, "indented json.dump(s) outside cli._dumps: %s" % calls
