@@ -62,6 +62,9 @@ PARSE_FILES = {
     "nesting.pfpc": "fn x : Nat + Unit * Nat -> Nat * Nat + Unit => x\n",
 }
 
+# a zero denominator, which `parse_rat` reports as a bad literal
+ZERO_DEN_FILES = {"zero_den.pfpc": "choice 1/0 0 1\n"}
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -118,13 +121,19 @@ def requests():
          "--fuel", "12", "--horizon", "256", "--format", "json"],
         ["probterm", "examples/geo.pfpc", "--format", "json", "--approx"],
     ]
+    # a zero denominator in a program and in an option
+    out += [
+        ["check", "tmp/zero_den.pfpc"],
+        ["refine", "examples/id_hes.pfpc", "examples/id.pfpc", "--eps", "1/0"],
+    ]
     return out
 
 
 def outputs():
     """(label, SHA-1 of exit code, stdout and stderr) per request."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES}.items():
+        for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES,
+                          **ZERO_DEN_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(src)
         dirs = (("examples/", EXAMPLES + os.sep), ("tmp/", tmp + os.sep))
