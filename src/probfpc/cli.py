@@ -8,8 +8,7 @@ refutation).  All probabilities print as exact fractions; the tables of
 probterm and examples run take --approx for a 6-decimal rendering too.
 JSON output is 2-space indented, written by `_dumps` without recursion.  A
 refine trace nests one dict per fuel unit, so its size grows quadratically
-in --fuel; past fuel of about 985 refine exits 1, as `relate.lift_check`
-recurses once per unit (ROADMAP item 1).
+in --fuel (ROADMAP item 1).
 """
 
 import argparse
@@ -176,7 +175,7 @@ def cmd_examples(args, out):
 def _rat(text):
     try:
         v = parse_rat(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
     if v < 0:
         raise argparse.ArgumentTypeError("eps must be >= 0")

@@ -12,8 +12,7 @@ stay formal.
 look" loop goes through ``Frontier`` instead: run is the identity on
 delivered values, so the frontier keeps their mass as one scalar and
 carries only the pending thunks from level to level, which makes
-termination tables cost time linear in depth.  A frontier folds the
-delivered values too when asked, and then they must be keyed.
+termination tables cost time linear in depth.
 
 Also here: termination-probability sequences, the split of a node into its
 value part and combined continuation, and the bounded limit comparison
@@ -21,7 +20,7 @@ leqlim/eqlim.
 """
 
 from .rational import ONE, ZERO, as_uprob
-from .dist import Dist, Inl, Inr, dirac, dist_bind, key_of
+from .dist import Dist, Inl, Inr, dirac, dist_bind
 
 __all__ = [
     "DelayThunk", "now", "step", "step_fn", "delay_bind",
@@ -115,18 +114,12 @@ class Frontier:
     weight; the entries pin their thunks, so ids stay valid.  ``step()``
     is one ``run``: it forces each pending thunk once, in order, and checks
     that delivered plus pending mass is exactly 1, as ``Dist`` does.
-
-    With ``values=True`` the delivered values are also folded, merged by
-    ``key_of``, and ``values()`` lists them as ``split`` does after m runs,
-    sorted by key.  Such a frontier takes keyed values only: an unkeyed one
-    raises TypeError.
     """
-    __slots__ = ("mass", "_pending", "_values")
+    __slots__ = ("mass", "_pending")
 
-    def __init__(self, d: Dist, values=False):
+    def __init__(self, d: Dist):
         self.mass = ZERO
         self._pending = {}      # id(thunk) -> [weight, thunk]
-        self._values = {} if values else None   # key -> [weight, value]
         self._absorb(((ONE, d),))
 
     def step(self):
@@ -149,19 +142,7 @@ class Frontier:
         if total != ONE:
             raise ValueError("distribution weights sum to %s, not 1" % total)
         self.mass, self._pending = mass, pending
-        if self._values is not None:
-            for w, a in new:
-                k = key_of(a)
-                if k is None:
-                    raise TypeError("unkeyed value %r on a frontier that "
-                                    "folds values" % (a,))
-                self._values.setdefault(k, [ZERO, a])[0] += w
         return new
-
-    def values(self):
-        """Delivered values [(w, a)] in canonical order; needs values=True."""
-        return [(w, a) for _, (w, a) in sorted(self._values.items(),
-                                                key=lambda kv: kv[0])]
 
     def pendings(self):
         """Pending thunks [(w, t)] in first-occurrence order."""

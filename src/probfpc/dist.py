@@ -26,7 +26,8 @@ are canonical with mass 1 already.  Everything else canonicalises.
 from .rational import ONE, ZERO, as_prob
 
 __all__ = [
-    "Inl", "Inr", "key_of", "Dist", "dirac", "choice", "dist_bind", "dist_map",
+    "Inl", "Inr", "key_of", "canonical", "Dist", "dirac", "choice", "dist_bind",
+    "dist_map",
 ]
 
 
@@ -91,7 +92,7 @@ def key_of(x):
     return None if fn is None else fn()
 
 
-def _canonical(entries):
+def canonical(entries):
     """Merge keyed entries (sorted block first), keep unkeyed formal entries
     in first-occurrence order, merging only identical objects."""
     keyed = {}
@@ -124,7 +125,7 @@ class Dist:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        es = _canonical(entries)
+        es = canonical(entries)
         total = sum((w for w, _ in es), ZERO)
         if total != ONE:
             raise ValueError("distribution weights sum to %s, not 1" % total)

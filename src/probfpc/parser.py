@@ -289,7 +289,7 @@ class _Parser:
             text = "%s/%s" % (text, d.text)
         try:
             return parse_rat(text)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise ParseError("bad probability %r" % text, t.line, t.col) from None
 
     def app(self, env, defs):

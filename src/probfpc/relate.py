@@ -2,9 +2,9 @@
 
 `lift_check` extends a value relation to delay trees: at each level the
 value part must be coupled against what the right side has delivered within
-some run horizon, with the coupling decided by exact rational max-flow; the
-delayed remainder recurses with one unit of fuel less.  Fuel 0 accepts the
-truncated obligation, so Holds at fuel F certifies the F-level
+some run horizon, with the coupling decided by exact rational max-flow, and
+the loop goes on to the delayed remainder with one unit of fuel less.  Fuel
+0 accepts the truncated obligation, so Holds at fuel F certifies the F-level
 approximation and Unknown is never a refutation.
 
 `logrel_val` is the type-indexed relation between semantic and syntactic
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .rational import ZERO, as_uprob
 from .delay import Frontier, continuation, split
-from .dist import Dist, Inl, Inr
+from .dist import Dist, Inl, Inr, canonical
 from .densem import STANDARD, Interp, FoldV
 from .opsem import Evaluator
 from .syntax import (
@@ -138,29 +138,32 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     Per level: split d into delivered values (mass p) and pending branches.
     Search m <= horizon such that the values delivered by running e for m
     levels admit a coupling of flow >= p - eps along rel; what that coupling
-    does not consume of e joins e's pending branches as the residue, and d's
-    combined continuation recurses against it (renormalized) at fuel - 1.
-    The eps budget is per level, so it composes additively in fuel.  When e's
-    explored mass cannot split at exactly p, the flow consumption splits
-    explored leaves fractionally; this is a sound search, not a complete
-    one.
+    does not consume of e joins e's pending branches as the residue, and the
+    next level relates d's combined continuation to it (renormalized) with
+    one unit of fuel less.  The eps budget is per level, so it composes
+    additively in fuel.  When e's explored mass cannot split at exactly p,
+    the flow consumption splits explored leaves fractionally; this is a
+    sound search, not a complete one.
     """
     eps = as_uprob(eps)
-    if fuel <= 0:
-        return LiftVerdict(True, "fuel exhausted; remaining obligation accepted",
-                           {"case": "fuel"})
     # the horizon search asks about the same pairs at every m, and rel may
     # itself run nested checks, so answers are cached per pair identity
-    if not isinstance(rel, _RelCache):
-        rel = _RelCache(rel)
-    vals, pend = split(d)
-    p = sum((w for w, _ in vals), ZERO)
-    front = Frontier(e, values=True)
-    evals = front.values()
-    m, flowval, flow = 0, ZERO, {}
-    if p > 0:
-        best = ZERO
-        while True:
+    rel = _RelCache(rel)
+    levels = []
+
+    def done(holds, reason, trace):
+        for level in reversed(levels):      # nest each in the one before
+            level["child"] = trace
+            trace = level
+        return LiftVerdict(holds, "per-level couplings found" if holds and levels
+                           else reason, trace)
+
+    for fuel in range(fuel, 0, -1):
+        vals, pend = split(d)
+        p = sum((w for w, _ in vals), ZERO)
+        front, evals = Frontier(e), split(e)[0]
+        m, flowval, flow, best = 0, ZERO, {}, ZERO
+        while p > 0:
             flowval, flow = _max_flow(vals, evals, rel)
             best = flowval if flowval > best else best
             if flowval >= p - eps:
@@ -171,34 +174,31 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
                 m += 1
                 new = front.step()
             if not new:
-                return LiftVerdict(
-                    False, "no coupling within horizon",
-                    {"case": "no-coupling", "fuel": fuel, "value_mass": str(p),
-                     "best_flow": str(best), "horizon": horizon, "eps": str(eps)})
-            evals = front.values()
-    level = {"case": "mixed" if (p > 0 and pend) else
-                     ("value-only" if not pend else "delayed-only"),
-             "fuel": fuel, "m": m, "value_mass": str(p), "flow": str(flowval),
-             "coupled_pairs": len(flow)}
-    if not pend:
-        return LiftVerdict(True, "value part coupled", level)
-    consumed = {}
-    for (_, j), f in flow.items():
-        consumed[j] = consumed.get(j, ZERO) + f
-    resid = [(w - consumed.get(j, ZERO), Inl(b))
-             for j, (w, b) in enumerate(evals) if w - consumed.get(j, ZERO) > 0]
-    resid += [(w, Inr(t)) for w, t in front.pendings()]
-    rmass = sum((w for w, _ in resid), ZERO)
-    if rmass == 0:
-        # right side fully consumed yet d still owes mass: nothing to couple
-        # the continuation against
-        return LiftVerdict(False, "right side exhausted before left",
-                           dict(level, case="no-residue"))
-    nu2 = Dist([(w / rmass, el) for w, el in resid])
-    sub = lift_check(continuation(pend), nu2, rel, fuel - 1, horizon, eps)
-    level["child"] = sub.trace
-    return LiftVerdict(sub.holds, sub.reason if not sub.holds else "per-level couplings found",
-                       level)
+                return done(False, "no coupling within horizon", {
+                    "case": "no-coupling", "fuel": fuel, "value_mass": str(p),
+                    "best_flow": str(best), "horizon": horizon, "eps": str(eps)})
+            evals = canonical([*evals, *new])
+        level = {"case": "mixed" if (p > 0 and pend) else
+                         ("value-only" if not pend else "delayed-only"),
+                 "fuel": fuel, "m": m, "value_mass": str(p), "flow": str(flowval),
+                 "coupled_pairs": len(flow)}
+        if not pend:
+            return done(True, "value part coupled", level)
+        left = [w for w, _ in evals]
+        for (_, j), f in flow.items():
+            left[j] -= f
+        resid = [(w, Inl(b)) for w, (_, b) in zip(left, evals) if w > 0]
+        resid += [(w, Inr(t)) for w, t in front.pendings()]
+        rmass = sum((w for w, _ in resid), ZERO)
+        if rmass == 0:
+            # right side fully consumed yet d still owes mass: nothing to
+            # couple the continuation against
+            return done(False, "right side exhausted before left",
+                        dict(level, case="no-residue"))
+        levels.append(level)
+        d, e = continuation(pend), Dist([(w / rmass, el) for w, el in resid])
+    return done(True, "fuel exhausted; remaining obligation accepted",
+                {"case": "fuel"})
 
 
 # --- the type-indexed relation ---------------------------------------------

@@ -10,7 +10,7 @@ the corpus programs only the tests use.
 
 from fractions import Fraction
 
-from probfpc.dist import Dist, Inl, Inr, choice, dirac, key_of
+from probfpc.dist import Dist, Inl, Inr, canonical, choice, dirac, key_of
 from probfpc.delay import (
     DelayThunk, Frontier, continuation, delay_map, now, run, split, step,
     step_fn,
@@ -18,7 +18,8 @@ from probfpc.delay import (
 from probfpc.densem import STANDARD, STEP_FAITHFUL, Interp
 from probfpc.opsem import Evaluator
 from probfpc.parser import _UNARY, parse_term
-from probfpc.rational import ONE, ZERO, as_prob
+from probfpc.rational import ONE, ZERO, as_prob, as_uprob
+from probfpc.relate import LiftVerdict, _max_flow
 from probfpc.corpus import _LL, _TAIL, head_term
 from probfpc.syntax import (
     App, Case, Choice, Fold, Fst, Ifz, Inj, Lam, MuT, NatT, Num, Pair, Pred,
@@ -128,11 +129,12 @@ def probterm(n: int, d: Dist) -> Fraction:
 
 def value_part(d: Dist, n: int):
     """Mass delivered within n runs, together with the delivered weighted
-    values (weights unnormalized)."""
-    f = Frontier(d, values=True)
+    values (weights unnormalized), merged by key as one Dist merges them."""
+    f = Frontier(d)
+    vals = split(d)[0]
     for _ in range(n):
-        f.step()
-    return f.mass, tuple(f.values())
+        vals = canonical([*vals, *f.step()])
+    return f.mass, tuple(vals)
 
 
 def geo(p, n: int = 0) -> Dist:
@@ -656,3 +658,60 @@ def ref_subst(t, v, k=0):
     if isinstance(t, Choice):
         return Choice(t.p, ref_subst(t.left, v, k), ref_subst(t.right, v, k))
     raise TypeError("not a term: %r" % (t,))
+
+
+# --- the lifting, one recursive call per fuel unit -----------------------------
+
+def ref_lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps):
+    """`relate.lift_check` as it read when it called itself once per level:
+    the same search, verdicts and trace, with the right side's values and
+    residue pendings read off the literal m-fold run, as
+    split(run_n(e, m))[0] and split(run_n(e, m))[1]."""
+    eps = as_uprob(eps)
+    if fuel <= 0:
+        return LiftVerdict(True, "fuel exhausted; remaining obligation accepted",
+                           {"case": "fuel"})
+    vals, pend = split(d)
+    p = sum((w for w, _ in vals), ZERO)
+    evals = split(e)[0]
+    m, flowval, flow = 0, ZERO, {}
+    if p > 0:
+        best = ZERO
+        while True:
+            flowval, flow = _max_flow(vals, evals, rel)
+            best = max(best, flowval)
+            if flowval >= p - eps:
+                break
+            # a level that delivers nothing leaves the flow as it was
+            before = sum((w for w, _ in evals), ZERO)
+            grew = False
+            while not grew and m < horizon:
+                m += 1
+                evals = split(run_n(e, m))[0]
+                grew = sum((w for w, _ in evals), ZERO) > before
+            if not grew:
+                return LiftVerdict(
+                    False, "no coupling within horizon",
+                    {"case": "no-coupling", "fuel": fuel, "value_mass": str(p),
+                     "best_flow": str(best), "horizon": horizon, "eps": str(eps)})
+    level = {"case": "mixed" if (p > 0 and pend) else
+                     ("value-only" if not pend else "delayed-only"),
+             "fuel": fuel, "m": m, "value_mass": str(p), "flow": str(flowval),
+             "coupled_pairs": len(flow)}
+    if not pend:
+        return LiftVerdict(True, "value part coupled", level)
+    consumed = {}
+    for (_, j), f in flow.items():
+        consumed[j] = consumed.get(j, ZERO) + f
+    resid = [(w - consumed.get(j, ZERO), Inl(b))
+             for j, (w, b) in enumerate(evals) if w - consumed.get(j, ZERO) > 0]
+    resid += [(w, Inr(t)) for w, t in split(run_n(e, m))[1]]
+    rmass = sum((w for w, _ in resid), ZERO)
+    if rmass == 0:
+        return LiftVerdict(False, "right side exhausted before left",
+                           dict(level, case="no-residue"))
+    nu2 = Dist([(w / rmass, el) for w, el in resid])
+    sub = ref_lift_check(continuation(pend), nu2, rel, fuel - 1, horizon, eps)
+    level["child"] = sub.trace
+    return LiftVerdict(sub.holds, sub.reason if not sub.holds else
+                       "per-level couplings found", level)

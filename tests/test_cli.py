@@ -275,13 +275,26 @@ def test_deep_inputs_exit_1_with_one_line(tmp_path):
     parens, sucs = tmp_path / "parens.pfpc", tmp_path / "sucs.pfpc"
     parens.write_text("(" * 3000 + "0" + ")" * 3000 + "\n")
     sucs.write_text("suc " * 3000 + "0\n")
-    hes, ident = example("id_hes.pfpc"), example("id.pfpc")
-    for argv in (["probterm", str(parens)], ["probterm", str(sucs)],
-                 ["refine", hes, ident, "--fuel", "5000"]):
+    for argv in (["probterm", str(parens)], ["probterm", str(sucs)]):
         for fmt in ("table", "json"):
             code, out, err = run(argv + ["--format", fmt])
             assert (code, out, err) == (1, "", DEEP), argv
             assert "Traceback" not in err
+
+
+def test_refine_at_fuel_1000():
+    # the lifting loops over its levels, so fuel is not bounded by the
+    # recursion limit; json.loads would be, so the JSON is read by prefix
+    assert sys.getrecursionlimit() <= 1000
+    argv = ["refine", example("id_hes.pfpc"), example("id.pfpc"),
+            "--fuel", "1000"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("Holds: 4 probes passed (fuel=1000, horizon=64, "
+                          "eps=1/1024)\n{\n")
+    code, out, err = run(argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.startswith('{\n  "holds": true,\n  "reason": "4 probes passed",\n')
 
 
 def test_refine_at_horizon_5000():

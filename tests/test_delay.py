@@ -8,7 +8,7 @@ import pytest
 
 from probfpc.cli import _delay_of
 from probfpc.corpus import CATALOGUE, corpus
-from probfpc.dist import Dist, Inl, Inr, choice, dirac, key_of
+from probfpc.dist import Dist, Inl, Inr, canonical, choice, dirac, key_of
 from probfpc.delay import (
     DelayThunk, Frontier, TermSeq, delay_bind, delay_map, eqlim_upto,
     leqlim_upto, now, probterm_seq, run, split, step, zeta,
@@ -140,43 +140,28 @@ def test_frontier_probterm_is_literal_probterm():
         assert probterm(FRONTIER_DEPTH, d) == seq[FRONTIER_DEPTH], label
 
 
-def test_frontier_values_are_the_literal_value_part():
-    # in order, weight for weight, and the very objects run keeps, up to the
-    # level where the literal run first holds an unkeyed value: there the
-    # frontier raises
-    compared = unkeyed = 0
+def test_frontier_deliveries_fold_into_the_literal_value_part():
+    # canonical of split(d)[0] plus each level's deliveries is the literal
+    # value part: in order, weight for weight, and the very objects run keeps,
+    # up to the level where the literal run first holds an unkeyed value
+    compared = 0
     for label, d in frontier_cases():
-        f = None
+        f = Frontier(d)
+        got = split(d)[0]
         for m, (vals, _) in enumerate(literal_levels(d)):
             if any(key_of(a) is None for _, a in vals):
-                with pytest.raises(TypeError):
-                    if f is None:
-                        Frontier(d, values=True)
-                    else:
-                        f.step()
-                unkeyed += 1
                 break
-            if f is None:
-                f = Frontier(d, values=True)
-            else:
-                f.step()
-            got = f.values()
+            if m:
+                got = canonical([*got, *f.step()])
             assert [w for w, _ in got] == [w for w, _ in vals], (label, m)
             assert all(a is b for (_, a), (_, b) in zip(got, vals)), (label, m)
             assert f.mass == sum((w for w, _ in vals), Fraction(0)), (label, m)
             compared += 1
-    assert compared > 1000 and unkeyed > 200, (compared, unkeyed)
+    assert compared > 1000, compared
 
 
-def test_frontier_folds_keyed_values_only():
+def test_frontier_delivers_unkeyed_values_as_they_come():
     a = OPAQUE[0]
-    with pytest.raises(TypeError):
-        Frontier(now(a), values=True)
-    f = Frontier(choice(HALF, now(0), step_of(now(a))), values=True)
-    assert f.values() == [(HALF, 0)]
-    with pytest.raises(TypeError):
-        f.step()
-    # a frontier that does not fold values delivers unkeyed ones as they come
     f = Frontier(step_of(now(a)))
     assert f.step() == [(1, a)] and f.mass == 1
 

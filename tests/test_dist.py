@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.delay import DelayThunk, Frontier, now
+from probfpc.delay import DelayThunk, now
 from probfpc.dist import Dist, Inl, Inr, choice, dirac, dist_bind, dist_map, key_of
 from probfpc.rational import ONE
 from probfpc.syntax import Num, Pair, Star
@@ -72,8 +72,6 @@ def test_only_ints_tuples_sums_and_terms_are_keyed():
     assert key_of(0) == ("int", 0)
     for x in (True, False, "a", Fraction(1, 2), (0, True), Inl("a")):
         assert key_of(x) is None, x
-    with pytest.raises(TypeError):
-        Frontier(now(True), values=True)
 
 
 # --- convex algebra laws ----------------------------------------------------

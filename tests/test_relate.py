@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from probfpc.parser import parse_term, parse_ty
 from probfpc.typecheck import TypecheckError
 from probfpc.corpus import diverge_term, id_hes, y_comb
 
-from genlib import hesitant, random_delay, run_n, step_of
+from genlib import geo, hesitant, random_delay, ref_lift_check, run_n, step_of
 
 NAT = NatT()
 HALF = Fraction(1, 2)
@@ -142,6 +143,47 @@ def test_lift_trace_schema_and_stability():
     assert v.holds is True and "Holds" in repr(v)
 
 
+def _leaf(trace):
+    """The record that ended the chain, and how many levels lead to it."""
+    links = 0
+    while "child" in trace:
+        trace = trace["child"]
+        links += 1
+    return trace, links
+
+
+def test_lift_loop_matches_the_recursive_reference():
+    # verdict, reason and the whole trace, key order included, at fuel 0-5,
+    # horizon 0-8 and two slacks; the random right sides are a copy of the
+    # left, the copy one step later, or an unrelated tree
+    rng = random.Random(87)
+    pairs = []
+    for i in range(24):
+        seed = rng.randrange(10 ** 6)
+        copy = random_delay(random.Random(seed), 4)
+        e = (copy, step_of(copy), random_delay(rng, 4))[i % 3]
+        pairs.append((random_delay(random.Random(seed), 4), e))
+    fixtures = (now(0), hesitant(HALF, 0), geo(HALF), never())
+    pairs += [(a, b) for a in fixtures for b in fixtures]
+    seen = Counter()
+    for d, e in pairs:
+        for fuel, horizon, eps in itertools.product(
+                range(6), range(9), (0, Fraction(1, 16))):
+            got = lift_check(d, e, eq, fuel, horizon, eps)
+            want = ref_lift_check(d, e, eq, fuel, horizon, eps)
+            assert (got.holds, got.reason, got.trace) == \
+                (want.holds, want.reason, want.trace)
+            assert json.dumps(got.trace) == json.dumps(want.trace)
+            leaf, links = _leaf(got.trace)
+            seen[leaf["case"]] += 1
+            seen["holding chain"] += got.holds and links >= 2
+    for case in ("fuel", "value-only", "no-coupling", "holding chain"):
+        assert seen[case] >= 20, seen
+    # the residue weighs 1 - flow >= 1 - p, and p < 1 while d has pending
+    # branches, so the right side is never exhausted first
+    assert seen["no-residue"] == 0, seen
+
+
 def test_lift_bind_lemma():
     rng = random.Random(83)
     fs = {a: random_delay(random.Random(700 + a), 3) for a in range(4)}
@@ -240,6 +282,18 @@ def test_refine_hesitant_identity_both_ways():
     b = refine_check(ident, hes)
     assert a.holds and a.reason == "4 probes passed"
     assert b.holds and b.reason == "4 probes passed"
+
+
+def test_refine_at_fuel_5000_chains_every_level():
+    v = refine_check(id_hes(HALF, NAT), Lam(NAT, Var(0)), RelateCfg(fuel=5000))
+    assert v.holds and v.reason == "4 probes passed"
+    assert len(v.trace["probes"]) == 4
+    for probe in v.trace["probes"]:
+        trace = probe["trace"]
+        for fuel in range(5000, 0, -1):
+            assert trace["fuel"] == fuel, (probe["probe"], fuel)
+            trace = trace["child"]
+        assert trace == {"case": "fuel"}, probe["probe"]
 
 
 def test_refine_requires_matching_types():
