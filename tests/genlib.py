@@ -4,8 +4,8 @@ The random generators are deterministic given the caller's seeded
 ``random.Random``; the suites fix their seeds so failures replay.  The rest
 is what the tests compare the package against and build their programs
 from: the fuelled reduction witnesses, the literal n-fold ``run``, the
-canonical prefix comparison, read-back soundness, the pretty-printer, and
-the corpus programs only the tests use.
+canonical prefix comparison, read-back soundness, the pretty-printer, the
+recursive lifting, and the corpus programs only the tests use.
 """
 
 from fractions import Fraction

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.dist import Inl, canonical
-from probfpc.delay import Frontier, probterm_seq, split
+from probfpc.dist import Inl
+from probfpc.delay import probterm_seq
 from probfpc.densem import STANDARD, STEP_FAITHFUL, FoldV, Interp
 from probfpc.opsem import Evaluator
 from probfpc.parser import parse_term, parse_ty
@@ -16,7 +16,7 @@ from probfpc.corpus import geo_loop, id_hes, y_comb
 
 from genlib import (
     gen_ground_ty, gen_term, gen_value, is_ground_ty, prefix_eq, probterm,
-    soundness_check, step_of, unitize,
+    soundness_check, step_of, unitize, value_part,
 )
 
 NAT = NatT()
@@ -135,11 +135,7 @@ def test_op_and_den_list_ground_values_in_one_order():
     val = Interp().val
     for _ in range(200):
         t = elab(gen_term(rng, gen_ground_ty(rng, 2), (), 3))
-        op_d, den_d = Evaluator().eval(t), Interp(STEP_FAITHFUL).interp(t)
-        op_f, den_f = Frontier(op_d), Frontier(den_d)
-        op, den = split(op_d)[0], split(den_d)[0]
+        op, den = Evaluator().eval(t), Interp(STEP_FAITHFUL).interp(t)
         for level in range(8):
-            if level:
-                op = canonical([*op, *op_f.step()])
-                den = canonical([*den, *den_f.step()])
-            assert [(w, val(a)) for w, a in op] == list(den)
+            assert [(w, val(a)) for w, a in value_part(op, level)[1]] == \
+                list(value_part(den, level)[1])
