@@ -140,7 +140,7 @@ def test_frontier_probterm_is_literal_probterm():
         assert probterm(FRONTIER_DEPTH, d) == seq[FRONTIER_DEPTH], label
 
 
-def test_frontier_deliveries_fold_into_the_literal_value_part():
+def test_frontier_values_are_the_literal_value_part():
     # canonical of split(d)[0] plus each level's deliveries is the literal
     # value part: in order, weight for weight, and the very objects run keeps,
     # up to the level where the literal run first holds an unkeyed value
@@ -160,7 +160,9 @@ def test_frontier_deliveries_fold_into_the_literal_value_part():
     assert compared > 1000, compared
 
 
-def test_frontier_delivers_unkeyed_values_as_they_come():
+def test_frontier_folds_keyed_values_only():
+    # keyed values are folded by canonical; the frontier itself delivers
+    # unkeyed ones as they come
     a = OPAQUE[0]
     f = Frontier(step_of(now(a)))
     assert f.step() == [(1, a)] and f.mass == 1
