@@ -65,6 +65,21 @@ PARSE_FILES = {
 # a zero denominator, which `parse_rat` reports as a bad literal
 ZERO_DEN_FILES = {"zero_den.pfpc": "choice 1/0 0 1\n"}
 
+# the lexer's edge cases: Unicode names, a superscript and a Roman numeral
+# (numeric but not a letter), a comment that ends the input, CRLF, a tab,
+# and decimals as a weight, after a weight and in term position
+LEX_FILES = {
+    "lex_name_accent.pfpc": "fn é : Nat => é\n",
+    "lex_name_super.pfpc": "fn x² : Nat => x²\n",
+    "lex_roman.pfpc": "Ⅷ\n",
+    "lex_eof_comment.pfpc": "suc -- no argument",
+    "lex_crlf.pfpc": "1\r\n)",
+    "lex_tab.pfpc": "\t?",
+    "lex_dec_weight.pfpc": "choice 0.25 1 2\n",
+    "lex_dec_over.pfpc": "choice 0.5/2 1 2\n",
+    "lex_dec_term.pfpc": "1.5\n",
+}
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -126,6 +141,7 @@ def requests():
         ["check", "tmp/zero_den.pfpc"],
         ["refine", "examples/id_hes.pfpc", "examples/id.pfpc", "--eps", "1/0"],
     ]
+    out += [["check", "tmp/" + name] for name in LEX_FILES]
     return out
 
 
@@ -133,8 +149,9 @@ def outputs():
     """(label, SHA-1 of exit code, stdout and stderr) per request."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES,
-                          **ZERO_DEN_FILES}.items():
-            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                          **ZERO_DEN_FILES, **LEX_FILES}.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8",
+                      newline="") as fh:
                 fh.write(src)
         dirs = (("examples/", EXAMPLES + os.sep), ("tmp/", tmp + os.sep))
         for argv in requests():
