@@ -9,7 +9,7 @@ come from it.  `corpus(name)` takes a catalogue name with optional
 arguments in parentheses, e.g. "geo", "geo(2/3)", "id_hes(15/16,Nat)".
 """
 
-from .parser import _DIGITS, parse_term, parse_ty
+from .parser import parse_term, parse_ty
 from .rational import as_prob, parse_rat
 from .syntax import (
     Ty, UnitT, NatT, FnT, MuT, TVarT, mu_unfold, render_ty, BOOL_T,
@@ -137,6 +137,9 @@ def randw2_fn() -> Term:
 
 
 # --- catalogue ----------------------------------------------------------------
+
+_DIGITS = "0123456789"      # str.isdigit() also admits digits int() rejects
+
 
 def _nat(text):
     """A natural argument, spelt as the lexer reads numerals: ASCII digits."""

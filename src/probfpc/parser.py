@@ -10,9 +10,16 @@ Sugar handled here, all eliminated during parsing:
   if B then M else N    becomes  case B of {inl _ => M ; inr _ => N}
   true / false          become   inl[Unit + Unit] * / inr[Unit + Unit] *
   case ... of { inr (n, f) => ... }   binds the pair once and turns n and f
-                                      into projections
-Comments run from `--` to end of line.
+                                      into projections (n and f must differ)
+
+The lexer is one regular expression, `_TOKEN`, with a named group per token
+kind; a decimal literal is its own kind, which only a choice weight accepts.
+A name is a letter or `_`, then letters, digits, `_` or `'`.  Comments run
+from `--` to end of line.  Whitespace is space, tab, CR and newline.
 """
+
+import re
+from collections import namedtuple
 
 from .rational import parse_rat, ProbRangeError
 from .syntax import (
@@ -29,9 +36,17 @@ _KEYWORDS = {
     "choice", "true", "false", "def", "mu", "Unit", "Nat",
 }
 
-_SYM2 = ("=>", "->")
-_SYM1 = "()[]{},;:.=*+/"
-_DIGITS = "0123456789"      # str.isdigit() also admits digits int() rejects
+# one group per token kind, tried in order: a decimal needs a digit after
+# its dot, so the dot of "mu X. T" stays a symbol
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r]+|--[^\n]*)
+  | (?P<nl>\n)
+  | (?P<dec>[0-9]+\.[0-9]+)
+  | (?P<num>[0-9]+)
+  | (?P<ident>[^\W\d][\w']*)
+  | (?P<sym>=>|->|[()\[\]{},;:.=*+/])
+  | (?P<stray>.)
+""", re.VERBOSE)
 
 
 class ParseError(Exception):
@@ -42,17 +57,7 @@ class ParseError(Exception):
         super().__init__("line %d, col %d: %s" % (line, col, msg))
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind      # "ident", "num", "sym", "eof"
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return "%s(%r)" % (self.kind, self.text)
+_Tok = namedtuple("_Tok", "kind text line col")     # kind: a group, or "eof"
 
 
 def _expected(what, tok):
@@ -63,63 +68,32 @@ def _expected(what, tok):
 
 def _lex(src):
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, bol, end = 1, 0, len(src)
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "skip":
+            # a comment is not program text: one that ends the input puts
+            # the end of input where the comment starts
+            if m.end() == end and src[m.start()] == "-":
+                end = m.start()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "nl":
+            line, bol = line + 1, m.end()
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and src[j] in _DIGITS:
-                j += 1
-            # decimal literal only when a digit follows the dot, so the
-            # dot of "mu X. t" stays a symbol
-            if j + 1 < n and src[j] == "." and src[j + 1] in _DIGITS:
-                j += 1
-                while j < n and src[j] in _DIGITS:
-                    j += 1
-            toks.append(_Tok("num", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        two = src[i:i + 2]
-        if two in _SYM2:
-            toks.append(_Tok("sym", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _SYM1:
-            toks.append(_Tok("sym", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("stray character %r" % c, line, col)
-    toks.append(_Tok("eof", "", line, col))
+        text, col = m.group(), m.start() - bol + 1
+        # [^\W\d] also admits numerics that are not letters, such as ² and
+        # Ⅷ; a name starts with a letter or _, so these are stray
+        if kind == "stray" or (kind == "ident" and text[0] != "_"
+                               and not text[0].isalpha()):
+            raise ParseError("stray character %r" % text[0], line, col)
+        toks.append(_Tok(kind, text, line, col))
+    toks.append(_Tok("eof", "", line, end - bol + 1))
     return toks
 
 
-# the keywords of the one-argument term formers
+# the keywords of the one-argument term formers, and of the base types
 _UNARY = {"fst": Fst, "snd": Snd, "suc": Suc, "pred": Pred, "unfold": Unfold}
+_BASE_TYPES = {"Unit": UnitT, "Nat": NatT}
 
 # tokens that may begin a prefix-level term, for application runs
 _PREFIX_HEADS = set(_UNARY) | {"inl", "inr", "fold", "true", "false"}
@@ -146,8 +120,7 @@ class _Parser:
 
     def eat(self, text):
         if not self.at(text):
-            t = self.peek()
-            raise _expected(repr(text), t)
+            raise _expected(repr(text), self.peek())
         return self.next()
 
     def eat_ident(self):
@@ -158,7 +131,7 @@ class _Parser:
 
     def eat_nat(self):
         t = self.peek()
-        if t.kind != "num" or "." in t.text:
+        if t.kind != "num":
             raise _expected("a numeral", t)
         self.next()
         try:
@@ -172,7 +145,7 @@ class _Parser:
     def program(self, defs=None):
         defs = dict(defs) if defs else {}
         while self.at("def"):
-            t = self.next()
+            self.next()
             name = self.eat_ident()
             if name.text in defs:
                 raise ParseError("duplicate def %r" % name.text, name.line, name.col)
@@ -190,20 +163,8 @@ class _Parser:
     # --- terms; env is a tuple of binder entries, innermost last ---
 
     def term(self, env, defs):
-        t = self.peek()
-        if t.kind == "ident":
-            w = t.text
-            if w == "fn":
-                return self.lam(env, defs)
-            if w == "let":
-                return self.let(env, defs)
-            if w in ("if", "ifz"):
-                return self.conditional(env, defs)
-            if w == "case":
-                return self.case(env, defs)
-            if w == "choice":
-                return self.choice(env, defs)
-        return self.app(env, defs)
+        """A keyword-headed form from _FORMS, else an application run."""
+        return _FORMS.get(self.peek().text, _Parser.app)(self, env, defs)
 
     def lam(self, env, defs):
         t = self.eat("fn")
@@ -241,17 +202,14 @@ class _Parser:
         scrut = self.term(env, defs)
         self.eat("of")
         self.eat("{")
-        self.eat("inl")
-        lpat = self.pattern()
-        self.eat("=>")
-        left = self.term(env + (lpat,), defs)
-        self.eat(";")
-        self.eat("inr")
-        rpat = self.pattern()
-        self.eat("=>")
-        right = self.term(env + (rpat,), defs)
-        self.eat("}")
-        return Case(scrut, left, right, pos=(t.line, t.col))
+        branches = []
+        for inj, close in (("inl", ";"), ("inr", "}")):
+            self.eat(inj)
+            pat = self.pattern()
+            self.eat("=>")
+            branches.append(self.term(env + (pat,), defs))
+            self.eat(close)
+        return Case(scrut, *branches, pos=(t.line, t.col))
 
     def pattern(self):
         if self.at("("):
@@ -259,10 +217,12 @@ class _Parser:
             a = self.eat_ident()
             self.eat(",")
             b = self.eat_ident()
+            if b.text == a.text:
+                raise ParseError("duplicate name %r in pattern" % b.text,
+                                 b.line, b.col)
             self.eat(")")
             return ("pair", a.text, b.text)
-        name = self.eat_ident()
-        return ("var", name.text)
+        return ("var", self.eat_ident().text)
 
     def choice(self, env, defs):
         t = self.eat("choice")
@@ -276,14 +236,14 @@ class _Parser:
 
     def prob(self):
         t = self.peek()
-        if t.kind != "num":
+        if t.kind not in ("num", "dec"):
             raise _expected("a probability", t)
         self.next()
         text = t.text
         if self.at("/"):
             self.next()
             d = self.peek()
-            if d.kind != "num" or "." in d.text:
+            if d.kind != "num":
                 raise _expected("a denominator", d)
             self.next()
             text = "%s/%s" % (text, d.text)
@@ -301,13 +261,9 @@ class _Parser:
 
     def starts_prefix(self):
         t = self.peek()
-        if t.kind == "num":
-            return "." not in t.text
         if t.kind == "ident":
             return t.text not in _KEYWORDS or t.text in _PREFIX_HEADS
-        if t.kind == "sym":
-            return t.text in ("*", "(")
-        return False
+        return t.kind == "num" or t.text in ("*", "(")
 
     def prefix(self, env, defs):
         t = self.peek()
@@ -335,7 +291,7 @@ class _Parser:
         if t.kind == "sym" and t.text == "*":
             self.next()
             return Star(pos=(t.line, t.col))
-        if t.kind == "num":
+        if t.kind in ("num", "dec"):     # eat_nat rejects a decimal by name
             return Num(self.eat_nat(), pos=(t.line, t.col))
         if t.kind == "sym" and t.text == "(":
             self.next()
@@ -379,8 +335,7 @@ class _Parser:
         left = self.ty_left(tenv, "+")
         if self.at("->"):
             self.next()
-            right = self.ty(tenv)
-            return FnT(left, right)
+            return FnT(left, self.ty(tenv))
         return left
 
     def ty_left(self, tenv, op):
@@ -402,13 +357,10 @@ class _Parser:
             inner = self.ty(tenv)
             self.eat(")")
             return inner
+        if t.text in _BASE_TYPES:
+            self.next()
+            return _BASE_TYPES[t.text]()
         if t.kind == "ident":
-            if t.text == "Unit":
-                self.next()
-                return UnitT()
-            if t.text == "Nat":
-                self.next()
-                return NatT()
             if t.text == "mu":
                 self.next()
                 name = self.eat_ident()
@@ -422,6 +374,12 @@ class _Parser:
                 raise ParseError("unknown type variable %r" % t.text,
                                  t.line, t.col)
         raise _expected("a type", t)
+
+
+# the keyword-headed term forms; any other token starts an application run
+_FORMS = {"fn": _Parser.lam, "let": _Parser.let, "if": _Parser.conditional,
+          "ifz": _Parser.conditional, "case": _Parser.case,
+          "choice": _Parser.choice}
 
 
 def parse_term(src: str, defs=None) -> Term:

@@ -189,12 +189,9 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
             left[j] -= f
         resid = [(w, Inl(b)) for w, (_, b) in zip(left, evals) if w > 0]
         resid += [(w, Inr(t)) for w, t in front.pendings()]
+        # the residue weighs 1 - flow > 0: the flow is at most p, and p < 1
+        # since pend is not empty
         rmass = sum((w for w, _ in resid), ZERO)
-        if rmass == 0:
-            # right side fully consumed yet d still owes mass: nothing to
-            # couple the continuation against
-            return done(False, "right side exhausted before left",
-                        dict(level, case="no-residue"))
         levels.append(level)
         d, e = continuation(pend), Dist([(w / rmass, el) for w, el in resid])
     return done(True, "fuel exhausted; remaining obligation accepted",

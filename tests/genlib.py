@@ -5,7 +5,8 @@ The random generators are deterministic given the caller's seeded
 is what the tests compare the package against and build their programs
 from: the fuelled reduction witnesses, the literal n-fold ``run``, the
 canonical prefix comparison, read-back soundness, the pretty-printer, the
-recursive lifting, and the corpus programs only the tests use.
+recursive lifting, the character-loop lexer, and the corpus programs only
+the tests use.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from probfpc.delay import (
 )
 from probfpc.densem import STANDARD, STEP_FAITHFUL, Interp
 from probfpc.opsem import Evaluator
-from probfpc.parser import _UNARY, parse_term
+from probfpc.parser import _UNARY, ParseError, parse_term
 from probfpc.rational import ONE, ZERO, as_prob, as_uprob
 from probfpc.relate import LiftVerdict, _max_flow
 from probfpc.corpus import _LL, _TAIL, head_term
@@ -715,3 +716,82 @@ def ref_lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps):
     level["child"] = sub.trace
     return LiftVerdict(sub.holds, sub.reason if not sub.holds else
                        "per-level couplings found", level)
+
+
+# --- the lexer, one character at a time ----------------------------------------
+
+_SYM2 = ("=>", "->")
+_SYM1 = "()[]{},;:.=*+/"
+_DIGITS = "0123456789"      # str.isdigit() also admits digits int() rejects
+
+
+class _Tok:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind      # "ident", "num", "sym", "eof"
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __repr__(self):
+        return "%s(%r)" % (self.kind, self.text)
+
+
+def ref_lex(src):
+    """`parser._lex` as it read when it walked the source one character at
+    a time; a decimal literal is a "num" token with a dot in its text."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("--", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if c in _DIGITS:
+            j = i
+            while j < n and src[j] in _DIGITS:
+                j += 1
+            # decimal literal only when a digit follows the dot, so the
+            # dot of "mu X. t" stays a symbol
+            if j + 1 < n and src[j] == "." and src[j + 1] in _DIGITS:
+                j += 1
+                while j < n and src[j] in _DIGITS:
+                    j += 1
+            toks.append(_Tok("num", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_'"):
+                j += 1
+            toks.append(_Tok("ident", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        two = src[i:i + 2]
+        if two in _SYM2:
+            toks.append(_Tok("sym", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if c in _SYM1:
+            toks.append(_Tok("sym", c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError("stray character %r" % c, line, col)
+    toks.append(_Tok("eof", "", line, col))
+    return toks

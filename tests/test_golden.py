@@ -80,6 +80,10 @@ LEX_FILES = {
     "lex_dec_term.pfpc": "1.5\n",
 }
 
+# a pair pattern that binds one name twice
+DUP_FILES = {"pattern_dup.pfpc": "case inr[Nat + Nat * Nat] (1, 2) of"
+                                 " { inl a => a ; inr (n, n) => n }\n"}
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -142,6 +146,7 @@ def requests():
         ["refine", "examples/id_hes.pfpc", "examples/id.pfpc", "--eps", "1/0"],
     ]
     out += [["check", "tmp/" + name] for name in LEX_FILES]
+    out += [["check", "tmp/" + name] for name in DUP_FILES]
     return out
 
 
@@ -149,7 +154,7 @@ def outputs():
     """(label, SHA-1 of exit code, stdout and stderr) per request."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES,
-                          **ZERO_DEN_FILES, **LEX_FILES}.items():
+                          **ZERO_DEN_FILES, **LEX_FILES, **DUP_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(src)

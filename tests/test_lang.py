@@ -13,7 +13,9 @@ from probfpc.syntax import (
     Star, Suc, SumT, TVarT, UnitT, Var, false_term, is_value, mu_unfold,
     render_ty, subst, true_term, ty_closed,
 )
-from probfpc.parser import ParseError, load_file, parse_term, parse_ty
+from probfpc.parser import (
+    _KEYWORDS, _lex, ParseError, load_file, parse_term, parse_ty,
+)
 from probfpc.typecheck import TypecheckError, elaborate
 from probfpc.corpus import (
     CATALOGUE, LAZY_LIST, corpus, diverge_term, everysnd_term, fair_from,
@@ -23,7 +25,7 @@ from probfpc.corpus import (
 from conftest import example
 from genlib import (
     force_k, gen_ground_ty, gen_term, geo_chain, nth_head, omega_nat, pretty,
-    typecheck, unitize,
+    ref_lex, typecheck, unitize,
 )
 
 NAT = NatT()
@@ -86,12 +88,38 @@ def test_parse_errors():
         ("choice 1 * *", "choice weight"),
         ("choice 5/4 * *", "choice weight"),
         ("(fn x : Nat => x", "expected ')'"),
+        ("case inr[Nat + Nat * Nat] (1, 2) of { inl a => a ; inr (n, n) => n }",
+         "line 1, col 60: duplicate name 'n' in pattern"),
     ]
     for src, frag in cases:
         with pytest.raises(ParseError) as exc:
             parse_term(src)
         assert frag in str(exc.value)
         assert "line" in str(exc.value)
+
+
+def _tokens(lex, src):
+    """(kind, text, line, col) per token, a decimal read as the "num" the
+    reference calls it, or the error."""
+    try:
+        return [("num" if t.kind == "dec" else t.kind, t.text, t.line, t.col)
+                for t in lex(src)]
+    except ParseError as e:
+        return str(e)
+
+
+def test_lexer_matches_the_reference():
+    # pieces that test the regex's edges: numerics that are not letters
+    # (², Ⅷ), a non-ASCII decimal digit (٣), Unicode letters and a
+    # combining accent, whitespace the lexer does not skip (form feed,
+    # NBSP), CRLF, comments, and dots before and after digits
+    pieces = ("x", "_", "'", "é", "ǅ", "\u0301", "²", "Ⅷ", "٣", "0", "7",
+              "12", ".", "0.5", " ", "\t", "\f", "\xa0", "\n", "\r\n", "--",
+              "-", "=>", "->", "=", ">", "(", ")", "*", "/", "?", "fn", "mu")
+    rng = random.Random(14)
+    for _ in range(20000):
+        src = "".join(rng.choice(pieces) for _ in range(rng.randrange(10)))
+        assert _tokens(_lex, src) == _tokens(ref_lex, src), repr(src)
 
 
 def test_one_is_not_a_type():
@@ -287,6 +315,12 @@ def test_readme_table_names_the_shipped_example_files(examples_dir):
         "in examples/ but not listed in README.md: %s" % sorted(shipped - listed)
     for name in sorted(listed):
         elaborate(load_file(example(name)))
+
+
+def test_readme_lists_the_reserved_words(examples_dir):
+    readme = " ".join(_readme(examples_dir).split())
+    sentence = readme.split("The reserved words are ", 1)[1].split(". ", 1)[0]
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(_KEYWORDS)
 
 
 def test_readme_fair_listing_is_the_shipped_file(examples_dir):

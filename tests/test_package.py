@@ -101,3 +101,14 @@ def test_indented_json_goes_through_one_writer():
              and ast.unparse(n.func).rpartition(".")[2] in ("dump", "dumps")
              and any(k.arg == "indent" for k in n.keywords)]
     assert not calls, "indented json.dump(s) outside cli._dumps: %s" % calls
+
+
+def test_no_private_imports_across_modules():
+    # an underscore name is its module's own business; a module that needs
+    # another's private name should own it, or the name should be public.
+    # The imported name is what counts, so `import x as _y` is allowed
+    leaks = ["%s.py:%d imports %s from .%s" % (module, n.lineno, a.name, n.module or "")
+             for module, tree in _trees().items() for n in ast.walk(tree)
+             if isinstance(n, ast.ImportFrom) and n.level
+             for a in n.names if a.name.startswith("_")]
+    assert not leaks, "private names imported across modules: %s" % leaks
