@@ -147,6 +147,15 @@ def requests():
     ]
     out += [["check", "tmp/" + name] for name in LEX_FILES]
     out += [["check", "tmp/" + name] for name in DUP_FILES]
+    # deep tables, whose weights carry denominators of hundreds of bits, and
+    # a compare that stays inconclusive at depth 2000 with eps 0
+    out += [["probterm", "examples/fair_harness.pfpc", "--depth", "2048",
+             "--format", fmt] for fmt in FORMATS]
+    out += [
+        ["examples", "run", "geo(2/3)", "--depth", "3000", "--mode", "den-steps"],
+        ["compare", "examples/fair_harness.pfpc", "examples/coin_harness.pfpc",
+         "--mode-a", "den", "--eps", "0", "--depth", "2000"],
+    ]
     return out
 
 
