@@ -12,14 +12,20 @@ stay formal.
 look" loop goes through ``Frontier`` instead: run is the identity on
 delivered values, so the frontier keeps their mass as one scalar and
 carries only the pending thunks from level to level, which makes
-termination tables cost time linear in depth.
+termination tables cost time linear in depth.  Its weights are integer
+numerators over one common denominator, reduced once per level, so a level
+costs integer products and one gcd in place of a reduced Fraction per
+entry.
 
 Also here: termination-probability sequences, the split of a node into its
 value part and combined continuation, and the bounded limit comparison
 leqlim/eqlim.
 """
 
-from .rational import ONE, ZERO, as_uprob
+from fractions import Fraction
+from math import gcd, lcm
+
+from .rational import ZERO, as_uprob
 from .dist import Dist, Inl, Inr, dirac, dist_bind
 
 __all__ = [
@@ -109,44 +115,64 @@ def run(d: Dist) -> Dist:
 class Frontier:
     """A delay tree run level by level, keeping only what later runs need.
 
-    Holds the delivered mass as one exact scalar and the pending thunks,
-    merged by identity in first-occurrence order, each with its total
-    weight; the entries pin their thunks, so ids stay valid.  ``step()``
-    is one ``run``: it forces each pending thunk once, in order, and checks
-    that delivered plus pending mass is exactly 1, as ``Dist`` does.
+    Holds the delivered mass and the pending thunks' weights as integer
+    numerators over one common denominator.  The thunks are merged by
+    identity in first-occurrence order, each with its total weight; the
+    entries pin their thunks, so ids stay valid.  ``step()`` is one
+    ``run``: it forces each pending thunk once, in order, scales the
+    denominator by the lcm of the forced nodes' weight denominators, checks
+    that delivered plus pending mass is exactly 1, as ``Dist`` does, and
+    divides every numerator and the denominator by their gcd, so the
+    denominator stays the least common one.  Weights leave as ``Fraction``.
     """
-    __slots__ = ("mass", "_pending")
+    __slots__ = ("_num", "_den", "_pending")
 
     def __init__(self, d: Dist):
-        self.mass = ZERO
-        self._pending = {}      # id(thunk) -> [weight, thunk]
-        self._absorb(((ONE, d),))
+        self._num, self._den = 0, 1
+        self._pending = {}      # id(thunk) -> [numerator, thunk]
+        self._absorb(((1, d),))
+
+    @property
+    def mass(self) -> Fraction:
+        """Delivered mass so far."""
+        return Fraction(self._num, self._den)
 
     def step(self):
         """Run one level; returns the level's deliveries [(w, value)]."""
-        return self._absorb([(w, t.force()) for w, t in self._pending.values()])
+        return self._absorb([(n, t.force()) for n, t in self._pending.values()])
 
     def _absorb(self, forced):
-        mass, pending, new = self.mass, {}, []
-        for w, d in forced:
-            for w2, el in d.entries:
-                w2 = w * w2
+        # forced: [(numerator over the current denominator, node)]
+        scale = lcm(*{w.denominator for _, d in forced for w, _ in d.entries})
+        num, den, pending, new = self._num * scale, self._den * scale, {}, []
+        for n, d in forced:
+            for w, el in d.entries:
+                n2 = n * w.numerator * (scale // w.denominator)
                 if isinstance(el, Inl):
-                    mass += w2
-                    new.append((w2, el.val))
+                    num += n2
+                    new.append((n2, el.val))
                 elif id(el.val) in pending:
-                    pending[id(el.val)][0] += w2
+                    pending[id(el.val)][0] += n2
                 else:
-                    pending[id(el.val)] = [w2, el.val]
-        total = sum((w for w, _ in pending.values()), mass)
-        if total != ONE:
-            raise ValueError("distribution weights sum to %s, not 1" % total)
-        self.mass, self._pending = mass, pending
+                    pending[id(el.val)] = [n2, el.val]
+        ns = [n for n, _ in pending.values()]
+        total = sum(ns, num)
+        if total != den:
+            raise ValueError("distribution weights sum to %s, not 1"
+                             % Fraction(total, den))
+        new = [(Fraction(n, den), a) for n, a in new]
+        g = gcd(den, num, *ns)
+        if g > 1:
+            num, den = num // g, den // g
+            for e in pending.values():
+                e[0] //= g
+        self._num, self._den, self._pending = num, den, pending
         return new
 
     def pendings(self):
         """Pending thunks [(w, t)] in first-occurrence order."""
-        return [(w, t) for w, t in self._pending.values()]
+        den = self._den
+        return [(Fraction(n, den), t) for n, t in self._pending.values()]
 
 
 class TermSeq:

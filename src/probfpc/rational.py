@@ -24,16 +24,18 @@ class ProbRangeError(ValueError):
 
 
 def as_prob(x) -> Fraction:
-    """Coerce to an exact rational strictly between 0 and 1."""
-    p = Fraction(x)
+    """Coerce to an exact rational strictly between 0 and 1; a Fraction is
+    returned as it is."""
+    p = x if type(x) is Fraction else Fraction(x)
     if not (0 < p < 1):
         raise ProbRangeError("choice weight must satisfy 0 < p < 1, got %s" % p)
     return p
 
 
 def as_uprob(x) -> Fraction:
-    """Coerce to an exact rational in [0,1]."""
-    p = Fraction(x)
+    """Coerce to an exact rational in [0,1]; a Fraction is returned as it
+    is."""
+    p = x if type(x) is Fraction else Fraction(x)
     if not (0 <= p <= 1):
         raise ProbRangeError("probability must satisfy 0 <= p <= 1, got %s" % p)
     return p

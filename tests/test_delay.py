@@ -3,6 +3,7 @@ comparison."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,7 +14,9 @@ from probfpc.delay import (
     DelayThunk, Frontier, TermSeq, delay_bind, delay_map, eqlim_upto,
     leqlim_upto, now, probterm_seq, run, split, step, zeta,
 )
+from probfpc.parser import load_file
 
+from conftest import example
 from genlib import (
     OPAQUE, ChoiceCong, Refl, StepElim, WitnessShapeError, check_witness, geo,
     hesitant, node_eq, prefix_eq, probterm, probterm0, random_delay,
@@ -111,15 +114,38 @@ def test_termseq_json_shape():
 FRONTIER_DEPTH = 10
 
 
+def cancelling_delay(splits):
+    """One node per weight list: the list's weights reach the next node
+    through one shared thunk, each by a fresh Inr, and the rest of the
+    node's mass is the value i; the last thunk delivers the value -1.  The
+    weights merge into sums of smaller denominator (1/6 + 1/3 = 1/2)."""
+    d = now(-1)
+    for i, ws in reversed(list(enumerate(splits))):
+        t = DelayThunk(lambda d=d: d)
+        d = Dist([(w, Inr(t)) for w in ws] + [(1 - sum(ws), Inl(i))])
+    return d
+
+
+CANCELLING = (
+    ((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 10), Fraction(2, 5))),
+    ((Fraction(1, 10), Fraction(2, 5)), (Fraction(1, 6), Fraction(1, 3))),
+    ((Fraction(1, 6), Fraction(1, 3), Fraction(1, 6)),),
+    ((Fraction(1, 4),) * 4, (Fraction(1, 12), Fraction(1, 4)), (HALF, HALF)),
+)
+
+
 def frontier_cases():
     """(label, delay tree) pairs: 300 random trees with keyed and unkeyed
-    leaves, 100 trees whose steps rejoin through shared thunks, and every
-    catalogue program in the three semantics."""
+    leaves, 100 trees whose steps rejoin through shared thunks, chains
+    whose weights cancel as they merge into one thunk, and every catalogue
+    program in the three semantics."""
     rng = random.Random(60)
     for i in range(300):
         yield "random %d" % i, random_delay(rng, alphabet=(0, 1, 2, 3) + OPAQUE)
     for i in range(100):
         yield "shared %d" % i, shared_delay(rng)
+    for i, splits in enumerate(CANCELLING):
+        yield "cancelling %d" % i, cancelling_delay(splits)
     for name, _ in CATALOGUE:
         for mode in ("op", "den", "den-steps"):
             yield "%s %s" % (name, mode), _delay_of(corpus(name), mode)[1]
@@ -181,6 +207,35 @@ def test_frontier_pending_mass_per_thunk_is_literal():
             # one entry per thunk, in the order run first reaches them
             assert [id(t) for _, t in got] == list(want), (label, m)
             assert [w for w, _ in got] == list(want.values()), (label, m)
+
+
+def least_den(f):
+    return lcm(f.mass.denominator, *(w.denominator for w, _ in f.pendings()))
+
+
+def test_frontier_denominator_stays_least():
+    # the common denominator is reduced once per level, so it is the lcm of
+    # the reduced weights' denominators, and never grows past them
+    for label, d in frontier_cases():
+        f = Frontier(d)
+        for m in range(FRONTIER_DEPTH + 1):
+            if m:
+                f.step()
+            assert f._den == least_den(f), (label, m)
+    harness = load_file(example("fair_harness.pfpc"))
+    for mode in ("op", "den", "den-steps"):
+        f = Frontier(_delay_of(harness, mode)[1])
+        for m in range(2049):
+            if m:
+                f.step()
+            assert f._den == least_den(f), (mode, m)
+
+
+def test_frontier_merges_cancelling_weights():
+    f = Frontier(cancelling_delay(CANCELLING[0]))
+    assert f.mass == HALF and [w for w, _ in f.pendings()] == [HALF]
+    assert f.step() == [(Fraction(1, 4), 1)] and f._den == 4
+    assert f.step() == [(Fraction(1, 4), -1)] and f.mass == 1 and f._den == 1
 
 
 def test_frontier_step_returns_the_level_deliveries():

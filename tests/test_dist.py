@@ -46,6 +46,13 @@ def test_zero_weight_entries_drop():
     assert dirac("a").entries == ((Fraction(1), "a"),)
 
 
+def test_negative_weights_are_rejected():
+    # the weights sum to 1, but one lies outside (0,1]
+    with pytest.raises(ValueError) as e:
+        Dist([(Fraction(3, 2), 0), (Fraction(-1, 2), 1)])
+    assert str(e.value) == "distribution weight must be positive, got -1/2"
+
+
 def test_normalization_closed_under_construction():
     rng = random.Random(21)
     for _ in range(200):

@@ -25,6 +25,17 @@ def test_as_uprob_closed_interval():
             as_uprob(bad)
 
 
+def test_a_fraction_in_range_is_returned_as_it_is():
+    x = Fraction(1, 3)
+    assert as_prob(x) is x and as_uprob(x) is x
+    with pytest.raises(ProbRangeError) as e:
+        as_prob(Fraction(1))
+    assert str(e.value) == "choice weight must satisfy 0 < p < 1, got 1"
+    with pytest.raises(ProbRangeError) as e:
+        as_uprob(Fraction(3, 2))
+    assert str(e.value) == "probability must satisfy 0 <= p <= 1, got 3/2"
+
+
 def test_canonical_form_closed_under_arithmetic():
     # lowest terms and positive denominator survive +, *, /
     rng = random.Random(12)
