@@ -99,7 +99,9 @@ def canonical(entries):
     unkeyed = {}      # id(elem) -> index into order list
     order = []        # list of [weight, elem]
     for w, v in entries:
-        if w <= 0:
+        # the sign of a weight is its numerator's: an int comparison,
+        # cheaper than comparing the Fraction itself
+        if w.numerator <= 0:
             if w < 0:
                 raise ValueError("distribution weight must be positive, got %s" % w)
             continue
