@@ -14,8 +14,8 @@ delivered values, so the frontier keeps their mass as one scalar and
 carries only the pending thunks from level to level, which makes
 termination tables cost time linear in depth.  Its weights are integer
 numerators over one common denominator, reduced once per level, so a level
-costs integer products and one gcd in place of a reduced Fraction per
-entry.
+costs integer products and one gcd; only the weights it hands out are
+built as Fractions.
 
 Also here: termination-probability sequences, the split of a node into its
 value part and combined continuation, and the bounded limit comparison
