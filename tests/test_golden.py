@@ -156,6 +156,11 @@ def requests():
         ["compare", "examples/fair_harness.pfpc", "examples/coin_harness.pfpc",
          "--mode-a", "den", "--eps", "0", "--depth", "2000"],
     ]
+    # horizons at which the hesitant identity delivers too little: the
+    # no-coupling leaf's best flow is 0 at horizon 6 and 7/8 at horizon 20
+    out += [["refine", "examples/id.pfpc", "examples/id_hes.pfpc",
+             "--horizon", h, "--format", fmt]
+            for h in ("6", "20") for fmt in FORMATS]
     return out
 
 
