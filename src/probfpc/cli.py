@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _esc
 
 from .corpus import CATALOGUE, corpus
@@ -88,7 +89,7 @@ class _ArgParser(argparse.ArgumentParser):
 
 def _print_seq(seq, fmt, approx, out):
     if fmt == "json":
-        doc = seq.to_json()
+        doc = {"depths": list(range(len(seq))), "probterm": [str(v) for v in seq]}
         if approx:
             doc["approx"] = ["%.6f" % float(v) for v in seq]
         out.write(_dumps(doc) + "\n")
@@ -204,7 +205,9 @@ def _add_common(sp, depth=True, approx=False):
                         help="also print 6-decimal approximations")
 
 
+@cache
 def build_parser():
+    """The command-line parser, built on the first call and then reused."""
     ap = _ArgParser(
         prog="probfpc",
         description="Workbench for a probabilistic language with recursive "

@@ -30,7 +30,7 @@ from .dist import Dist, Inl, Inr, dirac, dist_bind
 
 __all__ = [
     "DelayThunk", "now", "step", "step_fn", "delay_bind",
-    "delay_map", "zeta", "run", "Frontier", "TermSeq", "probterm_seq",
+    "delay_map", "zeta", "run", "Frontier", "probterm_seq",
     "split", "continuation", "leqlim_upto", "eqlim_upto",
 ]
 
@@ -123,7 +123,9 @@ class Frontier:
     denominator by the lcm of the forced nodes' weight denominators, checks
     that delivered plus pending mass is exactly 1, as ``Dist`` does, and
     divides every numerator and the denominator by their gcd, so the
-    denominator stays the least common one.  Weights leave as ``Fraction``.
+    denominator stays the least common one.  ``renormalise`` divides the
+    pending weights by a mass, as the lifting does with its residue.
+    Weights leave as ``Fraction``.
     """
     __slots__ = ("_num", "_den", "_pending")
 
@@ -136,6 +138,10 @@ class Frontier:
     def mass(self) -> Fraction:
         """Delivered mass so far."""
         return Fraction(self._num, self._den)
+
+    def reaches(self, q) -> bool:
+        """Is the delivered mass at least the Fraction q?"""
+        return self._num * q.denominator >= q.numerator * self._den
 
     def step(self):
         """Run one level; returns the level's deliveries [(w, value)]."""
@@ -169,40 +175,34 @@ class Frontier:
         self._num, self._den, self._pending = num, den, pending
         return new
 
+    def renormalise(self, mass):
+        """Divide the pending weights by mass and count the rest of 1 as
+        delivered: the lifting's residue.  Over D = lcm(den, mass's
+        denominator) mass is R/D, so the pending numerators over D stay and
+        the denominator becomes R."""
+        k = mass.denominator // gcd(mass.denominator, self._den)
+        den = mass.numerator * (self._den * k // mass.denominator)
+        ns = [n * k for n, _ in self._pending.values()]
+        g = gcd(den, *ns)
+        for e, n in zip(self._pending.values(), ns):
+            e[0] = n // g
+        self._num, self._den = (den - sum(ns)) // g, den // g
+
     def pendings(self):
         """Pending thunks [(w, t)] in first-occurrence order."""
         den = self._den
         return [(Fraction(n, den), t) for n, t in self._pending.values()]
 
 
-class TermSeq:
-    """Termination probabilities at depths 0..N; monotone nondecreasing."""
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = tuple(as_uprob(v) for v in values)
-
-    def __getitem__(self, n):
-        return self.values[n]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def to_json(self):
-        return {"depths": list(range(len(self.values))),
-                "probterm": [str(v) for v in self.values]}
-
-
-def probterm_seq(d: Dist, n: int) -> TermSeq:
+def probterm_seq(d: Dist, n: int) -> tuple:
+    """Termination probabilities at depths 0..n, monotone nondecreasing; the
+    frontier's exact-sum check keeps each of them in [0,1]."""
     f = Frontier(d)
     out = [f.mass]
     for _ in range(n):
         f.step()
         out.append(f.mass)
-    return TermSeq(out)
+    return tuple(out)
 
 
 def split(d: Dist):
@@ -216,6 +216,8 @@ def split(d: Dist):
 def continuation(pend) -> Dist:
     """Combined continuation of a node's weighted pendings [(w, t)]: the
     delay tree of their convex combination, renormalised to mass 1."""
+    if len(pend) == 1:
+        return pend[0][1].force()
     mass = sum((w for w, _ in pend), ZERO)
     return zeta(Dist([(w / mass, t) for w, t in pend])).force()
 
@@ -225,9 +227,7 @@ def leqlim_upto(f, g, eps) -> bool:
     with f(n) <= g(m) + eps.  Over finite sequences that is exactly
     max(f) <= max(g) + eps, which is how it is decided."""
     eps = as_uprob(eps)
-    fmax = max(f) if len(f) else ZERO
-    gmax = max(g) if len(g) else ZERO
-    return fmax <= gmax + eps
+    return max(f, default=ZERO) <= max(g, default=ZERO) + eps
 
 
 def eqlim_upto(f, g, eps) -> bool:

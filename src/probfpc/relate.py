@@ -2,10 +2,10 @@
 
 `lift_check` extends a value relation to delay trees: at each level the
 value part must be coupled against what the right side has delivered within
-some run horizon, with the coupling decided by exact rational max-flow, and
-the loop goes on to the delayed remainder with one unit of fuel less.  Fuel
-0 accepts the truncated obligation, so Holds at fuel F certifies the F-level
-approximation and Unknown is never a refutation.
+some run horizon, with the coupling decided by an exact max-flow on integer
+numerators, and the loop goes on to the delayed remainder with one unit of
+fuel less.  Fuel 0 accepts the truncated obligation, so Holds at fuel F
+certifies the F-level approximation and Unknown is never a refutation.
 
 `logrel_val` is the type-indexed relation between semantic and syntactic
 values: ground types by equality, pairs and sums structurally, recursive
@@ -18,6 +18,7 @@ at their common type.
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from .rational import ZERO, as_uprob
 from .delay import Frontier, continuation, split
@@ -40,60 +41,53 @@ __all__ = [
 
 def _max_flow(left, right, rel):
     """Maximum flow of the weighted list left onto the weighted list right
-    along the pairs rel accepts; exact Fractions.  Returns (value,
-    {(i, j): flow})."""
-    n, m = len(left), len(right)
-    src, snk = n + m, n + m + 1
-    adj = [[] for _ in range(n + m + 2)]
-    cap = {}
-
-    def add(u, v, c):       # each arc is added once, with its reverse at 0
-        adj[u].append(v)
-        adj[v].append(u)
-        cap[(u, v)] = c
-        cap[(v, u)] = ZERO
-
-    for i, (w, _) in enumerate(left):
-        add(src, i, w)
-    for j, (w, _) in enumerate(right):
-        add(n + j, snk, w)
-    edges = [(i, j) for i, (_, a) in enumerate(left)
-             for j, (_, b) in enumerate(right) if rel(a, b)]
-    for i, j in edges:
-        add(i, n + j, left[i][0])
-
-    total = ZERO
+    along the pairs rel accepts: (value, {(i, j): flow}) in Fractions,
+    computed on int numerators over the lcm of the weights' denominators.
+    Each round augments along a shortest path (Edmonds-Karp), searched
+    breadth first from the left entries with supply left, in index order;
+    a right entry with room left ends the path, any other leads back to the
+    left entries that send it flow, in index order.  An arc i -> j could
+    carry all of i's weight, so it never limits a path."""
+    den = lcm(*(w.denominator for w, _ in left),
+              *(w.denominator for w, _ in right))
+    supply = [w.numerator * (den // w.denominator) for w, _ in left]
+    room = [w.numerator * (den // w.denominator) for w, _ in right]
+    flow = [{j: 0 for j, (_, b) in enumerate(right) if rel(a, b)} for _, a in left]
+    pred = [[i for i, fs in enumerate(flow) if j in fs] for j in range(len(right))]
+    total = 0
     while True:
-        parent = {src: src}
-        queue = deque([src])
-        while queue and snk not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and cap[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if snk not in parent:
+        back = {i: None for i, s in enumerate(supply) if s}    # left i <- right j
+        came, queue, end = {}, deque(back), None               # right j <- left i
+        while queue and end is None:
+            i = queue.popleft()
+            for j in flow[i]:
+                if j not in came:
+                    came[j] = i
+                    if room[j]:
+                        end = j
+                        break
+                    for k in pred[j]:
+                        if k not in back and flow[k][j]:
+                            back[k] = j
+                            queue.append(k)
+        if end is None:
             break
-        push = None
-        v = snk
-        while v != src:
-            u = parent[v]
-            c = cap[(u, v)]
-            push = c if push is None or c < push else push
-            v = u
-        v = snk
-        while v != src:
-            u = parent[v]
-            cap[(u, v)] -= push
-            cap[(v, u)] += push
-            v = u
+        path, j = [], end
+        while j is not None:        # back to a left entry the source feeds
+            i = came[j]
+            path.append((i, j, back[i]))
+            j = back[i]
+        push = min(room[end], supply[i], *(flow[k][b] for k, _, b in path[:-1]))
+        room[end] -= push
+        supply[i] -= push
         total += push
-    flow = {}
-    for i, j in edges:
-        f = cap[(n + j, i)]  # residual of the reverse arc = pushed flow
-        if f > 0:
-            flow[(i, j)] = f
-    return total, flow
+        for i, j, b in path:
+            flow[i][j] += push
+            if b is not None:
+                flow[i][b] -= push
+    return Fraction(total, den), {(i, j): Fraction(f, den)
+                                  for i, fs in enumerate(flow)
+                                  for j, f in fs.items() if f}
 
 
 # --- relational lifting -----------------------------------------------------
@@ -136,14 +130,15 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     """Bounded check that rel's lifting relates d to e.
 
     Per level: split d into delivered values (mass p) and pending branches.
-    Search m <= horizon such that the values delivered by running e for m
-    levels admit a coupling of flow >= p - eps along rel; what that coupling
-    does not consume of e joins e's pending branches as the residue, and the
-    next level relates d's combined continuation to it (renormalized) with
-    one unit of fuel less.  The eps budget is per level, so it composes
-    additively in fuel.  When e's explored mass cannot split at exactly p,
-    the flow consumption splits explored leaves fractionally; this is a
-    sound search, not a complete one.
+    Search the least m <= horizon such that the values delivered by running
+    e for m levels admit a coupling of flow >= p - eps along rel; no flow
+    runs while the delivered mass, which bounds it, is below p - eps.  What
+    the coupling does not consume of e joins e's pending branches as the
+    residue, and the next level relates d's combined continuation to it
+    (renormalised) with one unit of fuel less.  The eps budget is per
+    level, so it composes additively in fuel.  When e's explored mass
+    cannot split at exactly p, the flow consumption splits explored leaves
+    fractionally; this is a sound search, not a complete one.
     """
     eps = as_uprob(eps)
     # the horizon search asks about the same pairs at every m, and rel may
@@ -158,25 +153,28 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
         return LiftVerdict(holds, "per-level couplings found" if holds and levels
                            else reason, trace)
 
+    front, evals = Frontier(e), split(e)[0]
     for fuel in range(fuel, 0, -1):
         vals, pend = split(d)
         p = sum((w for w, _ in vals), ZERO)
-        front, evals = Frontier(e), split(e)[0]
-        m, flowval, flow, best = 0, ZERO, {}, ZERO
+        need = p - eps
+        m, flowval, flow = 0, ZERO, {}
         while p > 0:
-            flowval, flow = _max_flow(vals, evals, rel)
-            best = flowval if flowval > best else best
-            if flowval >= p - eps:
-                break
+            if front.reaches(need):     # else the flow cannot reach need
+                flowval, flow = _max_flow(vals, evals, rel)
+                if flowval >= need:
+                    break
             # a level that delivers nothing leaves the flow as it was
             new = None
             while not new and m < horizon:
                 m += 1
                 new = front.step()
             if not new:
+                if not front.reaches(need):     # no flow ran on these values
+                    flowval = _max_flow(vals, evals, rel)[0]
                 return done(False, "no coupling within horizon", {
                     "case": "no-coupling", "fuel": fuel, "value_mass": str(p),
-                    "best_flow": str(best), "horizon": horizon, "eps": str(eps)})
+                    "best_flow": str(flowval), "horizon": horizon, "eps": str(eps)})
             evals = canonical([*evals, *new])
         level = {"case": "mixed" if (p > 0 and pend) else
                          ("value-only" if not pend else "delayed-only"),
@@ -187,13 +185,13 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
         left = [w for w, _ in evals]
         for (_, j), f in flow.items():
             left[j] -= f
-        resid = [(w, Inl(b)) for w, (_, b) in zip(left, evals) if w > 0]
-        resid += [(w, Inr(t)) for w, t in front.pendings()]
         # the residue weighs 1 - flow > 0: the flow is at most p, and p < 1
         # since pend is not empty
-        rmass = sum((w for w, _ in resid), ZERO)
+        rmass = 1 - flowval
+        front.renormalise(rmass)
+        evals = [(w / rmass, b) for w, (_, b) in zip(left, evals) if w > 0]
         levels.append(level)
-        d, e = continuation(pend), Dist([(w / rmass, el) for w, el in resid])
+        d = continuation(pend)
     return done(True, "fuel exhausted; remaining obligation accepted",
                 {"case": "fuel"})
 

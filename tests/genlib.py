@@ -5,10 +5,11 @@ The random generators are deterministic given the caller's seeded
 is what the tests compare the package against and build their programs
 from: the fuelled reduction witnesses, the literal n-fold ``run``, the
 canonical prefix comparison, read-back soundness, the pretty-printer, the
-recursive lifting, the character-loop lexer, and the corpus programs only
-the tests use.
+Edmonds-Karp max-flow on Fractions, the recursive lifting, the
+character-loop lexer, and the corpus programs only the tests use.
 """
 
+from collections import deque
 from fractions import Fraction
 
 from probfpc.dist import Dist, Inl, Inr, canonical, choice, dirac, key_of
@@ -20,7 +21,7 @@ from probfpc.densem import STANDARD, STEP_FAITHFUL, Interp
 from probfpc.opsem import Evaluator
 from probfpc.parser import _UNARY, ParseError, parse_term
 from probfpc.rational import ONE, ZERO, as_prob, as_uprob
-from probfpc.relate import LiftVerdict, _max_flow
+from probfpc.relate import LiftVerdict
 from probfpc.corpus import _LL, _TAIL, head_term
 from probfpc.syntax import (
     App, Case, Choice, Fold, Fst, Ifz, Inj, Lam, MuT, NatT, Num, Pair, Pred,
@@ -661,6 +662,67 @@ def ref_subst(t, v, k=0):
     raise TypeError("not a term: %r" % (t,))
 
 
+# --- the max-flow coupling, on a generic graph of Fractions ---------------------
+
+def ref_max_flow(left, right, rel):
+    """`relate._max_flow` as it read when it ran Edmonds-Karp on a generic
+    graph: source, one node per left and right entry, and sink, each arc
+    with its reverse at 0 in a dict of exact Fraction capacities.  Returns
+    (value, {(i, j): flow})."""
+    n, m = len(left), len(right)
+    src, snk = n + m, n + m + 1
+    adj = [[] for _ in range(n + m + 2)]
+    cap = {}
+
+    def add(u, v, c):       # each arc is added once, with its reverse at 0
+        adj[u].append(v)
+        adj[v].append(u)
+        cap[(u, v)] = c
+        cap[(v, u)] = ZERO
+
+    for i, (w, _) in enumerate(left):
+        add(src, i, w)
+    for j, (w, _) in enumerate(right):
+        add(n + j, snk, w)
+    edges = [(i, j) for i, (_, a) in enumerate(left)
+             for j, (_, b) in enumerate(right) if rel(a, b)]
+    for i, j in edges:
+        add(i, n + j, left[i][0])
+
+    total = ZERO
+    while True:
+        parent = {src: src}
+        queue = deque([src])
+        while queue and snk not in parent:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in parent and cap[(u, v)] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if snk not in parent:
+            break
+        push = None
+        v = snk
+        while v != src:
+            u = parent[v]
+            c = cap[(u, v)]
+            push = c if push is None or c < push else push
+            v = u
+        v = snk
+        while v != src:
+            u = parent[v]
+            cap[(u, v)] -= push
+            cap[(v, u)] += push
+            v = u
+        total += push
+    flow = {}
+    for i, j in edges:
+        f = cap[(n + j, i)]  # residual of the reverse arc = pushed flow
+        if f > 0:
+            flow[(i, j)] = f
+    return total, flow
+
+
 # --- the lifting, one recursive call per fuel unit -----------------------------
 
 def ref_lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps):
@@ -679,7 +741,7 @@ def ref_lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps):
     if p > 0:
         best = ZERO
         while True:
-            flowval, flow = _max_flow(vals, evals, rel)
+            flowval, flow = ref_max_flow(vals, evals, rel)
             best = max(best, flowval)
             if flowval >= p - eps:
                 break

@@ -1,17 +1,19 @@
 """Convex delay trees: run, the frontier, bind, witnesses, and limit
 comparison."""
 
+import io
+import json
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from probfpc.cli import _delay_of
+from probfpc.cli import _delay_of, _print_seq
 from probfpc.corpus import CATALOGUE, corpus
 from probfpc.dist import Dist, Inl, Inr, canonical, choice, dirac, key_of
 from probfpc.delay import (
-    DelayThunk, Frontier, TermSeq, delay_bind, delay_map, eqlim_upto,
+    DelayThunk, Frontier, delay_bind, delay_map, eqlim_upto,
     leqlim_upto, now, probterm_seq, run, split, step, zeta,
 )
 from probfpc.parser import load_file
@@ -44,7 +46,7 @@ def test_now_and_step_shapes():
 
 def test_run_eliminates_one_layer():
     d = step_of(step_of(now(0)))
-    assert probterm_seq(d, 3).values == (0, 0, 1, 1)
+    assert probterm_seq(d, 3) == (0, 0, 1, 1)
     assert prefix_eq(run(d), step_of(now(0)), 4)
     assert prefix_eq(run(now(5)), now(5), 4)
 
@@ -52,7 +54,7 @@ def test_run_eliminates_one_layer():
 def test_run_worked_example():
     # p to a value after one step, else two steps to another value
     nu = choice(Fraction(1, 3), step_of(now(0)), step_of(step_of(now(1))))
-    assert probterm_seq(nu, 3).values == (
+    assert probterm_seq(nu, 3) == (
         Fraction(0), Fraction(1, 3), Fraction(1), Fraction(1))
     assert vals_of(run(nu)) == {0: Fraction(1, 3)}
     assert vals_of(run(run(nu))) == {0: Fraction(1, 3), 1: Fraction(2, 3)}
@@ -99,14 +101,16 @@ def test_probterm_monotone():
     rng = random.Random(32)
     for _ in range(200):
         seq = probterm_seq(random_delay(rng), 16)
-        assert all(a <= b for a, b in zip(seq, seq.values[1:]))
+        assert all(a <= b for a, b in zip(seq, seq[1:]))
 
 
 def test_termseq_json_shape():
     seq = probterm_seq(geo(HALF), 2)
-    assert seq.to_json() == {"depths": [0, 1, 2],
-                             "probterm": ["1/2", "3/4", "7/8"]}
-    assert len(seq) == 3 and list(seq) == [HALF, Fraction(3, 4), Fraction(7, 8)]
+    assert seq == (HALF, Fraction(3, 4), Fraction(7, 8))
+    out = io.StringIO()
+    _print_seq(seq, "json", False, out)
+    assert json.loads(out.getvalue()) == {"depths": [0, 1, 2],
+                                          "probterm": ["1/2", "3/4", "7/8"]}
 
 
 # --- the frontier against the literal run --------------------------------------
@@ -231,6 +235,29 @@ def test_frontier_denominator_stays_least():
             assert f._den == least_den(f), (mode, m)
 
 
+def test_frontier_renormalise_is_the_residue_dist():
+    # the lifting's residue keeps part x of the delivered mass and every
+    # pending thunk; renormalised in place, the frontier is the one built
+    # from that residue as a Dist, on the least denominator
+    rng = random.Random(61)
+    for label, d in frontier_cases():
+        f = Frontier(d)
+        for _ in range(rng.randrange(4)):
+            f.step()
+        pend = f.pendings()
+        x = f.mass * rng.choice((0, Fraction(1, 3), 1))
+        rmass = x + sum(w for w, _ in pend)
+        if rmass == 0:
+            continue
+        want = Frontier(Dist([(x / rmass, Inl("left over"))]
+                             + [(w / rmass, Inr(t)) for w, t in pend]))
+        f.renormalise(rmass)
+        assert f.pendings() == want.pendings(), label
+        assert (f.mass, f._den) == (want.mass, least_den(f)), label
+        assert f.reaches(f.mass) and not f.reaches(f.mass + Fraction(1, 10 ** 9))
+        assert [w for w, _ in f.step()] == [w for w, _ in want.step()], label
+
+
 def test_frontier_merges_cancelling_weights():
     f = Frontier(cancelling_delay(CANCELLING[0]))
     assert f.mass == HALF and [w for w, _ in f.pendings()] == [HALF]
@@ -301,7 +328,7 @@ def test_bind_associativity():
 
 def test_bind_threads_steps_before_the_continuation():
     d = delay_bind(step_of(step_of(now(1))), lambda n: step_of(now(n + 1)))
-    assert probterm_seq(d, 4).values == (0, 0, 0, 1, 1)
+    assert probterm_seq(d, 4) == (0, 0, 0, 1, 1)
     assert vals_of(run_n(d, 3)) == {2: Fraction(1)}
 
 
@@ -442,7 +469,7 @@ def test_leqlim_closed_under_convex_combination():
         e = Fraction(rng.randrange(0, 4), 32)
         assert leqlim_upto(f1, g1, e) and leqlim_upto(f2, g2, e)
         p = Fraction(rng.randrange(1, 8), 8)
-        mix = lambda x, y: TermSeq([p * a + (1 - p) * b for a, b in zip(x, y)])
+        mix = lambda x, y: tuple(p * a + (1 - p) * b for a, b in zip(x, y))
         assert leqlim_upto(mix(f1, f2), mix(g1, g2), e)
 
 

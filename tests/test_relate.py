@@ -13,6 +13,7 @@ from probfpc.delay import (
     delay_bind, leqlim_upto, now, probterm_seq, step_fn,
 )
 from probfpc.densem import FoldV
+from probfpc import relate
 from probfpc.relate import (
     RelateCfg, _max_flow, default_probes, lift_check, logrel_val, refine_check,
 )
@@ -21,7 +22,9 @@ from probfpc.parser import parse_term, parse_ty
 from probfpc.typecheck import TypecheckError
 from probfpc.corpus import diverge_term, id_hes, y_comb
 
-from genlib import geo, hesitant, random_delay, ref_lift_check, run_n, step_of
+from genlib import (
+    geo, hesitant, random_delay, ref_lift_check, ref_max_flow, run_n, step_of,
+)
 
 NAT = NatT()
 HALF = Fraction(1, 2)
@@ -99,6 +102,33 @@ def test_coupling_against_deficiency_oracle():
     for _ in range(200):
         mu, nu, rel = rand_instance(rng)
         assert _max_flow(list(mu.entries), nu, rel)[0] == oracle_matched(mu, nu, rel)
+
+
+def test_coupling_matches_the_reference_flow():
+    # value and flow items in order, so the augmenting paths are the same:
+    # up to 6x6 entries, empty sides, and relations from empty to full,
+    # over small denominators and ones of 40 and more bits
+    rng = random.Random(88)
+    dens = ((6,), (2, 3, 4), (7, 12, 35), (1 << 40, 3 ** 30, 10 ** 15))
+    seen = Counter()
+    for _ in range(20000):
+        n, m = rng.randrange(7), rng.randrange(7)
+        den = rng.choice(dens)
+        left, right = ([(Fraction(rng.randrange(1, 9), rng.choice(den)),
+                         rng.randrange(4)) for _ in range(k)] for k in (n, m))
+        density = rng.choice((0, 1, rng.random()))
+        table = {(a, b): rng.random() < density for a in range(4) for b in range(4)}
+        rel = lambda a, b: table[(a, b)]
+        value, flow = _max_flow(left, right, rel)
+        want_value, want_flow = ref_max_flow(left, right, rel)
+        assert value == want_value and type(value) is Fraction
+        assert list(flow.items()) == list(want_flow.items())
+        seen["empty side"] += not (n and m)
+        seen["no pair"] += n and m and density == 0
+        seen["every pair"] += n and m and density == 1
+        seen["several paths"] += len(flow) >= 3
+    for case in ("empty side", "no pair", "every pair", "several paths"):
+        assert seen[case] >= 1000, seen
 
 
 # --- lift_check -----------------------------------------------------------------
@@ -182,6 +212,53 @@ def test_lift_loop_matches_the_recursive_reference():
     # the residue weighs 1 - flow >= 1 - p, and p < 1 while d has pending
     # branches, so the right side is never exhausted first
     assert seen["no-residue"] == 0, seen
+
+
+def _chain(trace):
+    """The level records of a lifting trace, its leaf included."""
+    while True:
+        yield trace
+        if "child" not in trace:
+            return
+        trace = trace["child"]
+
+
+def _count_flows(monkeypatch):
+    calls = []
+    flow = relate._max_flow
+    monkeypatch.setattr(relate, "_max_flow",
+                        lambda *a: calls.append(a) or flow(*a))
+    return calls
+
+
+def test_lift_runs_no_futile_flows(monkeypatch):
+    # the flow onto a hesitant right side is at most its delivered mass, so
+    # a level runs one flow, once that mass reaches p - eps, and a horizon
+    # exit runs one, on the final values; a level with p = 0 runs none
+    calls = _count_flows(monkeypatch)
+    right = hesitant(Fraction(1, 24), 0)
+    for d, fuel, horizon, holds in ((now(0), 1, 1024, True),
+                                    (hesitant(HALF, 0), 8, 1024, True),
+                                    (hesitant(HALF, 0), 8, 16, False)):
+        del calls[:]
+        v = lift_check(d, right, eq, fuel, horizon, Fraction(1, 1024))
+        assert v.holds is holds
+        records = list(_chain(v.trace))
+        assert len(calls) == sum(r.get("value_mass", "0") != "0" for r in records)
+        # the levels it ran, a horizon exit's included, outnumber the flows
+        steps = sum(r.get("m", r.get("horizon", 0)) for r in records)
+        assert steps > 10 * len(calls) > 0
+    # the same through refine, with the hesitant identity program on the
+    # right: one flow per probe level, or one at the horizon exit
+    ident = Lam(NAT, Var(0))
+    for horizon, holds in ((1024, True), (20, False)):
+        del calls[:]
+        v = refine_check(ident, id_hes(Fraction(1, 24), NAT),
+                         RelateCfg(horizon=horizon))
+        assert v.holds is holds
+        records = [r for probe in v.trace["probes"] for r in _chain(probe["trace"])]
+        assert len(calls) == sum(r.get("value_mass", "0") != "0" for r in records)
+        assert len(calls) == (len(records) if holds else 1)
 
 
 def test_lift_bind_lemma():
