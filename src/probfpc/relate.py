@@ -56,8 +56,8 @@ def _max_flow(left, right, rel):
     pred = [[i for i, fs in enumerate(flow) if j in fs] for j in range(len(right))]
     total = 0
     while True:
-        back = {i: None for i, s in enumerate(supply) if s}    # left i <- right j
-        came, queue, end = {}, deque(back), None               # right j <- left i
+        back = {i: None for i, s in enumerate(supply) if s}    # left <- right, source
+        came, queue, end = {}, deque(back), None               # right <- left
         while queue and end is None:
             i = queue.popleft()
             for j in flow[i]:
