@@ -223,19 +223,13 @@ def _chain(trace):
         trace = trace["child"]
 
 
-def _count_flows(monkeypatch):
-    calls = []
-    flow = relate._max_flow
-    monkeypatch.setattr(relate, "_max_flow",
-                        lambda *a: calls.append(a) or flow(*a))
-    return calls
-
-
 def test_lift_runs_no_futile_flows(monkeypatch):
     # the flow onto a hesitant right side is at most its delivered mass, so
     # a level runs one flow, once that mass reaches p - eps, and a horizon
     # exit runs one, on the final values; a level with p = 0 runs none
-    calls = _count_flows(monkeypatch)
+    calls = []
+    monkeypatch.setattr(relate, "_max_flow",
+                        lambda *a: calls.append(a) or _max_flow(*a))
     right = hesitant(Fraction(1, 24), 0)
     for d, fuel, horizon, holds in ((now(0), 1, 1024, True),
                                     (hesitant(HALF, 0), 8, 1024, True),
