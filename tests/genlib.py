@@ -22,7 +22,7 @@ from probfpc.opsem import Evaluator
 from probfpc.parser import _UNARY, ParseError, parse_term
 from probfpc.rational import ONE, ZERO, as_prob, as_uprob
 from probfpc.relate import LiftVerdict
-from probfpc.corpus import _LL, _TAIL, head_term
+from probfpc.corpus import _CONS, _LL, _NIL, _TAIL, head_term
 from probfpc.syntax import (
     App, Case, Choice, Fold, Fst, Ifz, Inj, Lam, MuT, NatT, Num, Pair, Pred,
     ProdT, Snd, Star, Suc, SumT, Term, TVarT, Ty, Unfold, UnitT, Var, _Node,
@@ -530,6 +530,27 @@ def force_k(k: int) -> Term:
             "fn l : %s => case unfold l of { inl u => * ; inr c => rest (snd c *) }"
             % _LL, defs={"rest": t})
     return t
+
+
+def walk_force_src(k: int, start: int = 4) -> str:
+    """Source of a unit observer forcing the first k cells of the lazy
+    two-step walk from `start`, every helper bound by a `def`, so each
+    binder stays in the environment of the terms under it."""
+    src = ("def Y = fn f : (Nat -> %s) -> Nat -> %s => fn z : Nat =>\n"
+           "  (fn y : (mu X. X -> Nat -> %s) => let u = unfold y in"
+           " f (fn x : Nat => u y x))\n"
+           "  (fold[(mu X. X -> Nat -> %s)] (fn y : (mu X. X -> Nat -> %s) =>"
+           " let u = unfold y in f (fn x : Nat => u y x))) z ;\n"
+           "def cons = %s ;\n"
+           "def walk = fn g : Nat -> %s => fn n : Nat =>\n"
+           "  cons n (fn y : Unit => ifz n then %s else\n"
+           "    (choice 1/2 (g n) (choice 1/2 (g (pred (pred n))) (g (suc (suc n)))))) ;\n"
+           "def force0 = fn l : %s => * ;\n"
+           % ((_LL,) * 5 + (_CONS, _LL, _NIL, _LL)))
+    for i in range(1, k + 1):
+        src += ("def force%d = fn l : %s => case unfold l of"
+                " { inl u => * ; inr c => force%d (snd c *) } ;\n" % (i, _LL, i - 1))
+    return src + "force%d (Y walk %d)\n" % (k, start)
 
 
 def nth_head(j: int) -> Term:

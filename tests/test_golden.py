@@ -22,6 +22,7 @@ from probfpc.cli import main
 from probfpc.corpus import CATALOGUE
 
 from conftest import EXAMPLES
+from genlib import walk_force_src
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                      "golden_outputs.txt")
@@ -83,6 +84,17 @@ LEX_FILES = {
 # a pair pattern that binds one name twice
 DUP_FILES = {"pattern_dup.pfpc": "case inr[Nat + Nat * Nat] (1, 2) of"
                                  " { inl a => a ; inr (n, n) => n }\n"}
+
+# the den interpreter's sharing: a force-6 observer of the two-step walk,
+# whose list cells are reached through different earlier cells; a let
+# whose bound value the body ignores, so the body's closure can be shared;
+# and a 90-deep let chain, which den mode interprets recursively
+SHARE_FILES = {
+    "randw2_force6.pfpc": walk_force_src(6),
+    "fn_share.pfpc": "let a = choice 1/2 0 1 in (fn z : Nat => fn x : Nat => x) 0\n",
+    "let90.pfpc": "".join("let x%d = %s in\n" % (i, "suc x%d" % (i - 1) if i else "0")
+                          for i in range(90)) + "x89\n",
+}
 
 
 def requests():
@@ -161,6 +173,14 @@ def requests():
     out += [["refine", "examples/id.pfpc", "examples/id_hes.pfpc",
              "--horizon", h, "--format", fmt]
             for h in ("6", "20") for fmt in FORMATS]
+    out += [["probterm", "tmp/randw2_force6.pfpc", "--mode", m, "--depth", "80",
+             "--format", fmt] for m in ("den", "den-steps") for fmt in FORMATS]
+    out += [["compare", "tmp/randw2_force6.pfpc", "tmp/randw2_force6.pfpc",
+             "--mode-a", "op", "--mode-b", "den-steps", "--depth", "80",
+             "--format", fmt] for fmt in FORMATS]
+    out += [["refine", "tmp/fn_share.pfpc", "tmp/fn_share.pfpc", "--fuel", "3",
+             "--format", fmt] for fmt in FORMATS]
+    out.append(["probterm", "tmp/let90.pfpc", "--mode", "den"])
     return out
 
 
@@ -168,7 +188,8 @@ def outputs():
     """(label, SHA-1 of exit code, stdout and stderr) per request."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES,
-                          **ZERO_DEN_FILES, **LEX_FILES, **DUP_FILES}.items():
+                          **ZERO_DEN_FILES, **LEX_FILES, **DUP_FILES,
+                          **SHARE_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(src)
