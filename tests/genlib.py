@@ -6,7 +6,8 @@ is what the tests compare the package against and build their programs
 from: the fuelled reduction witnesses, the literal n-fold ``run``, the
 canonical prefix comparison, read-back soundness, the pretty-printer, the
 Edmonds-Karp max-flow on Fractions, the recursive lifting, the
-character-loop lexer, and the corpus programs only the tests use.
+character-loop lexer, the interpreter's whole-environment memo key, and the
+corpus programs only the tests use.
 """
 
 from collections import deque
@@ -498,6 +499,26 @@ def pretty(t: Term, _depth=0, _prec=0) -> str:
         return wrap("choice %s %s %s"
                     % (t.p, pretty(t.left, _depth, 3), pretty(t.right, _depth, 3)), 0)
     raise TypeError("not a term: %r" % (t,))
+
+
+# --- the interpreter's memo key ----------------------------------------------
+
+class EnvKeyInterp(Interp):
+    """The interpreter with its memo keyed on (term, whole environment), the
+    finer key it had before it keyed on the values at the free indices."""
+
+    def _key(self, t, env):
+        return t, env
+
+
+def frontier_widths(d: Dist, n: int) -> list:
+    """Pending thunks on the frontier at depths 0..n, merged by identity."""
+    f = Frontier(d)
+    out = [len(f.pendings())]
+    for _ in range(n):
+        f.step()
+        out.append(len(f.pendings()))
+    return out
 
 
 # --- corpus programs only the tests use ---------------------------------------

@@ -1,5 +1,6 @@
 """Denotational semantics: both step disciplines, read-back soundness."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -9,14 +10,16 @@ from probfpc.dist import Inl
 from probfpc.delay import probterm_seq
 from probfpc.densem import STANDARD, STEP_FAITHFUL, FoldV, Interp
 from probfpc.opsem import Evaluator
-from probfpc.parser import parse_term, parse_ty
-from probfpc.syntax import App, Choice, FnT, Lam, NatT, Num, Star, Suc, Var
+from probfpc.parser import load_file, parse_term, parse_ty
+from probfpc.syntax import App, Choice, FnT, Lam, NatT, Num, Pair, Star, Suc, Var
 from probfpc.typecheck import elaborate
-from probfpc.corpus import geo_loop, id_hes, y_comb
+from probfpc.corpus import CATALOGUE, corpus, geo_loop, id_hes, y_comb
 
+from conftest import EXAMPLES
 from genlib import (
-    gen_ground_ty, gen_term, gen_value, is_ground_ty, prefix_eq, probterm,
-    soundness_check, step_of, unitize, value_part,
+    EnvKeyInterp, frontier_widths, gen_ground_ty, gen_term, gen_value,
+    is_ground_ty, prefix_eq, probterm, ref_free, soundness_check, step_of,
+    unitize, value_part, walk_force_src,
 )
 
 NAT = NatT()
@@ -86,6 +89,75 @@ def test_interp_memoizes_per_term_and_env():
     t = elab(parse_term("(fn x : Nat => suc x) 1"))
     assert it.interp(t) is it.interp(t)
     assert prefix_eq(Interp(STANDARD).interp(t), Interp(STANDARD).interp(t), 16)
+    # the key is the term and the env values at its free indices, here 0
+    # and 1, the latter read inside a closure; index 2 is not free
+    t = App(Lam(NAT, Pair(Var(0), Suc(Var(2)))), Var(0))
+    for mode in (STANDARD, STEP_FAITHFUL):
+        it = Interp(mode)
+        d = it.interp(t, (5, 1, 2))
+        assert it.interp(t, (9, 1, 2)) is d
+        assert it.interp(t, ((), 1, 2)) is d
+        assert it.interp(t, (5, 1, 7)) is not d
+        other = it.interp(t, (5, 3, 2))
+        assert other is not d
+        assert value_part(other, 2)[1] == ((1, (2, 4)),)
+        assert value_part(d, 2)[1] == ((1, (2, 2)),)
+        assert it.interp(t, (5, 1, 2)) is d
+
+
+def test_free_indices_match_the_reference():
+    # every subterm the helper visits gets the free set genlib.ref_free
+    # computes class by class, listed in ascending order
+    rng = random.Random(76)
+    for _ in range(300):
+        ctx = tuple(gen_ground_ty(rng, 1) for _ in range(rng.randint(1, 4)))
+        t = gen_term(rng, gen_ground_ty(rng, 2), ctx, 3)
+        for u in (t, elaborate(t, ctx)[0]):
+            it = Interp()
+            assert set(it._free_of(u)) == ref_free(u)
+            for v, free in it._free.items():
+                assert list(free) == sorted(ref_free(v))
+    # no recursion: a term nested far past the recursion limit
+    deep = Var(3)
+    for _ in range(5000):
+        deep = Suc(deep)
+    assert Interp()._free_of(deep) == (3,)
+
+
+def _sharing_programs():
+    rng = random.Random(77)
+    for _ in range(300):
+        yield elab(gen_term(rng, gen_ground_ty(rng, 2), (), 4)), 12
+    for name, _ in CATALOGUE:
+        yield elab(corpus(name)), 60
+    for name in sorted(n for n in os.listdir(EXAMPLES) if n.endswith(".pfpc")):
+        yield elab(load_file(os.path.join(EXAMPLES, name))), 60
+
+
+def test_free_index_key_agrees_with_the_whole_env_key():
+    # the whole-env key is the reference: the tables must be equal, and the
+    # coarser key only merges thunks, so no level is wider
+    for t, depth in _sharing_programs():
+        for mode in (STANDARD, STEP_FAITHFUL):
+            d, ref = Interp(mode).interp(t), EnvKeyInterp(mode).interp(t)
+            assert probterm_seq(d, depth) == probterm_seq(ref, depth)
+            widths = frontier_widths(d, depth)
+            ref_widths = frontier_widths(ref, depth)
+            assert all(a <= b for a, b in zip(widths, ref_widths))
+
+
+def test_den_frontier_is_no_wider_than_op_on_the_walk():
+    # a force-6 observer of the two-step walk: branches reach one list cell
+    # through different earlier cells, and op shares that cell's thunks.
+    # den-steps levels line up with op's; standard den is silent on
+    # applications and branches, so only its peak is comparable
+    t = elab(parse_term(walk_force_src(6)))
+    op = frontier_widths(Evaluator().eval(t), 80)
+    steps = frontier_widths(Interp(STEP_FAITHFUL).interp(t), 80)
+    den = frontier_widths(Interp(STANDARD).interp(t), 80)
+    assert max(op) == 22
+    assert all(a <= b for a, b in zip(steps, op))
+    assert max(den) <= max(op)
 
 
 # --- substitution lemma ----------------------------------------------------------
