@@ -7,7 +7,8 @@ of closed values needs no renaming.  Type variables are de Bruijn as well.
 Every node caches its hash and its structural sort key at construction;
 the evaluator's memo keys on closed terms, the interpreter's on open terms
 with the values at their free indices, and distributions sort by the key,
-so both must be O(1) after build.  Equality compares the keys.  Source positions ride along outside equality.
+so both must be O(1) after build.  Equality compares the keys.  Source
+positions ride along outside equality.
 
 A node class states only its data: `_tag`, `_fields` and the fields under
 a binder (`_binders`).  `subst`, `ty_shift` and `ty_subst` share
