@@ -96,6 +96,22 @@ SHARE_FILES = {
                           for i in range(90)) + "x89\n",
 }
 
+# terms whose let binders the parser leaves untyped: two functions whose
+# inner lets differ only in binder type, and a closure that reaches its
+# body through several beta steps, related to itself
+UNTYPED_LET_FILES = {
+    "letpair.pfpc":
+        "let f = fn b : Unit + Unit => let y = b in"
+        " case y of { inl u => * ; inr u => * } in\n"
+        "let g = fn c : Unit + Nat => let y = c in"
+        " case y of { inl u => * ; inr u => * } in\n"
+        "choice 1/2 (f (inl[Unit + Unit] *)) (g (inl[Unit + Nat] *))\n",
+    "closure2.pfpc":
+        "fn x : Nat => (fn u : Unit => (fn g : Nat -> Nat =>"
+        " (fn h : Nat -> Nat => choice 1/2 g h) g) (fn y : Nat => y))"
+        " (unfold (fold[(mu X. Unit)] *))\n",
+}
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -181,6 +197,11 @@ def requests():
     out += [["refine", "tmp/fn_share.pfpc", "tmp/fn_share.pfpc", "--fuel", "3",
              "--format", fmt] for fmt in FORMATS]
     out.append(["probterm", "tmp/let90.pfpc", "--mode", "den"])
+    out.append(["check", "tmp/letpair.pfpc"])
+    out += [["probterm", "tmp/letpair.pfpc", "--mode", m, "--format", fmt]
+            for m in MODES for fmt in FORMATS]
+    out += [["refine", "tmp/closure2.pfpc", "tmp/closure2.pfpc", "--fuel", "3",
+             "--format", fmt] for fmt in FORMATS]
     return out
 
 
@@ -189,7 +210,7 @@ def outputs():
     with tempfile.TemporaryDirectory() as tmp:
         for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES,
                           **ZERO_DEN_FILES, **LEX_FILES, **DUP_FILES,
-                          **SHARE_FILES}.items():
+                          **SHARE_FILES, **UNTYPED_LET_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(src)
