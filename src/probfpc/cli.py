@@ -30,15 +30,14 @@ from .typecheck import TypecheckError, elaborate
 
 __all__ = ["main"]
 
-# mode name -> delay tree of an elaborated term; `--mode` chooses from it
+# mode name -> delay tree of a well-typed term; `--mode` chooses from it
 MODES = {"op": lambda t: Evaluator().eval(t),
          "den": lambda t: Interp(STANDARD).interp(t),
          "den-steps": lambda t: Interp(STEP_FAITHFUL).interp(t)}
 
 
 def _delay_of(term, mode):
-    t2, ty = elaborate(term)
-    return ty, MODES[mode](t2)
+    return elaborate(term), MODES[mode](term)
 
 
 def _dumps(doc):
@@ -103,8 +102,7 @@ def _print_seq(seq, fmt, approx, out):
 
 
 def cmd_check(args, out):
-    _, ty = elaborate(load_file(args.file))
-    out.write(render_ty(ty) + "\n")
+    out.write(render_ty(elaborate(load_file(args.file))) + "\n")
     return 0
 
 

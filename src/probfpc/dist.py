@@ -31,38 +31,35 @@ __all__ = [
 ]
 
 
-class Inl:
+class _Inj:
+    """An injection of a sum carrier; `_tag` names its side."""
+    __slots__ = ("val",)
+    _tag = ""
+
+    def __init__(self, val):
+        self.val = val
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.val)
+
+    def __eq__(self, other):
+        return (isinstance(other, _Inj) and other._tag == self._tag
+                and self.val == other.val)
+
+    def __hash__(self):
+        return hash((self._tag, self.val))
+
+
+class Inl(_Inj):
     """Left injection of a sum carrier."""
-    __slots__ = ("val",)
-
-    def __init__(self, val):
-        self.val = val
-
-    def __repr__(self):
-        return "Inl(%r)" % (self.val,)
-
-    def __eq__(self, other):
-        return isinstance(other, Inl) and self.val == other.val
-
-    def __hash__(self):
-        return hash(("inl", self.val))
+    __slots__ = ()
+    _tag = "inl"
 
 
-class Inr:
+class Inr(_Inj):
     """Right injection of a sum carrier."""
-    __slots__ = ("val",)
-
-    def __init__(self, val):
-        self.val = val
-
-    def __repr__(self):
-        return "Inr(%r)" % (self.val,)
-
-    def __eq__(self, other):
-        return isinstance(other, Inr) and self.val == other.val
-
-    def __hash__(self):
-        return hash(("inr", self.val))
+    __slots__ = ()
+    _tag = "inr"
 
 
 def key_of(x):
@@ -82,12 +79,9 @@ def key_of(x):
                 return None
             parts.append(k)
         return ("tuple", tuple(parts))
-    if isinstance(x, Inl):
+    if isinstance(x, _Inj):
         k = key_of(x.val)
-        return None if k is None else ("inl", k)
-    if isinstance(x, Inr):
-        k = key_of(x.val)
-        return None if k is None else ("inr", k)
+        return None if k is None else (x._tag, k)
     fn = getattr(x, "dist_key", None)
     return None if fn is None else fn()
 

@@ -2,11 +2,12 @@
 
 Surface programs are a list of `def name = term ;` bindings followed by one
 term.  Defs are closed macros, expanded at use sites (the shared subterm
-keeps its identity, which the evaluator's memo table exploits).
+keeps its identity, which the evaluator's memo table exploits; type
+checking copies nothing, so every layer sees the one object).
 
 Sugar handled here, all eliminated during parsing:
   let x = M in N        becomes  (fn x => N) M   with the binder type left
-                                 for elaboration to fill in
+                                 None: the type checker reads it from M
   if B then M else N    becomes  case B of {inl _ => M ; inr _ => N}
   true / false          become   inl[Unit + Unit] * / inr[Unit + Unit] *
   case ... of { inr (n, f) => ... }   binds the pair once and turns n and f
@@ -383,7 +384,7 @@ _FORMS = {"fn": _Parser.lam, "let": _Parser.let, "if": _Parser.conditional,
 
 
 def parse_term(src: str, defs=None) -> Term:
-    """Parse defs plus one top-level term; returns the unelaborated term."""
+    """Parse defs plus one top-level term; returns the term every layer runs."""
     return _Parser(src).program(defs)
 
 

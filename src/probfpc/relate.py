@@ -319,15 +319,14 @@ def refine_check(a, b, cfg: RelateCfg = None) -> LiftVerdict:
     the left, evaluate the right, relate at the type.  Two values short-cut
     to the value relation."""
     cfg = cfg if cfg is not None else RelateCfg()
-    a2, ty_a = elaborate(a)
-    b2, ty_b = elaborate(b)
+    ty_a, ty_b = elaborate(a), elaborate(b)
     if ty_a != ty_b:
         raise TypecheckError("refinement needs one type on both sides: %s vs %s"
                              % (render_ty(ty_a), render_ty(ty_b)))
-    if is_value(a2) and is_value(b2):
-        return logrel_val(ty_a, cfg.interp.val(a2), b2, cfg)
-    d = cfg.interp.interp(a2)
-    e = cfg.evaluator.eval(b2)
+    if is_value(a) and is_value(b):
+        return logrel_val(ty_a, cfg.interp.val(a), b, cfg)
+    d = cfg.interp.interp(a)
+    e = cfg.evaluator.eval(b)
     return lift_check(d, e,
                       lambda x, Y: logrel_val(ty_a, x, Y, cfg).holds,
                       cfg.fuel, cfg.horizon, cfg.eps)

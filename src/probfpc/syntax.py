@@ -18,7 +18,8 @@ is at most the cutoff as it is, so closed subterms are shared.
 
 Annotation policy: lambda binders, inl/inr (full sum type), and fold (the
 recursive type) carry their annotation.  The one exception is the binder
-of a `let`, which the parser leaves as None for elaboration to fill in.
+of a `let`, which stays None: only the type checker reads it, from the
+let's right-hand side, and the semantics never look at binder types.
 Applications and case analyses carry none: the types of their subterms
 determine them.
 """

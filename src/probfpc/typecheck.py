@@ -1,17 +1,19 @@
-"""Type synthesis and elaboration.
+"""Type checking.
 
 Terms arrive with their annotations on lambda binders, injections and
-folds.  `elaborate` synthesizes the type, rejecting any annotation that
-disagrees with it, and returns a copy of the term in which the one
-annotation the parser leaves out is filled in: the binder type of a `let`.
+folds.  `elaborate` synthesizes the type of a term, rejecting any
+annotation that disagrees with it.  It returns the type alone and builds
+no term, so every later layer runs the term as the parser built it.
 
-That binder is a lambda with no type directly in function position of an
-application (the shape the let sugar produces); the argument determines the
-binder type.  A lambda without a binder type anywhere else is an error.
+The one binder without a type is a `let`'s: a lambda with no type directly
+in function position of an application (the shape the let sugar produces).
+The argument's type is the binder type; it is read here and nowhere else,
+so the binder stays None.  A lambda without a binder type anywhere else is
+an error.
 """
 
 from .syntax import (
-    UnitT, NatT, ProdT, SumT, FnT, MuT,
+    Ty, UnitT, NatT, ProdT, SumT, FnT, MuT,
     ty_closed, mu_unfold, render_ty,
     Term, Star, Num, Var, Suc, Pred, Ifz, Pair, Fst, Snd,
     Inj, Case, Lam, App, Fold, Unfold, Choice,
@@ -47,6 +49,13 @@ def _want(ty, cls, what, pos):
     return ty
 
 
+def _agree(ty, other, msg, pos):
+    """ty, which msg says must equal other; msg takes both, rendered."""
+    if ty != other:
+        _fail(msg % (render_ty(ty), render_ty(other)), pos)
+    return ty
+
+
 def _closed_ann(ty, what, pos):
     if not ty_closed(ty):
         _fail("%s annotation has unbound type variables: %s"
@@ -54,105 +63,66 @@ def _closed_ann(ty, what, pos):
     return ty
 
 
-def _elab(t: Term, ctx) -> tuple:
+def _ty(t: Term, ctx):
     if isinstance(t, Star):
-        return t, UnitT()
+        return UnitT()
     if isinstance(t, Num):
-        return t, NatT()
+        return NatT()
     if isinstance(t, Var):
         if t.k >= len(ctx):
             _fail("unbound variable (index %d in context of %d)"
                   % (t.k, len(ctx)), t.pos)
-        return t, ctx[-1 - t.k]
-    if isinstance(t, Suc):
-        m, ty = _elab(t.m, ctx)
-        _want(ty, NatT, "suc argument", t.pos)
-        return Suc(m, pos=t.pos), NatT()
-    if isinstance(t, Pred):
-        m, ty = _elab(t.m, ctx)
-        _want(ty, NatT, "pred argument", t.pos)
-        return Pred(m, pos=t.pos), NatT()
+        return ctx[-1 - t.k]
+    if isinstance(t, (Suc, Pred)):
+        return _want(_ty(t.m, ctx), NatT, t._tag + " argument", t.pos)
     if isinstance(t, Ifz):
-        c, cty = _elab(t.cond, ctx)
-        _want(cty, NatT, "ifz scrutinee", t.pos)
-        z, zty = _elab(t.zero, ctx)
-        s, sty = _elab(t.succ, ctx)
-        if zty != sty:
-            _fail("ifz branches disagree: %s vs %s"
-                  % (render_ty(zty), render_ty(sty)), t.pos)
-        return Ifz(c, z, s, pos=t.pos), zty
+        _want(_ty(t.cond, ctx), NatT, "ifz scrutinee", t.pos)
+        return _agree(_ty(t.zero, ctx), _ty(t.succ, ctx),
+                      "ifz branches disagree: %s vs %s", t.pos)
     if isinstance(t, Pair):
-        a, aty = _elab(t.a, ctx)
-        b, bty = _elab(t.b, ctx)
-        return Pair(a, b, pos=t.pos), ProdT(aty, bty)
-    if isinstance(t, Fst):
-        m, ty = _elab(t.m, ctx)
-        _want(ty, ProdT, "fst argument", t.pos)
-        return Fst(m, pos=t.pos), ty.a
-    if isinstance(t, Snd):
-        m, ty = _elab(t.m, ctx)
-        _want(ty, ProdT, "snd argument", t.pos)
-        return Snd(m, pos=t.pos), ty.b
+        return ProdT(_ty(t.a, ctx), _ty(t.b, ctx))
+    if isinstance(t, (Fst, Snd)):
+        ty = _want(_ty(t.m, ctx), ProdT, t._tag + " argument", t.pos)
+        return ty.a if isinstance(t, Fst) else ty.b
     if isinstance(t, Inj):
         ann = _closed_ann(t.ann, "injection", t.pos)
         _want(ann, SumT, "injection annotation", t.pos)
-        m, mty = _elab(t.m, ctx)
-        side_ty = ann.a if t.side == "l" else ann.b
-        if mty != side_ty:
-            _fail("in%s payload has type %s, annotation wants %s"
-                  % (t.side, render_ty(mty), render_ty(side_ty)), t.pos)
-        return Inj(t.side, m, ann, pos=t.pos), ann
+        _agree(_ty(t.m, ctx), ann.a if t.side == "l" else ann.b,
+               "in" + t.side + " payload has type %s, annotation wants %s",
+               t.pos)
+        return ann
     if isinstance(t, Case):
-        s, sty = _elab(t.scrut, ctx)
-        _want(sty, SumT, "case scrutinee", t.pos)
-        l, lty = _elab(t.left, ctx + (sty.a,))
-        r, rty = _elab(t.right, ctx + (sty.b,))
-        if lty != rty:
-            _fail("case branches disagree: %s vs %s"
-                  % (render_ty(lty), render_ty(rty)), t.pos)
-        return Case(s, l, r, pos=t.pos), lty
+        sty = _want(_ty(t.scrut, ctx), SumT, "case scrutinee", t.pos)
+        return _agree(_ty(t.left, ctx + (sty.a,)), _ty(t.right, ctx + (sty.b,)),
+                      "case branches disagree: %s vs %s", t.pos)
     if isinstance(t, Lam):
         if t.var_ty is None:
             _fail("lambda binder needs a type annotation here", t.pos)
         _closed_ann(t.var_ty, "binder", t.pos)
-        b, bty = _elab(t.body, ctx + (t.var_ty,))
-        return Lam(t.var_ty, b, pos=t.pos), FnT(t.var_ty, bty)
+        return FnT(t.var_ty, _ty(t.body, ctx + (t.var_ty,)))
     if isinstance(t, App):
         if isinstance(t.fn, Lam) and t.fn.var_ty is None:
             # let-style redex: the argument supplies the binder type
-            a, aty = _elab(t.arg, ctx)
-            b, bty = _elab(t.fn.body, ctx + (aty,))
-            return App(Lam(aty, b, pos=t.fn.pos), a, pos=t.pos), bty
-        f, fty = _elab(t.fn, ctx)
-        _want(fty, FnT, "applied term", t.pos)
-        a, aty = _elab(t.arg, ctx)
-        if aty != fty.a:
-            _fail("argument has type %s, function wants %s"
-                  % (render_ty(aty), render_ty(fty.a)), t.pos)
-        return App(f, a, pos=t.pos), fty.b
+            return _ty(t.fn.body, ctx + (_ty(t.arg, ctx),))
+        fty = _want(_ty(t.fn, ctx), FnT, "applied term", t.pos)
+        _agree(_ty(t.arg, ctx), fty.a,
+               "argument has type %s, function wants %s", t.pos)
+        return fty.b
     if isinstance(t, Fold):
         ann = _closed_ann(t.ann, "fold", t.pos)
         _want(ann, MuT, "fold annotation", t.pos)
-        m, mty = _elab(t.m, ctx)
-        want = mu_unfold(ann)
-        if mty != want:
-            _fail("fold content has type %s, annotation unfolds to %s"
-                  % (render_ty(mty), render_ty(want)), t.pos)
-        return Fold(m, ann, pos=t.pos), ann
+        _agree(_ty(t.m, ctx), mu_unfold(ann),
+               "fold content has type %s, annotation unfolds to %s", t.pos)
+        return ann
     if isinstance(t, Unfold):
-        m, mty = _elab(t.m, ctx)
-        _want(mty, MuT, "unfold argument", t.pos)
-        return Unfold(m, pos=t.pos), mu_unfold(mty)
+        return mu_unfold(_want(_ty(t.m, ctx), MuT, "unfold argument", t.pos))
     if isinstance(t, Choice):
-        l, lty = _elab(t.left, ctx)
-        r, rty = _elab(t.right, ctx)
-        if lty != rty:
-            _fail("choice branches disagree: %s vs %s"
-                  % (render_ty(lty), render_ty(rty)), t.pos)
-        return Choice(t.p, l, r, pos=t.pos), lty
+        return _agree(_ty(t.left, ctx), _ty(t.right, ctx),
+                      "choice branches disagree: %s vs %s", t.pos)
     raise TypeError("not a term: %r" % (t,))
 
 
-def elaborate(t: Term, ctx=()) -> tuple:
-    """Return (annotated term, type); raises TypecheckError."""
-    return _elab(t, tuple(ctx))
+def elaborate(t: Term, ctx=()) -> Ty:
+    """The type of t in ctx, the types of de Bruijn indices with index 0
+    last; raises TypecheckError."""
+    return _ty(t, tuple(ctx))

@@ -67,7 +67,7 @@ def gen_term(rng, ty, ctx=(), depth=3):
 
     The grammar covers every first-order construct: values, variables,
     choice, suc/pred towers, ifz, projections, case, and beta redexes.
-    Generated terms always elaborate.
+    Generated terms always type-check.
     """
     hits = [k for k, t in enumerate(reversed(ctx)) if t == ty]
     if depth <= 0:
@@ -421,19 +421,14 @@ def soundness_check(t: Term, depth: int) -> bool:
     """Evaluate-then-read-back vs step-faithful interpretation, compared as
     canonical trees through the given depth.  Requires a first-order type:
     the read-back of a lambda would need the full logical relation."""
-    t2, ty = elaborate(t)
+    ty = elaborate(t)
     if not is_ground_ty(ty):
         raise TypeError("soundness_check needs a ground-typed term, got %r"
                         % (ty,))
     reader = Interp(STANDARD)
-    left = delay_map(Evaluator().eval(t2), lambda v: reader.val(v, ()))
-    right = Interp(STEP_FAITHFUL).interp(t2, ())
+    left = delay_map(Evaluator().eval(t), lambda v: reader.val(v, ()))
+    right = Interp(STEP_FAITHFUL).interp(t, ())
     return prefix_eq(left, right, depth)
-
-
-def typecheck(t: Term, ctx=()) -> Ty:
-    """The type elaboration synthesizes for t in ctx."""
-    return elaborate(t, ctx)[1]
 
 
 # --- printing ------------------------------------------------------------------
@@ -446,9 +441,9 @@ _FALSE = false_term()
 def pretty(t: Term, _depth=0, _prec=0) -> str:
     """Minimal-paren concrete syntax with canonical binder names.
 
-    Beta-redexes print as lets, whose binder type elaboration restores;
-    bool injections print as true/false.  So parse(pretty(elab(t)))
-    elaborates to the same tree as t does.
+    Beta-redexes print as lets, whose binder the parser leaves untyped;
+    bool injections print as true/false.  So parse(pretty(t)) has t's type
+    and prints as t does, and differs from t at most in let binders.
     """
     def wrap(s, level):
         return "(%s)" % s if _prec > level else s

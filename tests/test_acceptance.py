@@ -37,10 +37,6 @@ NAT = NatT()
 HALF = Fraction(1, 2)
 
 
-def elab(t):
-    return elaborate(t)[0]
-
-
 def budget(started, seconds):
     assert time.monotonic() - started < seconds
 
@@ -80,8 +76,8 @@ def test_recursion_costs_four_operational_steps():
                          (loop, Star(), UnitT(), UnitT())):
         y = y_comb(a, b)
         ev = Evaluator()
-        lhs = ev.eval(elab(App(App(y, f), arg)))
-        rhs = ev.eval(elab(App(App(f, App(y, f)), arg)))
+        lhs = ev.eval(App(App(y, f), arg))
+        rhs = ev.eval(App(App(f, App(y, f)), arg))
         for _ in range(4):
             rhs = step_of(rhs)
         assert prefix_eq(lhs, rhs, 8)
@@ -121,10 +117,9 @@ def test_step_disciplines_agree_in_the_limit():
     ]
     eps = Fraction(1, 1024)
     for t in programs:
-        t2, ty = elaborate(t)
-        assert isinstance(ty, UnitT)
-        f = probterm_seq(Interp(STANDARD).interp(t2), 64)
-        g = probterm_seq(Interp(STEP_FAITHFUL).interp(t2), 64)
+        assert isinstance(elaborate(t), UnitT)
+        f = probterm_seq(Interp(STANDARD).interp(t), 64)
+        g = probterm_seq(Interp(STEP_FAITHFUL).interp(t), 64)
         assert eqlim_upto(f, g, eps)
     budget(started, 30)
 
@@ -133,16 +128,16 @@ def test_derived_fair_coin_is_exactly_fair():
     started = time.monotonic()
     rounds = 48
     for p in (Fraction(1, 3), Fraction(1, 4)):
-        t2, ty = elaborate(App(fair_from(p), Star()))
-        assert ty == BOOL_T
+        t = App(fair_from(p), Star())
+        assert elaborate(t) == BOOL_T
         s = 2 * p * (1 - p)
-        cur = Evaluator().eval(t2)
+        cur = Evaluator().eval(t)
         top = 11 + 10 * (rounds - 1)
         for n in range(top + 1):
             got = {v: w for w, v in value_part(cur, 0)[1]}
             assert got.get(true_term(), 0) == got.get(false_term(), 0)
             cur = run(cur)
-        mass = probterm(top, Evaluator().eval(t2))
+        mass = probterm(top, Evaluator().eval(t))
         assert mass == 1 - (1 - s) ** rounds
         assert 1 - mass < Fraction(1, 1024)
     budget(started, 10)
@@ -158,7 +153,7 @@ def test_hesitant_identity_refines_the_identity():
     b = refine_check(ident, hes, cfg)
     assert a.holds and a.reason == "4 probes passed"
     assert b.holds and b.reason == "4 probes passed"
-    d = Evaluator().eval(elab(App(hes, Num(2))))
+    d = Evaluator().eval(App(hes, Num(2)))
     assert probterm(7, d) == 0
     for k in range(1, 5):
         assert probterm(6 * k + 2, d) == 1 - (1 - p) ** k
@@ -176,8 +171,8 @@ def test_random_walk_presentations_coincide():
         assert a.holds and a.reason == "per-level couplings found"
         assert b.holds and b.reason == "per-level couplings found"
         for k in (1, 2, 3):
-            f = probterm_seq(Evaluator().eval(elab(App(force_k(k), thin))), 384)
-            g = probterm_seq(Evaluator().eval(elab(App(force_k(k), two))), 384)
+            f = probterm_seq(Evaluator().eval(App(force_k(k), thin)), 384)
+            g = probterm_seq(Evaluator().eval(App(force_k(k), two)), 384)
             assert eqlim_upto(f, g, Fraction(1, 256))
     budget(started, 60)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.cli import _dumps, main
+from probfpc.cli import MODES, _dumps, main
 from probfpc.corpus import CATALOGUE
 
 from conftest import example
@@ -48,6 +48,21 @@ def test_check_missing_and_empty_files(tmp_path):
 
 
 # --- probterm ------------------------------------------------------------------
+
+def test_a_defs_use_sites_reach_the_evaluator_as_one_object(tmp_path,
+                                                            monkeypatch):
+    # the parser expands a def to one shared subterm, and type checking
+    # copies nothing, so the evaluator's memo sees both uses as one term
+    seen = []
+    op = MODES["op"]
+    monkeypatch.setitem(MODES, "op", lambda t: seen.append(t) or op(t))
+    src = tmp_path / "shared.pfpc"
+    src.write_text("def d = choice 1/2 0 1 ;\n(d, d)\n")
+    code, _, err = run(["probterm", str(src), "--mode", "op", "--depth", "1"])
+    assert (code, err) == (0, "")
+    [t] = seen
+    assert t.a is t.b
+
 
 def test_probterm_geo_table():
     code, out, err = run(["probterm", example("geo.pfpc"), "--depth", "3"])

@@ -6,28 +6,24 @@ from fractions import Fraction
 
 import pytest
 
+from probfpc.cli import MODES
 from probfpc.dist import Inl
 from probfpc.delay import probterm_seq
 from probfpc.densem import STANDARD, STEP_FAITHFUL, FoldV, Interp
 from probfpc.opsem import Evaluator
 from probfpc.parser import load_file, parse_term, parse_ty
 from probfpc.syntax import App, Choice, FnT, Lam, NatT, Num, Pair, Star, Suc, Var
-from probfpc.typecheck import elaborate
 from probfpc.corpus import CATALOGUE, corpus, geo_loop, id_hes, y_comb
 
 from conftest import EXAMPLES
 from genlib import (
     EnvKeyInterp, frontier_widths, gen_ground_ty, gen_term, gen_value,
-    is_ground_ty, prefix_eq, probterm, ref_free, soundness_check, step_of,
+    is_ground_ty, prefix_eq, pretty, probterm, ref_free, soundness_check, step_of,
     unitize, value_part, walk_force_src,
 )
 
 NAT = NatT()
 HALF = Fraction(1, 2)
-
-
-def elab(t):
-    return elaborate(t)[0]
 
 
 # --- semantic values ----------------------------------------------------------
@@ -36,13 +32,13 @@ def test_val_interp_goldens():
     val = Interp().val
     assert val(Star()) == ()
     assert type(val(Num(3))) is int and val(Num(3)) == 3
-    pair = val(elab(parse_term("(1, inl[Nat + Unit] 2)")))
+    pair = val(parse_term("(1, inl[Nat + Unit] 2)"))
     assert pair == (1, Inl(2)) and type(pair[0]) is int
-    f = val(elab(Lam(NAT, Suc(Var(0)))))
+    f = val(Lam(NAT, Suc(Var(0))))
     assert callable(f)
     d = f(2)
     assert probterm(0, d) == 1
-    cell = val(elab(parse_term("fold[(mu X. Nat)] 3")))
+    cell = val(parse_term("fold[(mu X. Nat)] 3"))
     assert isinstance(cell, FoldV)
     assert cell.force() == 3
 
@@ -51,15 +47,15 @@ def test_val_interp_goldens():
 
 def test_standard_mode_applications_are_silent():
     it = Interp(STANDARD)
-    d = it.interp(elab(parse_term("(fn x : Nat => suc x) 2")))
+    d = it.interp(parse_term("(fn x : Nat => suc x) 2"))
     assert probterm_seq(d, 2) == (1, 1, 1)
     sf = Interp(STEP_FAITHFUL)
-    d2 = sf.interp(elab(parse_term("(fn x : Nat => suc x) 2")))
+    d2 = sf.interp(parse_term("(fn x : Nat => suc x) 2"))
     assert probterm_seq(d2, 2) == (0, 1, 1)
 
 
 def test_unfold_fold_costs_one_step_in_both_modes():
-    t = elab(parse_term("unfold (fold[(mu X. Nat)] 5)"))
+    t = parse_term("unfold (fold[(mu X. Nat)] 5)")
     for mode in (STANDARD, STEP_FAITHFUL):
         d = Interp(mode).interp(t)
         assert probterm_seq(d, 2) == (0, 1, 1)
@@ -70,23 +66,22 @@ def test_recursion_unfolds_in_one_standard_step():
     hes = Lam(FnT(NAT, NAT), Lam(NAT, Choice(HALF, Var(0), App(Var(1), Var(0)))))
     y = y_comb(NAT, NAT)
     it = Interp(STANDARD)
-    lhs = it.interp(elab(App(App(y, hes), Num(3))))
-    rhs = it.interp(elab(App(App(hes, App(y, hes)), Num(3))))
+    lhs = it.interp(App(App(y, hes), Num(3)))
+    rhs = it.interp(App(App(hes, App(y, hes)), Num(3)))
     assert prefix_eq(lhs, step_of(rhs), 8)
 
 
 def test_standard_terminates_no_later_than_step_faithful():
     for src in (geo_loop(HALF), App(id_hes(HALF, NAT), Num(2)),
                 unitize(geo_loop(Fraction(3, 4)), NAT)):
-        t = elab(src)
-        f = probterm_seq(Interp(STANDARD).interp(t), 64)
-        g = probterm_seq(Interp(STEP_FAITHFUL).interp(t), 64)
+        f = probterm_seq(Interp(STANDARD).interp(src), 64)
+        g = probterm_seq(Interp(STEP_FAITHFUL).interp(src), 64)
         assert all(a >= b for a, b in zip(f, g))
 
 
 def test_interp_memoizes_per_term_and_env():
     it = Interp(STANDARD)
-    t = elab(parse_term("(fn x : Nat => suc x) 1"))
+    t = parse_term("(fn x : Nat => suc x) 1")
     assert it.interp(t) is it.interp(t)
     assert prefix_eq(Interp(STANDARD).interp(t), Interp(STANDARD).interp(t), 16)
     # the key is the term and the env values at its free indices, here 0
@@ -112,11 +107,10 @@ def test_free_indices_match_the_reference():
     for _ in range(300):
         ctx = tuple(gen_ground_ty(rng, 1) for _ in range(rng.randint(1, 4)))
         t = gen_term(rng, gen_ground_ty(rng, 2), ctx, 3)
-        for u in (t, elaborate(t, ctx)[0]):
-            it = Interp()
-            assert set(it._free_of(u)) == ref_free(u)
-            for v, free in it._free.items():
-                assert list(free) == sorted(ref_free(v))
+        it = Interp()
+        assert set(it._free_of(t)) == ref_free(t)
+        for v, free in it._free.items():
+            assert list(free) == sorted(ref_free(v))
     # no recursion: a term nested far past the recursion limit
     deep = Var(3)
     for _ in range(5000):
@@ -127,11 +121,11 @@ def test_free_indices_match_the_reference():
 def _sharing_programs():
     rng = random.Random(77)
     for _ in range(300):
-        yield elab(gen_term(rng, gen_ground_ty(rng, 2), (), 4)), 12
+        yield gen_term(rng, gen_ground_ty(rng, 2), (), 4), 12
     for name, _ in CATALOGUE:
-        yield elab(corpus(name)), 60
+        yield corpus(name), 60
     for name in sorted(n for n in os.listdir(EXAMPLES) if n.endswith(".pfpc")):
-        yield elab(load_file(os.path.join(EXAMPLES, name))), 60
+        yield load_file(os.path.join(EXAMPLES, name)), 60
 
 
 def test_free_index_key_agrees_with_the_whole_env_key():
@@ -146,12 +140,42 @@ def test_free_index_key_agrees_with_the_whole_env_key():
             assert all(a <= b for a, b in zip(widths, ref_widths))
 
 
+# two functions whose inner lets differ only in binder type, written as
+# annotated beta redexes; `pretty` prints them back as lets
+LETPAIR_TYPED = (
+    "(fn f : Unit + Unit -> Unit => (fn g : Unit + Nat -> Unit =>"
+    " choice 1/2 (f (inl[Unit + Unit] *)) (g (inl[Unit + Nat] *)))"
+    " (fn c : Unit + Nat =>"
+    " (fn y : Unit + Nat => case y of { inl u => * ; inr u => * }) c))"
+    " (fn b : Unit + Unit =>"
+    " (fn y : Unit + Unit => case y of { inl u => * ; inr u => * }) b)")
+
+
+def test_untyped_let_binders_run_alike():
+    # reparsing the printed term turns every beta redex into a let whose
+    # binder the parser leaves untyped.  No layer reads that binder, so the
+    # tables are equal, and open terms that differ only there may share a
+    # memo entry, which can only narrow a level
+    for t, depth in _sharing_programs():
+        u = parse_term(pretty(t))
+        for run in MODES.values():
+            d, e = run(t), run(u)
+            assert probterm_seq(e, depth) == probterm_seq(d, depth)
+            assert all(a <= b for a, b in zip(frontier_widths(e, depth),
+                                               frontier_widths(d, depth)))
+    typed = parse_term(LETPAIR_TYPED)
+    steps = MODES["den-steps"]
+    assert frontier_widths(steps(typed), 6) == [1, 1, 2, 2, 1, 0, 0]
+    assert frontier_widths(steps(parse_term(pretty(typed))), 6) == \
+        [1, 1, 2, 1, 1, 0, 0]
+
+
 def test_den_frontier_is_no_wider_than_op_on_the_walk():
     # a force-6 observer of the two-step walk: branches reach one list cell
     # through different earlier cells, and op shares that cell's thunks.
     # den-steps levels line up with op's; standard den is silent on
     # applications and branches, so only its peak is comparable
-    t = elab(parse_term(walk_force_src(6)))
+    t = parse_term(walk_force_src(6))
     op = frontier_widths(Evaluator().eval(t), 80)
     steps = frontier_widths(Interp(STEP_FAITHFUL).interp(t), 80)
     den = frontier_widths(Interp(STANDARD).interp(t), 80)
@@ -170,10 +194,9 @@ def test_substitution_lemma_at_observables():
         a = gen_ground_ty(rng, 1)
         ty = gen_ground_ty(rng, 2)
         m = gen_term(rng, ty, (a,), 3)
-        m2, _ = elaborate(m, (a,))
-        v2 = elab(gen_value(rng, a))
-        left = it.interp(m2, (it.val(v2),))
-        right = it.interp(subst(m2, v2))
+        v = gen_value(rng, a)
+        left = it.interp(m, (it.val(v),))
+        right = it.interp(subst(m, v))
         assert prefix_eq(left, right, 12)
 
 
@@ -206,7 +229,7 @@ def test_op_and_den_list_ground_values_in_one_order():
     rng = random.Random(74)
     val = Interp().val
     for _ in range(200):
-        t = elab(gen_term(rng, gen_ground_ty(rng, 2), (), 3))
+        t = gen_term(rng, gen_ground_ty(rng, 2), (), 3)
         op, den = Evaluator().eval(t), Interp(STEP_FAITHFUL).interp(t)
         for level in range(8):
             assert [(w, val(a)) for w, a in value_part(op, level)[1]] == \

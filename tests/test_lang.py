@@ -1,4 +1,4 @@
-"""Surface syntax, elaboration, and the program corpus."""
+"""Surface syntax, type checking, and the program corpus."""
 
 import glob
 import os
@@ -25,7 +25,7 @@ from probfpc.corpus import (
 from conftest import example
 from genlib import (
     force_k, gen_ground_ty, gen_term, geo_chain, nth_head, omega_nat, pretty,
-    ref_lex, typecheck, unitize,
+    ref_lex, unitize,
 )
 
 NAT = NatT()
@@ -69,10 +69,10 @@ def test_parse_booleans_and_choice():
 
 
 def test_parse_let_and_if_desugar():
-    t = elaborate(parse_term("let x = 3 in suc x"))[0]
-    assert t == elaborate(App(Lam(NAT, Suc(Var(0))), Num(3)))[0]
-    cond = elaborate(parse_term("if true then 1 else 2"))[0]
-    assert typecheck(cond) == NAT
+    t = parse_term("let x = 3 in suc x")
+    assert elaborate(t) == NAT
+    assert t == App(Lam(None, Suc(Var(0))), Num(3)) and t.fn.var_ty is None
+    assert elaborate(parse_term("if true then 1 else 2")) == NAT
 
 
 def test_alpha_invariance():
@@ -134,15 +134,15 @@ def test_defs_expand_at_use():
     assert t == Pair(Num(2), Num(2))
 
 
-# --- elaboration and typechecking -------------------------------------------
+# --- type checking -----------------------------------------------------------
 
 def test_typecheck_goldens():
-    assert typecheck(Star()) == UnitT()
-    assert typecheck(Num(7)) == NAT
-    assert typecheck(Lam(NAT, Var(0))) == FnT(NAT, NAT)
-    assert typecheck(y_comb(NAT, NAT)) == FnT(FnT(FnT(NAT, NAT), FnT(NAT, NAT)),
+    assert elaborate(Star()) == UnitT()
+    assert elaborate(Num(7)) == NAT
+    assert elaborate(Lam(NAT, Var(0))) == FnT(NAT, NAT)
+    assert elaborate(y_comb(NAT, NAT)) == FnT(FnT(FnT(NAT, NAT), FnT(NAT, NAT)),
                                               FnT(NAT, NAT))
-    assert typecheck(true_term()) == BOOL_T
+    assert elaborate(true_term()) == BOOL_T
 
 
 def test_typecheck_error_is_located():
@@ -154,7 +154,7 @@ def test_typecheck_error_is_located():
 
 def test_unbound_variable_rejected():
     with pytest.raises(TypecheckError):
-        typecheck(Var(0))
+        elaborate(Var(0))
 
 
 def test_application_of_non_function_rejected():
@@ -166,10 +166,7 @@ def test_elaboration_is_deterministic():
     rng = random.Random(52)
     for _ in range(200):
         t = gen_term(rng, gen_ground_ty(rng, 2), (), 3)
-        a1, ty1 = elaborate(t)
-        a2, ty2 = elaborate(t)
-        assert a1 == a2 and ty1 == ty2
-        assert typecheck(a1) == ty1
+        assert elaborate(t) == elaborate(t)
 
 
 def test_generated_open_terms_elaborate_in_context():
@@ -178,8 +175,7 @@ def test_generated_open_terms_elaborate_in_context():
         ctx = tuple(gen_ground_ty(rng, 1) for _ in range(rng.randrange(3)))
         ty = gen_ground_ty(rng, 2)
         t = gen_term(rng, ty, ctx, 3)
-        t2, ty2 = elaborate(t, ctx)
-        assert ty2 == ty
+        assert elaborate(t, ctx) == ty
 
 
 # --- values and substitution --------------------------------------------------
@@ -217,9 +213,9 @@ def test_subst_basics():
 # --- pretty printing ---------------------------------------------------------
 
 def roundtrips(t):
-    t2, ty2 = elaborate(t)
-    t3, ty3 = elaborate(parse_term(pretty(t2)))
-    return t2 == t3 and ty2 == ty3
+    s = pretty(t)
+    u = parse_term(s)
+    return elaborate(u) == elaborate(t) and pretty(u) == s
 
 
 def test_pretty_round_trip_corpus():
@@ -237,8 +233,7 @@ def test_pretty_round_trip_random():
 
 
 def test_pretty_prints_booleans_and_let():
-    t = elaborate(parse_term("let x = true in *"))[0]
-    s = pretty(t)
+    s = pretty(parse_term("let x = true in *"))
     assert "let" in s and "true" in s
 
 
@@ -259,20 +254,16 @@ def test_corpus_argument_parsing():
 
 
 def test_corpus_types():
-    assert typecheck(id_hes(Fraction(1, 2), NAT)) == FnT(NAT, NAT)
-    assert typecheck(fair_from(Fraction(1, 3))) == FnT(UnitT(), BOOL_T)
-    assert typecheck(everysnd_term()) == FnT(LAZY_LIST, LAZY_LIST)
-    assert typecheck(randw_fn()) == FnT(NAT, LAZY_LIST)
-    assert typecheck(randw2_fn()) == FnT(NAT, LAZY_LIST)
-    assert typecheck(geo_loop(Fraction(1, 2))) == NAT
-    assert typecheck(diverge_term()) == UnitT()
-    assert typecheck(head_term()) == FnT(LAZY_LIST, SumT(NAT, UnitT()))
-    assert typecheck(force_k(3)) == FnT(LAZY_LIST, UnitT())
-    assert typecheck(nth_head(2)) == FnT(LAZY_LIST, SumT(NAT, UnitT()))
-
-
-def elab(t):
-    return elaborate(t)[0]
+    assert elaborate(id_hes(Fraction(1, 2), NAT)) == FnT(NAT, NAT)
+    assert elaborate(fair_from(Fraction(1, 3))) == FnT(UnitT(), BOOL_T)
+    assert elaborate(everysnd_term()) == FnT(LAZY_LIST, LAZY_LIST)
+    assert elaborate(randw_fn()) == FnT(NAT, LAZY_LIST)
+    assert elaborate(randw2_fn()) == FnT(NAT, LAZY_LIST)
+    assert elaborate(geo_loop(Fraction(1, 2))) == NAT
+    assert elaborate(diverge_term()) == UnitT()
+    assert elaborate(head_term()) == FnT(LAZY_LIST, SumT(NAT, UnitT()))
+    assert elaborate(force_k(3)) == FnT(LAZY_LIST, UnitT())
+    assert elaborate(nth_head(2)) == FnT(LAZY_LIST, SumT(NAT, UnitT()))
 
 
 def test_example_files_match_builders():
@@ -292,8 +283,8 @@ def test_example_files_match_builders():
     ]
     for name, built in pairs:
         loaded = load_file(example(name))
-        assert elab(loaded) == elab(built), name
-        assert typecheck(elab(loaded)) == typecheck(elab(built)), name
+        assert pretty(loaded) == pretty(built), name
+        assert elaborate(loaded) == elaborate(built), name
 
 
 def _readme(examples_dir):

@@ -18,20 +18,16 @@ from probfpc.syntax import BOOL_T
 
 from genlib import (
     gen_ground_ty, gen_term, geo, geo_chain, prefix_eq, probterm,
-    soundness_check, step_of, typecheck, unitize, value_part,
+    soundness_check, step_of, unitize, value_part,
 )
 
 NAT = NatT()
 HALF = Fraction(1, 2)
 
 
-def elab(t):
-    return elaborate(t)[0]
-
-
 def eval_probterm(t, depth):
     """Termination sequence of t's evaluation, depths 0..depth."""
-    return probterm_seq(Evaluator().eval(elab(t)), depth)
+    return probterm_seq(Evaluator().eval(t), depth)
 
 
 def delivered(d, n):
@@ -44,7 +40,7 @@ def delivered(d, n):
 def test_values_evaluate_to_now():
     ev = Evaluator()
     for src in ("*", "3", "fn x : Nat => x", "(1, 2)", "inl[Nat + Unit] 0"):
-        t = elab(parse_term(src))
+        t = parse_term(src)
         d = ev.eval(t)
         assert probterm(0, d) == 1
         assert delivered(d, 0) == [t]
@@ -53,22 +49,22 @@ def test_values_evaluate_to_now():
 def test_choice_clause():
     ev = Evaluator()
     m, n = Num(1), Num(2)
-    d = ev.eval(elab(Choice(HALF, m, n)))
+    d = ev.eval(Choice(HALF, m, n))
     assert prefix_eq(d, choice(HALF, ev.eval(m), ev.eval(n)), 8)
 
 
 def test_beta_value_costs_one_step():
     ev = Evaluator()
-    lam = elab(Lam(NAT, Suc(Var(0))))
-    d = ev.eval(elab(App(lam, Num(2))))
+    lam = Lam(NAT, Suc(Var(0)))
+    d = ev.eval(App(lam, Num(2)))
     assert prefix_eq(d, step_of(ev.eval(subst(lam.body, Num(2)))), 8)
     assert probterm_seq(d, 2) == (0, 1, 1)
 
 
 def test_case_branch_costs_one_step():
     ev = Evaluator()
-    t = elab(parse_term(
-        "case inl[Nat + Unit] 2 of { inl n => suc n ; inr u => 0 }"))
+    t = parse_term(
+        "case inl[Nat + Unit] 2 of { inl n => suc n ; inr u => 0 }")
     d = ev.eval(t)
     assert probterm_seq(d, 2) == (0, 1, 1)
     assert delivered(d, 1) == [Num(3)]
@@ -76,7 +72,7 @@ def test_case_branch_costs_one_step():
 
 def test_unfold_fold_costs_one_step():
     ev = Evaluator()
-    t = elab(parse_term("unfold (fold[(mu X. Nat)] 5)"))
+    t = parse_term("unfold (fold[(mu X. Nat)] 5)")
     d = ev.eval(t)
     assert probterm_seq(d, 2) == (0, 1, 1)
     assert delivered(d, 1) == [Num(5)]
@@ -84,14 +80,14 @@ def test_unfold_fold_costs_one_step():
 
 def test_pair_with_a_non_value_component():
     t = parse_term("(choice 1/2 0 1, 2)")
-    d = Evaluator().eval(elab(t))
+    d = Evaluator().eval(t)
     assert probterm(0, d) == 1
     assert delivered(d, 0) == [Pair(Num(0), Num(2)), Pair(Num(1), Num(2))]
     assert soundness_check(t, 4)
 
 
 def test_fold_of_a_non_value_unfolds_in_one_step():
-    t = elab(parse_term("unfold (fold[mu X. Nat] (choice 1/2 0 1))"))
+    t = parse_term("unfold (fold[mu X. Nat] (choice 1/2 0 1))")
     d = Evaluator().eval(t)
     den = probterm_seq(Interp(STEP_FAITHFUL).interp(t), 3)
     assert probterm_seq(d, 3) == den == (0, 1, 1, 1)
@@ -108,7 +104,7 @@ def test_ifz_and_arithmetic_are_silent():
                       ("pred 0", Num(0)),
                       ("fst (1, 2)", Num(1)),
                       ("snd (1, 2)", Num(2))):
-        d = ev.eval(elab(parse_term(src)))
+        d = ev.eval(parse_term(src))
         assert probterm(0, d) == 1, src
         assert delivered(d, 0) == [want], src
 
@@ -121,8 +117,8 @@ def test_recursion_unfolds_in_four_steps():
                          (loop, Star(), UnitT(), UnitT())):
         y = y_comb(a, b)
         ev = Evaluator()
-        lhs = ev.eval(elab(App(App(y, f), arg)))
-        rhs = ev.eval(elab(App(App(f, App(y, f)), arg)))
+        lhs = ev.eval(App(App(y, f), arg))
+        rhs = ev.eval(App(App(f, App(y, f)), arg))
         for _ in range(4):
             rhs = step_of(rhs)
         assert prefix_eq(lhs, rhs, 8)
@@ -135,21 +131,19 @@ def test_evaluation_is_deterministic():
                                         BOOL_T),
                 App(id_hes(HALF, NAT), Num(2)), geo_chain(Fraction(1, 3), 6)]
     for t in programs:
-        t2 = elab(t)
-        a = Evaluator().eval(t2)
-        b = Evaluator().eval(t2)
+        a = Evaluator().eval(t)
+        b = Evaluator().eval(t)
         assert prefix_eq(a, b, 16)
 
 
 def test_evaluator_memoizes_closed_terms():
     ev = Evaluator()
-    t = elab(parse_term("(fn x : Nat => suc x) 1"))
+    t = parse_term("(fn x : Nat => suc x) 1")
     assert ev.eval(t) is ev.eval(t)
 
 
 def test_shared_recursion_keeps_nodes_narrow():
-    t2 = elab(unitize(App(fair_from(HALF), Star()), BOOL_T))
-    cur = Evaluator().eval(t2)
+    cur = Evaluator().eval(unitize(App(fair_from(HALF), Star()), BOOL_T))
     for _ in range(100):
         assert len(cur.entries) <= 8
         cur = run(cur)
@@ -162,12 +156,12 @@ def test_value_leaves_typecheck_at_the_program_type():
     checked = set()
     for _ in range(200):
         t = gen_term(rng, gen_ground_ty(rng, 2), (), 3)
-        t2, ty = elaborate(t)
-        d = Evaluator().eval(t2)
+        ty = elaborate(t)
+        d = Evaluator().eval(t)
         for n in range(17):
             for v in delivered(d, n):
                 if (v, ty) not in checked:
-                    assert typecheck(v) == ty
+                    assert elaborate(v) == ty
                     checked.add((v, ty))
     assert checked
 
@@ -175,10 +169,10 @@ def test_value_leaves_typecheck_at_the_program_type():
 def test_corpus_value_leaves_typecheck():
     for t in (geo_loop(HALF), App(id_hes(HALF, NAT), Num(2)),
               App(fair_from(Fraction(1, 3)), Star())):
-        t2, ty = elaborate(t)
-        d = Evaluator().eval(t2)
+        ty = elaborate(t)
+        d = Evaluator().eval(t)
         for v in delivered(d, 16):
-            assert typecheck(v) == ty
+            assert elaborate(v) == ty
 
 
 # --- termination probabilities ---------------------------------------------------
@@ -211,9 +205,9 @@ def test_geo_loop_approaches_the_abstract_process():
 
 def test_fair_coin_is_balanced_every_depth():
     p = Fraction(1, 3)
-    t2, ty = elaborate(App(fair_from(p), Star()))
-    assert ty == BOOL_T
-    d = Evaluator().eval(t2)
+    t = App(fair_from(p), Star())
+    assert elaborate(t) == BOOL_T
+    d = Evaluator().eval(t)
     s = 2 * p * (1 - p)
     for n in range(0, 41):
         _, vals = value_part(d, n)

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 
 import pytest
 
@@ -112,3 +113,16 @@ def test_no_private_imports_across_modules():
              if isinstance(n, ast.ImportFrom) and n.level
              for a in n.names if a.name.startswith("_")]
     assert not leaks, "private names imported across modules: %s" % leaks
+
+
+def test_readme_python_blocks_run(monkeypatch, capsys):
+    # the library example is the README's only code a reader runs as is;
+    # its paths are relative to the repository root
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    assert blocks, "README.md has no python block"
+    monkeypatch.chdir(root)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
