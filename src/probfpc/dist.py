@@ -34,7 +34,6 @@ __all__ = [
 class _Inj:
     """An injection of a sum carrier; `_tag` names its side."""
     __slots__ = ("val",)
-    _tag = ""
 
     def __init__(self, val):
         self.val = val

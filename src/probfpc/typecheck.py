@@ -50,7 +50,8 @@ def _want(ty, cls, what, pos):
 
 
 def _agree(ty, other, msg, pos):
-    """ty, which msg says must equal other; msg takes both, rendered."""
+    """ty when it equals other; else fail with msg, which takes both
+    types rendered."""
     if ty != other:
         _fail(msg % (render_ty(ty), render_ty(other)), pos)
     return ty
