@@ -18,8 +18,8 @@ from probfpc.corpus import CATALOGUE, corpus, geo_loop, id_hes, y_comb
 from conftest import EXAMPLES
 from genlib import (
     EnvKeyInterp, frontier_widths, gen_ground_ty, gen_term, gen_value,
-    is_ground_ty, prefix_eq, pretty, probterm, ref_free, soundness_check, step_of,
-    unitize, value_part, walk_force_src,
+    is_ground_ty, prefix_eq, pretty, probterm, ref_free, soundness_check,
+    step_of, unitize, value_part, walk_force_src,
 )
 
 NAT = NatT()

@@ -84,8 +84,10 @@ def test_only_ints_tuples_sums_and_terms_are_keyed():
 def test_injections_differ_by_side_alone():
     for x in (0, (), (1, (2,)), Inl(3), "a"):
         assert Inl(x) == Inl(x) and Inr(x) == Inr(x) and Inl(x) != Inr(x)
-        assert hash(Inl(x)) == hash(("inl", x)) and hash(Inr(x)) == hash(("inr", x))
-        assert repr(Inl(x)) == "Inl(%r)" % (x,) and repr(Inr(x)) == "Inr(%r)" % (x,)
+        assert hash(Inl(x)) == hash(("inl", x))
+        assert hash(Inr(x)) == hash(("inr", x))
+        assert repr(Inl(x)) == "Inl(%r)" % (x,)
+        assert repr(Inr(x)) == "Inr(%r)" % (x,)
     assert key_of(Inr(())) == ("inr", ("tuple", ()))
     assert sorted([Inr(0), Inl(1), Inr(Inl(0)), Inl(0)], key=key_of) == \
         [Inl(0), Inl(1), Inr(Inl(0)), Inr(0)]
