@@ -14,13 +14,13 @@ distributions over them canonicalize; functions and cells have no key and
 compare by identity.
 
 `Interp.interp` memoises a term's delay tree per the environment values at
-the term's free de Bruijn indices, not per the whole environment, which
-also holds every `def` and binder the term no longer uses.  Interpreting a
-term reads the environment only through its free variables, the closures
-it makes included, so environments that agree there give trees that
-behave alike.  Two paths to one list cell thus share the cell's thunks,
-and `Frontier` merges them by identity, as it does op's thunks of one
-closed term.
+the term's free de Bruijn indices, which the term caches as `t.free`, not
+per the whole environment, which also holds every `def` and binder the
+term no longer uses.  Interpreting a term reads the environment only
+through its free variables, the closures it makes included, so
+environments that agree there give trees that behave alike.  Two paths to
+one list cell thus share the cell's thunks, and `Frontier` merges them by
+identity, as it does op's thunks of one closed term.
 
 Two step disciplines:
 
@@ -30,8 +30,6 @@ Two step disciplines:
                 (function entry, case branch entry, unfold), making the
                 interpretation step-for-step comparable with evaluation
 """
-
-from operator import itemgetter
 
 from .delay import DelayThunk, delay_bind, delay_map, now, step_fn
 from .dist import Dist, Inl, Inr, choice
@@ -68,15 +66,12 @@ class Interp:
             raise ValueError("unknown mode %r" % mode)
         self.mode = mode
         self._memo = {}
-        self._free = {}     # term -> its free de Bruijn indices, ascending
-        self._at = {}       # term -> env -> the env values at those indices
 
     def interp(self, t: Term, env=()) -> Dist:
         """Delay tree of semantic values; env is a tuple, innermost binding
-        last.  Memoised per (term, the env values at its free indices):
-        `_build` reads env only through the term's free `Var`s, in the
-        closures it makes too, so envs that agree there give trees that
-        behave alike."""
+        last.  Memoised per (term, the env values at `t.free`): `_build`
+        reads env only through the term's free `Var`s, in the closures it
+        makes too, so envs that agree there give trees that behave alike."""
         if is_value(t):
             return now(self.val(t, env))
         key = self._key(t, env)
@@ -87,32 +82,7 @@ class Interp:
         return d
 
     def _key(self, t: Term, env):
-        at = self._at.get(t)
-        if at is None:
-            free = self._free_of(t)
-            # one index gets the bare value, several a tuple: the shape is
-            # fixed per term, so keys stay unambiguous
-            at = itemgetter(*[-1 - i for i in free]) if free else _nothing
-            self._at[t] = at
-        return t, at(env)
-
-    def _free_of(self, t: Term):
-        """t's free indices, each distinct subterm's computed once from its
-        children's, on an explicit stack so that no recursion is added."""
-        free, todo = self._free, [t]
-        while todo:
-            u = todo.pop()
-            if u in free:
-                continue
-            kids = [(getattr(u, n), n in u._binders) for n in u._fields
-                    if isinstance(getattr(u, n), Term)] if u._fv else ()
-            missing = [c for c, _ in kids if c not in free]
-            if missing:
-                todo += [u] + missing
-            else:
-                free[u] = (u.k,) if isinstance(u, Var) else tuple(sorted(
-                    {i - b for c, b in kids for i in free[c] if i >= b}))
-        return free[t]
+        return t, tuple([env[~i] for i in t.free])
 
     def val(self, t: Term, env=()):
         """Semantic value of a value term."""
@@ -199,10 +169,6 @@ class Interp:
         if isinstance(t, Lam):
             raise SemDefect("unreachable, lambdas are values")
         raise TypeError("not a term: %r" % (t,))
-
-
-def _nothing(env):
-    return ()
 
 
 def _suc(v):

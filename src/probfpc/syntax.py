@@ -12,9 +12,11 @@ positions ride along outside equality.
 
 A node class states only its data: `_tag`, `_fields` and the fields under
 a binder (`_binders`).  `subst`, `ty_shift` and `ty_subst` share
-`_Node._rebuild`.  Each node also caches `_fv`, one past its largest free
-index of its own sort (0 when closed); the three return a node whose `_fv`
-is at most the cutoff as it is, so closed subterms are shared.
+`_Node._rebuild`.  Each node also caches `free`, its free indices of its
+own sort (term or type) in ascending order, merged from its children's (one
+less under a binder), and `_fv`, one past the largest (0 when closed).  The
+three return a node whose `_fv` is at most the cutoff as it is, so closed
+subterms are shared; the interpreter keys its memo on the values at `free`.
 
 Annotation policy: lambda binders, inl/inr (full sum type), and fold (the
 recursive type) carry their annotation.  The one exception is the binder
@@ -36,7 +38,7 @@ __all__ = [
 
 
 class _Node:
-    __slots__ = ("pos", "_h", "_k", "_fv")
+    __slots__ = ("pos", "_h", "_k", "free", "_fv")
     _tag = ""
     _fields = ()
     _binders = ()
@@ -48,16 +50,23 @@ class _Node:
                             % (type(self).__name__, len(fields), len(args)))
         # a let binder's missing type encodes as a tuple, so keys at the
         # same field slot stay mutually comparable
-        key, fv, sort = [self._tag], 0, self._sort
+        key, free, sort = [self._tag], (), self._sort
         for name, v in zip(fields, args):
             setattr(self, name, v)
             key.append(v._k if isinstance(v, _Node) else ("none",) if v is None else v)
-            if isinstance(v, sort):
-                fv = max(fv, v._fv - (name in self._binders))
+            if isinstance(v, sort) and v.free:
+                f = v.free
+                if name in self._binders:
+                    f = tuple([i - 1 for i in f if i])
+                if not free:
+                    free = f        # one open child's tuple is shared as it is
+                elif f and f != free:
+                    free = tuple(sorted({*free, *f}))
         self.pos = pos
         self._h = hash((self._tag,) + args)
         self._k = tuple(key)
-        self._fv = args[0] + 1 if self._tag in ("var", "tvar") else fv
+        self.free = free = (args[0],) if self._tag in ("var", "tvar") else free
+        self._fv = free[-1] + 1 if free else 0
 
     def __hash__(self):
         return self._h

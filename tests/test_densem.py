@@ -18,7 +18,7 @@ from probfpc.corpus import CATALOGUE, corpus, geo_loop, id_hes, y_comb
 from conftest import EXAMPLES
 from genlib import (
     EnvKeyInterp, frontier_widths, gen_ground_ty, gen_term, gen_value,
-    is_ground_ty, prefix_eq, pretty, probterm, ref_free, soundness_check,
+    is_ground_ty, prefix_eq, pretty, probterm, soundness_check,
     step_of, unitize, value_part, walk_force_src,
 )
 
@@ -98,24 +98,6 @@ def test_interp_memoizes_per_term_and_env():
         assert value_part(other, 2)[1] == ((1, (2, 4)),)
         assert value_part(d, 2)[1] == ((1, (2, 2)),)
         assert it.interp(t, (5, 1, 2)) is d
-
-
-def test_free_indices_match_the_reference():
-    # every subterm the helper visits gets the free set genlib.ref_free
-    # computes class by class, listed in ascending order
-    rng = random.Random(76)
-    for _ in range(300):
-        ctx = tuple(gen_ground_ty(rng, 1) for _ in range(rng.randint(1, 4)))
-        t = gen_term(rng, gen_ground_ty(rng, 2), ctx, 3)
-        it = Interp()
-        assert set(it._free_of(t)) == ref_free(t)
-        for v, free in it._free.items():
-            assert list(free) == sorted(ref_free(v))
-    # no recursion: a term nested far past the recursion limit
-    deep = Var(3)
-    for _ in range(5000):
-        deep = Suc(deep)
-    assert Interp()._free_of(deep) == (3,)
 
 
 def _sharing_programs():
