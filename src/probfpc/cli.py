@@ -23,8 +23,8 @@ from .delay import eqlim_upto, probterm_seq
 from .densem import STANDARD, STEP_FAITHFUL, Interp
 from .opsem import Evaluator
 from .parser import ParseError, load_file
-from .rational import parse_rat
-from .relate import NumeralTooLong, RelateCfg, refine_check
+from .rational import TooLongToPrint, parse_rat
+from .relate import RelateCfg, refine_check
 from .syntax import UnitT, render_ty
 from .typecheck import TypecheckError, elaborate
 
@@ -86,16 +86,26 @@ class _ArgParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _print_seq(seq, fmt, approx, out):
+def _exact(v):
+    """str(v) of a Fraction; Python prints no part past 4,300 digits."""
+    try:
+        return str(v)
+    except ValueError:
+        raise TooLongToPrint("exact value", v.numerator, v.denominator) from None
+
+
+def _print_seq(seq, fmt, approx, out, head=""):
+    texts = [_exact(v) for v in seq]    # before any output: it may fail
+    out.write(head)
     if fmt == "json":
-        doc = {"depths": list(range(len(seq))), "probterm": [str(v) for v in seq]}
+        doc = {"depths": list(range(len(seq))), "probterm": texts}
         if approx:
             doc["approx"] = ["%.6f" % float(v) for v in seq]
         out.write(_dumps(doc) + "\n")
         return
     out.write("depth  probterm%s\n" % ("  approx" if approx else ""))
-    for n, v in enumerate(seq):
-        line = "%5d  %s" % (n, v)
+    for n, (v, text) in enumerate(zip(seq, texts)):
+        line = "%5d  %s" % (n, text)
         if approx:
             line += "  %.6f" % float(v)
         out.write(line + "\n")
@@ -127,7 +137,7 @@ def cmd_compare(args, out):
     ok = eqlim_upto(fa, fb, args.eps)
     doc = {"holds": ok, "eps": str(args.eps), "depth": args.depth,
            "mode_a": mode_a, "mode_b": mode_b,
-           "max_a": str(max(fa)), "max_b": str(max(fb))}
+           "max_a": _exact(max(fa)), "max_b": _exact(max(fb))}
     if args.format == "json":
         out.write(_dumps(doc) + "\n")
     else:
@@ -166,8 +176,8 @@ def cmd_examples(args, out):
         # a bad type argument: its position inside the argument means nothing
         raise UsageError("%s: %s" % (args.name, e.msg)) from None
     ty, d = _delay_of(term, args.mode)
-    out.write("type: %s\n" % render_ty(ty))
-    _print_seq(probterm_seq(d, args.depth), args.format, args.approx, out)
+    _print_seq(probterm_seq(d, args.depth), args.format, args.approx, out,
+               head="type: %s\n" % render_ty(ty))
     return 0
 
 
@@ -265,7 +275,7 @@ def main(argv=None, out=None, err=None):
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args, out)
-    except (UsageError, ParseError, TypecheckError, OSError, NumeralTooLong) as e:
+    except (UsageError, ParseError, TypecheckError, OSError, TooLongToPrint) as e:
         err.write("probfpc: %s\n" % e)
         return 1
     except RecursionError:

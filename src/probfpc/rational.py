@@ -13,7 +13,8 @@ Two validated ranges appear in signatures:
 
 from fractions import Fraction
 
-__all__ = ["ZERO", "ONE", "ProbRangeError", "as_prob", "as_uprob", "parse_rat"]
+__all__ = ["ZERO", "ONE", "ProbRangeError", "TooLongToPrint", "as_prob",
+           "as_uprob", "parse_rat"]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -21,6 +22,20 @@ ONE = Fraction(1)
 
 class ProbRangeError(ValueError):
     """A probability literal or weight fell outside its required range."""
+
+
+class TooLongToPrint(Exception):
+    """An exact number with more decimal digits than Python prints (an int
+    past 4,300 digits); the message counts the digits of its parts."""
+
+    def __init__(self, what, *parts):
+        digits = 0
+        for n in parts:
+            k = n.bit_length() * 3 // 10        # no more than n's digit count
+            while 10 ** k <= n:
+                k += 1
+            digits += k
+        super().__init__("%s too long to print: %d digits" % (what, digits))
 
 
 def as_prob(x) -> Fraction:

@@ -20,7 +20,7 @@ from collections import deque
 from fractions import Fraction
 from math import lcm
 
-from .rational import ZERO, as_uprob
+from .rational import ZERO, TooLongToPrint, as_uprob
 from .delay import Frontier, continuation, split
 from .dist import Dist, Inl, Inr, canonical
 from .densem import STANDARD, Interp, FoldV
@@ -33,7 +33,7 @@ from .typecheck import TypecheckError, elaborate
 
 __all__ = [
     "LiftVerdict", "lift_check", "RelateCfg", "default_probes", "logrel_val",
-    "refine_check", "NumeralTooLong",
+    "refine_check",
 ]
 
 
@@ -198,16 +198,6 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
 
 # --- the type-indexed relation ---------------------------------------------
 
-class NumeralTooLong(Exception):
-    """A run-time numeral with more decimal digits than Python prints."""
-
-    def __init__(self, n):
-        k = n.bit_length() * 3 // 10        # no more than n's digit count
-        while 10 ** k <= n:
-            k += 1
-        super().__init__("numeral too long to print: %d digits" % k)
-
-
 class RelateCfg:
     """Budgets for the logical relation."""
     __slots__ = ("fuel", "horizon", "eps", "interp", "evaluator")
@@ -263,7 +253,7 @@ def logrel_val(ty, v, V, cfg: RelateCfg, _fuel=None) -> LiftVerdict:
             return LiftVerdict(False, "coupling infeasible at these numerals",
                                {"ty": "Nat", "den": "NatV(%d)" % v, "op": repr(V)})
         except ValueError:      # the verdict names a numeral Python will not print
-            raise NumeralTooLong(max(v, V.n)) from None
+            raise TooLongToPrint("numeral", max(v, V.n)) from None
     if isinstance(ty, ProdT):
         if not (type(v) is tuple and len(v) == 2 and isinstance(V, Pair)):
             return LiftVerdict(False, "pair shape mismatch", {"ty": "product"})

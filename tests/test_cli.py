@@ -444,6 +444,32 @@ def test_refine_huge_run_time_numeral_is_one_line(tmp_path, fmt, extra):
         (1, "", "probfpc: numeral too long to print: 4301 digits\n")
 
 
+# a Unit loop that stops at each unfold with probability 1/10^100, so its
+# table's denominators pass 10^4300, which Python will not print in decimal
+ONE_IN_GOOGOL = "1/1" + "0" * 100
+LOOP_TY = "(mu X. X -> Unit -> Unit)"
+LOOP_FN = ("fn w : %s => fn n : Unit => choice %s n ((unfold w) w n)"
+           % (LOOP_TY, ONE_IN_GOOGOL))
+LOOP = "((%s) (fold[%s] (%s))) *\n" % (LOOP_FN, LOOP_TY, LOOP_FN)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv, digits", [
+    (["examples", "run", "@geo", "--mode", "den", "--depth", "45"], 8503),
+    (["examples", "run", "@geo", "--mode", "den", "--depth", "45", "--approx"], 8503),
+    (["examples", "run", "@geo", "--depth", "140"], 8503),
+    (["probterm", "@loop", "--mode", "den", "--depth", "45"], 8503),
+    (["compare", "@loop", "@loop", "--mode", "den", "--depth", "45"], 9103),
+])
+def test_values_too_long_to_print_are_one_line(tmp_path, fmt, argv, digits):
+    f = tmp_path / "loop.pfpc"
+    f.write_text(LOOP)
+    names = {"@loop": str(f), "@geo": "geo(%s)" % ONE_IN_GOOGOL}
+    argv = [names.get(a, a) for a in argv]
+    assert run(argv + ["--format", fmt]) == \
+        (1, "", "probfpc: exact value too long to print: %d digits\n" % digits)
+
+
 def test_non_utf8_file_names_the_file(tmp_path):
     f = tmp_path / "utf16.pfpc"
     f.write_bytes("*\n".encode("utf-16"))      # starts with ff fe
