@@ -8,14 +8,17 @@ on trees is realized operationally rather than by construction: keyed
 value entries merge canonically inside each Dist node, and pending entries
 stay formal.
 
-``run`` is the paper's one-layer elimination.  Every "run n levels and
-look" loop goes through ``Frontier`` instead: run is the identity on
+``run`` is the paper's one-layer elimination.  The "run n levels and
+look" loops go through ``Frontier`` instead: run is the identity on
 delivered values, so the frontier keeps their mass as one scalar and
 carries only the pending thunks from level to level, which makes
 termination tables cost time linear in depth.  Its weights are integer
 numerators over one common denominator, reduced once per level, so a level
 costs integer products and one gcd; only the weights it hands out are
-built as Fractions.
+built as Fractions.  The one exception, ``relate.lift_check``'s left side,
+steps with ``split`` and ``continuation``, which forces a lone pending
+thunk and builds nothing: a frontier there, which absorbs, renormalises and
+re-canonicalises every level, made refine-deep 1.12x slower.
 
 Also here: termination-probability sequences, the split of a node into its
 value part and combined continuation, and the bounded limit comparison
