@@ -54,8 +54,7 @@ class _Node:
         for name, v in zip(fields, args):
             setattr(self, name, v)
             key.append(v._k if isinstance(v, _Node) else ("none",) if v is None else v)
-            if isinstance(v, sort) and v.free:
-                f = v.free
+            if isinstance(v, sort) and (f := v.free):
                 if name in self._binders:
                     f = tuple([i - 1 for i in f if i])
                 if not free:
