@@ -18,7 +18,7 @@ from probfpc.corpus import CATALOGUE, corpus, geo_loop, id_hes, y_comb
 from conftest import EXAMPLES
 from genlib import (
     EnvKeyInterp, frontier_widths, gen_ground_ty, gen_term, gen_value,
-    is_ground_ty, prefix_eq, pretty, probterm, soundness_check,
+    is_ground_ty, prefix_eq, pretty, probterm, ref_free, soundness_check,
     step_of, unitize, value_part, walk_force_src,
 )
 
@@ -98,6 +98,28 @@ def test_interp_memoizes_per_term_and_env():
         assert value_part(other, 2)[1] == ((1, (2, 4)),)
         assert value_part(d, 2)[1] == ((1, (2, 2)),)
         assert it.interp(t, (5, 1, 2)) is d
+
+
+def test_free_indices_match_the_reference():
+    # the memo key of every subterm reads the env at exactly the free set
+    # genlib.ref_free computes class by class, in ascending order
+    rng = random.Random(76)
+    env = tuple(range(100, 164))
+    for _ in range(300):
+        ctx = tuple(gen_ground_ty(rng, 1) for _ in range(rng.randint(1, 4)))
+        todo = [gen_term(rng, gen_ground_ty(rng, 2), ctx, 3)]
+        it = Interp()
+        while todo:
+            u = todo.pop()
+            want = tuple(env[~i] for i in sorted(ref_free(u)))
+            assert it._key(u, env) == (u, want)
+            todo.extend(c for c in map(u.__getattribute__, u._fields)
+                        if isinstance(c, u._sort))
+    # no recursion: a term nested far past the recursion limit
+    deep = Var(3)
+    for _ in range(5000):
+        deep = Suc(deep)
+    assert Interp()._key(deep, env) == (deep, (env[~3],))
 
 
 def _sharing_programs():
