@@ -112,6 +112,19 @@ UNTYPED_LET_FILES = {
         " (unfold (fold[(mu X. Unit)] *))\n",
 }
 
+# a Unit loop that stops at each unfold with probability 1/3, entered
+# after one step from either side of a choice: the two sides reach one
+# thunk, so the root node is one entry of weight 1 built by adding 1/3
+# and 2/3
+LOOP_TY = "(mu X. X -> Unit -> Unit)"
+RUN_LOOP = ("(fn w : %s => fn n : Unit => choice 1/3 n ((unfold w) w n))"
+            % LOOP_TY)
+MERGED_FILES = {
+    "run_twice.pfpc": "def run = fn z : Unit => %s (fold[%s] %s) z ;\n"
+                      "choice 1/3 (run *) (run *)\n"
+                      % (RUN_LOOP, LOOP_TY, RUN_LOOP),
+}
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -202,6 +215,18 @@ def requests():
             for m in MODES for fmt in FORMATS]
     out += [["refine", "tmp/closure2.pfpc", "tmp/closure2.pfpc", "--fuel", "3",
              "--format", fmt] for fmt in FORMATS]
+    # a root node of one merged entry of weight 1, a deep fair-coin table
+    # of the step-faithful interpreter, and refines whose right side's
+    # frontier forces one multi-entry node (the coin's flip) at several
+    # levels
+    out += [["probterm", "tmp/run_twice.pfpc", "--mode", m, "--depth", "6"]
+            for m in ("op", "den-steps")]
+    out.append(["probterm", "examples/fair_harness.pfpc", "--mode", "den-steps",
+                "--depth", "2048"])
+    out += [["refine", "examples/%s.pfpc" % a, "examples/%s.pfpc" % b,
+             "--format", fmt]
+            for a, b in (("fair", "fair"), ("coin_harness", "fair_harness"))
+            for fmt in FORMATS]
     return out
 
 
@@ -210,7 +235,8 @@ def outputs():
     with tempfile.TemporaryDirectory() as tmp:
         for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES,
                           **ZERO_DEN_FILES, **LEX_FILES, **DUP_FILES,
-                          **SHARE_FILES, **UNTYPED_LET_FILES}.items():
+                          **SHARE_FILES, **UNTYPED_LET_FILES,
+                          **MERGED_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(src)
