@@ -28,7 +28,7 @@ leqlim/eqlim.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rational import ZERO, as_uprob
+from .rational import ONE, ZERO, as_uprob
 from .dist import Dist, Inl, Inr, dirac, dist_bind
 
 __all__ = [
@@ -119,22 +119,33 @@ class Frontier:
     """A delay tree run level by level, keeping only what later runs need.
 
     Holds the delivered mass and the pending thunks' weights as integer
-    numerators over one common denominator.  The thunks are merged by
-    identity in first-occurrence order, each with its total weight; the
-    entries pin their thunks, so ids stay valid.  ``step()`` is one
-    ``run``: it forces each pending thunk once, in order, scales the
-    denominator by the lcm of the forced nodes' weight denominators, checks
-    that delivered plus pending mass is exactly 1, as ``Dist`` does, and
-    divides every numerator and the denominator by their gcd, so the
-    denominator stays the least common one.  ``renormalise`` divides the
-    pending weights by a mass, as the lifting does with its residue.
-    Weights leave as ``Fraction``.
+    numerators over one common denominator, the least one after every
+    level.  ``_pending`` maps each thunk to its numerator, in
+    first-occurrence order; thunks hash by identity and the key keeps its
+    thunk alive.  A level forces each pending thunk once, in order.
+
+    * A move-only level is one where every forced node is a single step of
+      weight exactly 1 and no two of them reach one thunk.  It only moves
+      numerators from thunk to thunk: their sum and their gcd stay what
+      they were, so the denominator, the exact-sum check and the gcd are
+      left alone.
+    * Any other level scales the denominator by the lcm of the forced
+      nodes' weight denominators, checks that delivered plus pending mass
+      is exactly 1, as ``Dist`` does, and divides every numerator and the
+      denominator by their gcd.  A node of several entries is read as an
+      integer row once per frontier (its lcm denominator, value numerators
+      and step numerators, ``_rows``, keyed by the node) and the row is
+      reused whenever the node is forced again.
+
+    ``step()`` runs a level and hands out its deliveries as Fractions;
+    ``probterm_seq`` runs levels without building them.  ``renormalise``
+    divides the pending weights by a mass, as the lifting does with its
+    residue.  Weights leave as ``Fraction``.
     """
-    __slots__ = ("_num", "_den", "_pending")
+    __slots__ = ("_num", "_den", "_pending", "_rows")
 
     def __init__(self, d: Dist):
-        self._num, self._den = 0, 1
-        self._pending = {}      # id(thunk) -> [numerator, thunk]
+        self._num, self._den, self._pending, self._rows = 0, 1, {}, {}
         self._absorb(((1, d),))
 
     @property
@@ -148,35 +159,67 @@ class Frontier:
 
     def step(self):
         """Run one level; returns the level's deliveries [(w, value)]."""
-        return self._absorb([(n, t.force()) for n, t in self._pending.values()])
+        den, new = self._level()
+        return [(Fraction(n, den), a) for n, a in new]
+
+    def _level(self):
+        return self._absorb([(n, t.force()) for t, n in self._pending.items()])
 
     def _absorb(self, forced):
-        # forced: [(numerator over the current denominator, node)]
-        scale = lcm(*{w.denominator for _, d in forced for w, _ in d.entries})
-        num, den, pending, new = self._num * scale, self._den * scale, {}, []
+        """Take in the nodes forced: [(numerator over the current
+        denominator, node)].  Returns the denominator the deliveries are
+        over, before the gcd, and the deliveries [(numerator, value)]."""
+        pending = {}
         for n, d in forced:
-            for w, el in d.entries:
-                n2 = n * w.numerator * (scale // w.denominator)
-                if isinstance(el, Inl):
-                    num += n2
-                    new.append((n2, el.val))
-                elif id(el.val) in pending:
-                    pending[id(el.val)][0] += n2
-                else:
-                    pending[id(el.val)] = [n2, el.val]
-        ns = [n for n, _ in pending.values()]
-        total = sum(ns, num)
-        if total != den:
+            es = d.entries
+            if len(es) != 1:
+                break
+            w, el = es[0]
+            if type(el) is not Inr or (w is not ONE and w != 1) \
+                    or el.val in pending:
+                break
+            pending[el.val] = n
+        else:
+            self._pending = pending
+            return self._den, ()
+        rows = [self._row(d) for _, d in forced]
+        scale = lcm(*{s for s, _, _ in rows})
+        num, den, pending, new = self._num * scale, self._den * scale, {}, []
+        for (n, _), (s, vals, steps) in zip(forced, rows):
+            n *= scale // s
+            for m, a in vals:
+                num += n * m
+                new.append((n * m, a))
+            for m, t in steps:
+                pending[t] = pending.get(t, 0) + n * m
+        if sum(pending.values(), num) != den:
             raise ValueError("distribution weights sum to %s, not 1"
-                             % Fraction(total, den))
-        new = [(Fraction(n, den), a) for n, a in new]
-        g = gcd(den, num, *ns)
+                             % Fraction(sum(pending.values(), num), den))
+        g = gcd(den, num, *pending.values())
         if g > 1:
-            num, den = num // g, den // g
-            for e in pending.values():
-                e[0] //= g
-        self._num, self._den, self._pending = num, den, pending
-        return new
+            pending = {t: n // g for t, n in pending.items()}
+        self._num, self._den, self._pending = num // g, den // g, pending
+        return den, new
+
+    def _row(self, d):
+        """A node as (s, [(numerator over s, value)], [(numerator over s,
+        thunk)]), s the lcm of its weights' denominators; the rows of
+        nodes of several entries are kept."""
+        es = d.entries
+        if len(es) == 1:
+            w, el = es[0]
+            one = ((w.numerator, el.val),)
+            return (w.denominator, one, ()) if isinstance(el, Inl) \
+                else (w.denominator, (), one)
+        row = self._rows.get(d)
+        if row is None:
+            s = lcm(*(w.denominator for w, _ in es))
+            vals, steps = [], []
+            for w, el in es:
+                (vals if isinstance(el, Inl) else steps).append(
+                    (w.numerator * (s // w.denominator), el.val))
+            row = self._rows[d] = s, vals, steps
+        return row
 
     def renormalise(self, mass):
         """Divide the pending weights by mass and count the rest of 1 as
@@ -185,16 +228,15 @@ class Frontier:
         the denominator becomes R."""
         k = mass.denominator // gcd(mass.denominator, self._den)
         den = mass.numerator * (self._den * k // mass.denominator)
-        ns = [n * k for n, _ in self._pending.values()]
+        ns = [n * k for n in self._pending.values()]
         g = gcd(den, *ns)
-        for e, n in zip(self._pending.values(), ns):
-            e[0] = n // g
+        self._pending = {t: n // g for t, n in zip(self._pending, ns)}
         self._num, self._den = (den - sum(ns)) // g, den // g
 
     def pendings(self):
         """Pending thunks [(w, t)] in first-occurrence order."""
         den = self._den
-        return [(Fraction(n, den), t) for n, t in self._pending.values()]
+        return [(Fraction(n, den), t) for t, n in self._pending.items()]
 
 
 def probterm_seq(d: Dist, n: int) -> tuple:
@@ -203,8 +245,8 @@ def probterm_seq(d: Dist, n: int) -> tuple:
     f = Frontier(d)
     out = [f.mass]
     for _ in range(n):
-        f.step()
-        out.append(f.mass)
+        # the mass moves only when the level delivers
+        out.append(f.mass if f._level()[1] else out[-1])
     return tuple(out)
 
 
