@@ -23,7 +23,7 @@ from .delay import eqlim_upto, probterm_seq
 from .densem import STANDARD, STEP_FAITHFUL, Interp
 from .opsem import Evaluator
 from .parser import ParseError, load_file
-from .rational import TooLongToPrint, parse_rat
+from .rational import TooLongToPrint, exact_str, parse_rat
 from .relate import RelateCfg, refine_check
 from .syntax import UnitT, render_ty
 from .typecheck import TypecheckError, elaborate
@@ -86,16 +86,8 @@ class _ArgParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _exact(v):
-    """str(v) of a Fraction; Python prints no part past 4,300 digits."""
-    try:
-        return str(v)
-    except ValueError:
-        raise TooLongToPrint("exact value", v.numerator, v.denominator) from None
-
-
 def _print_seq(seq, fmt, approx, out, head=""):
-    texts = [_exact(v) for v in seq]    # before any output: it may fail
+    texts = [exact_str(v) for v in seq]    # before any output: it may fail
     out.write(head)
     if fmt == "json":
         doc = {"depths": list(range(len(seq))), "probterm": texts}
@@ -137,7 +129,7 @@ def cmd_compare(args, out):
     ok = eqlim_upto(fa, fb, args.eps)
     doc = {"holds": ok, "eps": str(args.eps), "depth": args.depth,
            "mode_a": mode_a, "mode_b": mode_b,
-           "max_a": _exact(max(fa)), "max_b": _exact(max(fb))}
+           "max_a": exact_str(max(fa)), "max_b": exact_str(max(fb))}
     if args.format == "json":
         out.write(_dumps(doc) + "\n")
     else:

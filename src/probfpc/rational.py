@@ -13,8 +13,8 @@ Two validated ranges appear in signatures:
 
 from fractions import Fraction
 
-__all__ = ["ZERO", "ONE", "ProbRangeError", "TooLongToPrint", "as_prob",
-           "as_uprob", "parse_rat"]
+__all__ = ["ZERO", "ONE", "ProbRangeError", "TooLongToPrint", "exact_str",
+           "as_prob", "as_uprob", "parse_rat"]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,6 +36,15 @@ class TooLongToPrint(Exception):
                 k += 1
             digits += k
         super().__init__("%s too long to print: %d digits" % (what, digits))
+
+
+def exact_str(v) -> str:
+    """str(v) of a Fraction, or TooLongToPrint when a part of it is past
+    the 4,300 digits Python prints."""
+    try:
+        return str(v)
+    except ValueError:
+        raise TooLongToPrint("exact value", v.numerator, v.denominator) from None
 
 
 def as_prob(x) -> Fraction:

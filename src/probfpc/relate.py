@@ -20,7 +20,7 @@ from collections import deque
 from fractions import Fraction
 from math import lcm
 
-from .rational import ZERO, TooLongToPrint, as_uprob
+from .rational import ZERO, TooLongToPrint, as_uprob, exact_str
 from .delay import Frontier, continuation, split
 from .dist import Dist, Inl, Inr, canonical
 from .densem import STANDARD, Interp, FoldV
@@ -173,12 +173,14 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
                 if not front.reaches(need):     # no flow ran on these values
                     flowval = _max_flow(vals, evals, rel)[0]
                 return done(False, "no coupling within horizon", {
-                    "case": "no-coupling", "fuel": fuel, "value_mass": str(p),
-                    "best_flow": str(flowval), "horizon": horizon, "eps": str(eps)})
+                    "case": "no-coupling", "fuel": fuel, "value_mass": exact_str(p),
+                    "best_flow": exact_str(flowval), "horizon": horizon,
+                    "eps": exact_str(eps)})
             evals = canonical([*evals, *new])
         level = {"case": "mixed" if (p > 0 and pend) else
                          ("value-only" if not pend else "delayed-only"),
-                 "fuel": fuel, "m": m, "value_mass": str(p), "flow": str(flowval),
+                 "fuel": fuel, "m": m, "value_mass": exact_str(p),
+                 "flow": exact_str(flowval),
                  "coupled_pairs": len(flow)}
         if not pend:
             return done(True, "value part coupled", level)

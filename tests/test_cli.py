@@ -448,9 +448,15 @@ def test_refine_huge_run_time_numeral_is_one_line(tmp_path, fmt, extra):
 # table's denominators pass 10^4300, which Python will not print in decimal
 ONE_IN_GOOGOL = "1/1" + "0" * 100
 LOOP_TY = "(mu X. X -> Unit -> Unit)"
-LOOP_FN = ("fn w : %s => fn n : Unit => choice %s n ((unfold w) w n)"
-           % (LOOP_TY, ONE_IN_GOOGOL))
-LOOP = "((%s) (fold[%s] (%s))) *\n" % (LOOP_FN, LOOP_TY, LOOP_FN)
+
+
+def loop_of(q):
+    """The Unit loop stopping with probability q at each unfold."""
+    fn = "fn w : %s => fn n : Unit => choice %s n ((unfold w) w n)" % (LOOP_TY, q)
+    return "((%s) (fold[%s] (%s))) *" % (fn, LOOP_TY, fn)
+
+
+LOOP = loop_of(ONE_IN_GOOGOL) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -468,6 +474,17 @@ def test_values_too_long_to_print_are_one_line(tmp_path, fmt, argv, digits):
     argv = [names.get(a, a) for a in argv]
     assert run(argv + ["--format", fmt]) == \
         (1, "", "probfpc: exact value too long to print: %d digits\n" % digits)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_refine_value_mass_too_long_to_print_is_one_line(tmp_path, fmt):
+    # an even mixture of loops stopping with probability 1/10^100 and 1/3,
+    # related to itself: each level renormalises the residue, and the left
+    # side's value mass gains about 100 digits a level
+    f = tmp_path / "mix.pfpc"
+    f.write_text("choice 1/2 (%s) (%s)\n" % (loop_of(ONE_IN_GOOGOL), loop_of("1/3")))
+    assert run(["refine", str(f), str(f), "--fuel", "60", "--format", fmt]) == \
+        (1, "", "probfpc: exact value too long to print: 8634 digits\n")
 
 
 def test_non_utf8_file_names_the_file(tmp_path):
