@@ -218,6 +218,51 @@ def shared_delay(rng, depth: int = 4, pool=None) -> Dist:
                    shared_delay(rng, depth - 1, pool))
 
 
+_POOL_SPLITS = (
+    (Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 10), Fraction(2, 5)),
+    (Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 3), Fraction(1, 3)),
+)
+
+
+def pooled_delay(rng, size: int = 5) -> Dist:
+    """Random delay tree over a pool of shared thunks, for the frontier's
+    level paths.  Each pool thunk is reached through one Inr object, so the
+    literal run merges entries exactly where the frontier does, and its
+    support stays within the pool however deep it runs.  A pool node is a
+    value, a pure step chain of 1-3 fresh thunks into a pool thunk, a step
+    reached twice (weights 1/3 and 2/3 that canonical merges into one entry
+    of weight 1), or a mixed node: a value and a pair of weights that reach
+    one pool thunk through two chains of equal length, so the pair merges,
+    often into a smaller denominator, after pure step levels.  Steps
+    rejoin the pool, so mixed nodes are forced again at later levels.  The
+    tree is the first pool thunk's node.  Built eagerly, so deterministic
+    given the rng's seed."""
+    bodies = []
+    pool = [DelayThunk(lambda i=i: bodies[i]) for i in range(size)]
+    inr = [Inr(t) for t in pool]
+
+    def chain(j, k):
+        el = inr[j]
+        for _ in range(k):
+            el = Inr(DelayThunk(lambda el=el: dirac(el)))
+        return el
+
+    for _ in pool:
+        kind, j = rng.randrange(8), rng.randrange(size)
+        if kind < 1:
+            bodies.append(now(rng.randrange(3)))
+        elif kind < 4:
+            bodies.append(dirac(chain(j, rng.randrange(1, 4))))
+        elif kind < 5:
+            bodies.append(Dist([(Fraction(1, 3), inr[j]), (Fraction(2, 3), inr[j])]))
+        else:
+            a, b = rng.choice(_POOL_SPLITS)
+            k = rng.randrange(1, 4)
+            bodies.append(Dist([(a, chain(j, k)), (b, chain(j, k)),
+                                (1 - a - b, Inl(rng.randrange(3)))]))
+    return bodies[0]
+
+
 # --- reduction witnesses -----------------------------------------------------
 #
 # The fuelled step reduction of a delay tree, as explicit witnesses: a

@@ -17,13 +17,14 @@ from probfpc.delay import (
     leqlim_upto, now, probterm_seq, run, split, step, zeta,
 )
 from probfpc.parser import load_file
+from probfpc.rational import ONE
 
 from conftest import example
 from genlib import (
     OPAQUE, ChoiceCong, Refl, StepElim, WitnessShapeError, check_witness, geo,
-    hesitant, node_eq, prefix_eq, probterm, probterm0, random_delay,
-    random_witness, run_n, shared_delay, step_of, value_part, witness_for_run,
-    witness_steps,
+    hesitant, node_eq, pooled_delay, prefix_eq, probterm, probterm0,
+    random_delay, random_witness, run_n, shared_delay, step_of, value_part,
+    witness_for_run, witness_steps,
 )
 
 HALF = Fraction(1, 2)
@@ -233,6 +234,60 @@ def test_frontier_denominator_stays_least():
             if m:
                 f.step()
             assert f._den == least_den(f), (mode, m)
+
+
+def level_path(nodes, seen):
+    """The path a frontier level takes over the nodes it forces: "move"
+    when each is one step of weight 1 and no two reach one thunk, "merge"
+    when two do, "deliver" when one is a value, and for a level with a node
+    of several entries "row" the first time such a node is forced and
+    "revisit" once one is forced again (seen holds their ids)."""
+    multi = {id(d) for d in nodes if len(d.entries) > 1}
+    if multi:
+        path = "revisit" if multi & seen else "row"
+        seen |= multi
+        return path
+    els = [el for d in nodes for _, el in d.entries]
+    if any(isinstance(el, Inl) for el in els):
+        return "deliver"
+    return "move" if len({id(el.val) for el in els}) == len(els) else "merge"
+
+
+def test_frontier_paths_are_the_literal_run():
+    # every level, whichever path it takes, equals the literal run: the
+    # delivered mass, the pending thunks in order, the level's deliveries
+    # (folded by key) and the least denominator; probterm_seq, which builds
+    # no deliveries, gives the same masses
+    counts = dict.fromkeys(("move", "move over a merged 1", "merge",
+                            "cancelling merge after moves", "deliver", "row",
+                            "revisit"), 0)
+    rng = random.Random(62)
+    for i in range(200):
+        d = literal = pooled_delay(rng)
+        f, got, seen, last = Frontier(d), split(d)[0], set(), None
+        masses = [f.mass]
+        for m in range(1, 25):
+            nodes = [t.force() for _, t in f.pendings()]
+            path, den = level_path(nodes, seen), f._den
+            got = canonical([*got, *f.step()])
+            literal = run(literal)
+            vals, pend = split(literal)
+            want = {}
+            for w, t in pend:
+                want[t] = want.get(t, 0) + w
+            assert list(got) == vals, (i, m)
+            assert f.mass == sum((w for w, _ in vals), Fraction(0)), (i, m)
+            assert f.pendings() == [(w, t) for t, w in want.items()], (i, m)
+            assert f._den == least_den(f), (i, m)
+            masses.append(f.mass)
+            counts[path] += 1
+            if path == "move" and any(d.entries[0][0] is not ONE for d in nodes):
+                counts["move over a merged 1"] += 1
+            if path == "merge" and last == "move" and f._den < den:
+                counts["cancelling merge after moves"] += 1
+            last = path
+        assert probterm_seq(d, 24) == tuple(masses), i
+    assert all(counts.values()), counts
 
 
 def test_frontier_renormalise_is_the_residue_dist():
