@@ -13,12 +13,17 @@ look" loops go through ``Frontier`` instead: run is the identity on
 delivered values, so the frontier keeps their mass as one scalar and
 carries only the pending thunks from level to level, which makes
 termination tables cost time linear in depth.  Its weights are integer
-numerators over one common denominator, reduced once per level, so a level
-costs integer products and one gcd; only the weights it hands out are
-built as Fractions.  The one exception, ``relate.lift_check``'s left side,
-steps with ``split`` and ``continuation``, which forces a lone pending
-thunk and builds nothing: a frontier there, which absorbs, renormalises and
-re-canonicalises every level, made refine-deep 1.12x slower.
+numerators over one least common denominator, keyed by thunk.  A level of
+single weight-1 steps that reach distinct thunks only moves numerators;
+any other level costs integer products over the forced nodes' rows and one
+gcd.  A node of several entries becomes a row once per frontier, however
+often it is forced again, as the nodes of a finite chain such as the fair
+coin are.  Only the weights it hands out are built as Fractions, and
+``probterm_seq`` builds no deliveries.  The one exception,
+``relate.lift_check``'s left side, steps with ``split`` and
+``continuation``, which forces a lone pending thunk and builds nothing: a
+frontier there, which absorbs, renormalises and re-canonicalises every
+level, made refine-deep 1.12x slower.
 
 Also here: termination-probability sequences, the split of a node into its
 value part and combined continuation, and the bounded limit comparison
@@ -175,6 +180,7 @@ class Frontier:
             if len(es) != 1:
                 break
             w, el = es[0]
+            # dirac's weight is ONE itself, so most steps skip the compare
             if type(el) is not Inr or (w is not ONE and w != 1) \
                     or el.val in pending:
                 break
