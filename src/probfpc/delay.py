@@ -168,6 +168,7 @@ class Frontier:
         return [(Fraction(n, den), a) for n, a in new]
 
     def _level(self):
+        """Force each pending thunk once, in order, and take the nodes in."""
         return self._absorb([(n, t.force()) for t, n in self._pending.items()])
 
     def _absorb(self, forced):
