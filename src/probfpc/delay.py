@@ -125,22 +125,18 @@ class Frontier:
 
     Holds the delivered mass and the pending thunks' weights as integer
     numerators over one common denominator, the least one after every
-    level.  ``_pending`` maps each thunk to its numerator, in
-    first-occurrence order; thunks hash by identity and the key keeps its
-    thunk alive.  A level forces each pending thunk once, in order.
-
-    * A move-only level is one where every forced node is a single step of
-      weight exactly 1 and no two of them reach one thunk.  It only moves
-      numerators from thunk to thunk: their sum and their gcd stay what
-      they were, so the denominator, the exact-sum check and the gcd are
-      left alone.
-    * Any other level scales the denominator by the lcm of the forced
-      nodes' weight denominators, checks that delivered plus pending mass
-      is exactly 1, as ``Dist`` does, and divides every numerator and the
-      denominator by their gcd.  A node of several entries is read as an
-      integer row once per frontier (its lcm denominator, value numerators
-      and step numerators, ``_rows``, keyed by the node) and the row is
-      reused whenever the node is forced again.
+    level.  ``_pending`` maps each thunk (hashed by identity, and kept alive
+    by the key) to its numerator, in first-occurrence order.  A level
+    forces each pending thunk once, in order.  When every forced node is a
+    single step of weight exactly 1 and no two reach one thunk, the level
+    only moves numerators: their sum and gcd are unchanged, so it keeps the
+    denominator and skips the exact-sum check and the gcd.  Any other
+    level scales the denominator by the lcm of the forced nodes' weight
+    denominators, checks that delivered plus pending mass is exactly 1, as
+    ``Dist`` does, and divides every numerator and the denominator by their
+    gcd.  A node of several entries is read as an integer row (``_row``)
+    the first time it is forced and the row is kept, keyed by the node, for
+    every later level of this frontier.
 
     ``step()`` runs a level and hands out its deliveries as Fractions;
     ``probterm_seq`` runs levels without building them.  ``renormalise``
@@ -175,6 +171,7 @@ class Frontier:
         """Take in the nodes forced: [(numerator over the current
         denominator, node)].  Returns the denominator the deliveries are
         over, before the gcd, and the deliveries [(numerator, value)]."""
+        # a move-only level re-keys the numerators: their sum and gcd stay
         pending = {}
         for n, d in forced:
             es = d.entries
