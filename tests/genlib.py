@@ -254,7 +254,8 @@ def pooled_delay(rng, size: int = 5) -> Dist:
         elif kind < 4:
             bodies.append(dirac(chain(j, rng.randrange(1, 4))))
         elif kind < 5:
-            bodies.append(Dist([(Fraction(1, 3), inr[j]), (Fraction(2, 3), inr[j])]))
+            bodies.append(Dist([(Fraction(1, 3), inr[j]),
+                                (Fraction(2, 3), inr[j])]))
         else:
             a, b = rng.choice(_POOL_SPLITS)
             k = rng.randrange(1, 4)

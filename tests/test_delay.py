@@ -281,7 +281,7 @@ def test_frontier_paths_are_the_literal_run():
             assert f._den == least_den(f), (i, m)
             masses.append(f.mass)
             counts[path] += 1
-            if path == "move" and any(d.entries[0][0] is not ONE for d in nodes):
+            if path == "move" and any(n.entries[0][0] is not ONE for n in nodes):
                 counts["move over a merged 1"] += 1
             if path == "merge" and last == "move" and f._den < den:
                 counts["cancelling merge after moves"] += 1
