@@ -342,6 +342,28 @@ def test_frontier_checks_mass_as_dist_does():
         "distribution weights sum to 1/2, not 1"
 
 
+def test_frontier_checks_a_lone_step_of_weight_below_1():
+    # a one-entry step of weight 1/2 is not a move: the level that forces
+    # it reaches the exact-sum check, in step() and in probterm_seq alike
+    class HalfStep:
+        entries = ((HALF, Inr(DelayThunk(lambda: now(0)))),)
+
+    def literal(d):
+        run(d)
+
+    def frontier(d):
+        Frontier(d).step()
+
+    def seq(d):
+        probterm_seq(d, 1)
+
+    for observe in (literal, frontier, seq):
+        with pytest.raises(ValueError) as e:
+            observe(step(DelayThunk(HalfStep)))
+        assert str(e.value) == "distribution weights sum to 1/2, not 1", \
+            observe.__name__
+
+
 # --- zeta -------------------------------------------------------------------
 
 def test_zeta_singleton_is_identity():
