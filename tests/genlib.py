@@ -615,6 +615,17 @@ def walk_force_src(k: int, start: int = 4) -> str:
     return src + "force%d (Y walk %d)\n" % (k, start)
 
 
+LOOP_TY = "(mu X. X -> Unit -> Unit)"
+
+
+def unit_loop(q) -> str:
+    """Source of a Unit -> Unit loop that stops with probability q at each
+    unfold: the loop body applied to its own fold."""
+    fn = ("(fn w : %s => fn n : Unit => choice %s n ((unfold w) w n))"
+          % (LOOP_TY, q))
+    return "%s (fold[%s] %s)" % (fn, LOOP_TY, fn)
+
+
 def nth_head(j: int) -> Term:
     """Observer reading the j-th head (0-based): head after j tails.
     Type LazyList -> Nat + Unit."""

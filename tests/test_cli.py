@@ -12,6 +12,7 @@ from probfpc.cli import MODES, _dumps, main
 from probfpc.corpus import CATALOGUE
 
 from conftest import example
+from genlib import unit_loop
 
 
 def run(argv):
@@ -447,16 +448,7 @@ def test_refine_huge_run_time_numeral_is_one_line(tmp_path, fmt, extra):
 # a Unit loop that stops at each unfold with probability 1/10^100, so its
 # table's denominators pass 10^4300, which Python will not print in decimal
 ONE_IN_GOOGOL = "1/1" + "0" * 100
-LOOP_TY = "(mu X. X -> Unit -> Unit)"
-
-
-def loop_of(q):
-    """The Unit loop stopping with probability q at each unfold."""
-    fn = "fn w : %s => fn n : Unit => choice %s n ((unfold w) w n)" % (LOOP_TY, q)
-    return "((%s) (fold[%s] (%s))) *" % (fn, LOOP_TY, fn)
-
-
-LOOP = loop_of(ONE_IN_GOOGOL) + "\n"
+LOOP = "(%s) *\n" % unit_loop(ONE_IN_GOOGOL)
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -482,7 +474,8 @@ def test_refine_value_mass_too_long_to_print_is_one_line(tmp_path, fmt):
     # related to itself: each level renormalises the residue, and the left
     # side's value mass gains about 100 digits a level
     f = tmp_path / "mix.pfpc"
-    f.write_text("choice 1/2 (%s) (%s)\n" % (loop_of(ONE_IN_GOOGOL), loop_of("1/3")))
+    f.write_text("choice 1/2 ((%s) *) ((%s) *)\n"
+                 % (unit_loop(ONE_IN_GOOGOL), unit_loop("1/3")))
     assert run(["refine", str(f), str(f), "--fuel", "60", "--format", fmt]) == \
         (1, "", "probfpc: exact value too long to print: 8634 digits\n")
 

@@ -22,7 +22,7 @@ from probfpc.cli import main
 from probfpc.corpus import CATALOGUE
 
 from conftest import EXAMPLES
-from genlib import walk_force_src
+from genlib import unit_loop, walk_force_src
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                      "golden_outputs.txt")
@@ -116,13 +116,9 @@ UNTYPED_LET_FILES = {
 # after one step from either side of a choice: the two sides reach one
 # thunk, so the root node is one entry of weight 1 built by adding 1/3
 # and 2/3
-LOOP_TY = "(mu X. X -> Unit -> Unit)"
-RUN_LOOP = ("(fn w : %s => fn n : Unit => choice 1/3 n ((unfold w) w n))"
-            % LOOP_TY)
 MERGED_FILES = {
-    "run_twice.pfpc": "def run = fn z : Unit => %s (fold[%s] %s) z ;\n"
-                      "choice 1/3 (run *) (run *)\n"
-                      % (RUN_LOOP, LOOP_TY, RUN_LOOP),
+    "run_twice.pfpc": "def run = fn z : Unit => %s z ;\n"
+                      "choice 1/3 (run *) (run *)\n" % unit_loop("1/3"),
 }
 
 
