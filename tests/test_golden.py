@@ -121,6 +121,14 @@ MERGED_FILES = {
                       "choice 1/3 (run *) (run *)\n" % unit_loop("1/3"),
 }
 
+# the hesitant identity with one more step before each retry, so a lifting
+# against the identity comes back to a state it has seen every second level
+with open(os.path.join(EXAMPLES, "id_hes.pfpc"), encoding="utf-8") as _fh:
+    HES2_FILES = {"hes2.pfpc": _fh.read().replace(
+        "choice 1/2 x (f x)",
+        "choice 1/2 x (let u = unfold (fold[mu X. Unit] *) in f x)")}
+assert "fold[mu X. Unit]" in HES2_FILES["hes2.pfpc"]
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -223,6 +231,15 @@ def requests():
              "--format", fmt]
             for a, b in (("fair", "fair"), ("coin_harness", "fair_harness"))
             for fmt in FORMATS]
+    # liftings whose state recurs: with period 2 and 37 levels to go when
+    # it first comes back, so the run ends inside a period, and with period
+    # 1 at fuel 200 and 300
+    out += [["refine", "tmp/hes2.pfpc", "examples/id.pfpc", "--fuel", "40",
+             "--format", fmt] for fmt in FORMATS]
+    out += [["refine", "examples/%s.pfpc" % a, "examples/%s.pfpc" % a,
+             "--fuel", "200"] for a in ("fair_harness", "diverge", "geo")]
+    out += [["refine", "examples/id_hes.pfpc", "examples/id.pfpc",
+             "--fuel", "300", "--format", fmt] for fmt in FORMATS]
     return out
 
 
@@ -232,7 +249,7 @@ def outputs():
         for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES,
                           **ZERO_DEN_FILES, **LEX_FILES, **DUP_FILES,
                           **SHARE_FILES, **UNTYPED_LET_FILES,
-                          **MERGED_FILES}.items():
+                          **MERGED_FILES, **HES2_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(src)
