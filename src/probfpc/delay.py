@@ -242,6 +242,13 @@ class Frontier:
         den = self._den
         return [(Fraction(n, den), t) for t, n in self._pending.items()]
 
+    def snapshot(self):
+        """Everything a level reads, hashable: the delivered numerator, the
+        denominator and the pending (thunk, numerator) pairs in order.  A
+        thunk hashes and compares by identity, and the tuple keeps it
+        alive; the kept rows are a function of the nodes forced."""
+        return self._num, self._den, tuple(self._pending.items())
+
 
 def probterm_seq(d: Dist, n: int) -> tuple:
     """Termination probabilities at depths 0..n, monotone nondecreasing; the

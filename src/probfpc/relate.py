@@ -6,6 +6,11 @@ some run horizon, with the coupling decided by an exact max-flow on integer
 numerators, and the loop goes on to the delayed remainder with one unit of
 fuel less.  Fuel 0 accepts the truncated obligation, so Holds at fuel F
 certifies the F-level approximation and Unknown is never a refutation.
+Forcing memoises thunks, so a recursive program's delay graph is finite and
+the lifting's own state (left node, right frontier, explored values) comes
+back; a level is a function of that state, so from a repeated state the
+loop replays the records of the levels since its first occurrence, with
+only the fuel changed, in place of solving them again.
 
 `logrel_val` is the type-indexed relation between semantic and syntactic
 values: ground types by equality, pairs and sums structurally, recursive
@@ -139,6 +144,17 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     level, so it composes additively in fuel.  When e's explored mass
     cannot split at exactly p, the flow consumption splits explored leaves
     fractionally; this is a sound search, not a complete one.
+
+    A level whose state was seen before is not solved again.  The state is
+    d, the right frontier's ``snapshot()`` and the explored values'
+    weights, with d, thunks and values taken by identity.  A level reads
+    only that state, eps, horizon and the cached rel: forcing the same
+    thunks returns the same nodes, and rel answers a pair it has seen as
+    before.  So from a repeated state the levels since its first
+    occurrence, the period, come again in order, differing only in fuel,
+    and none of them can exit early, as none did the first time.  The loop
+    appends one copy of the period's records per remaining fuel unit and
+    leaves as fuel runs out, with the trace it would have built.
     """
     eps = as_uprob(eps)
     # the horizon search asks about the same pairs at every m, and rel may
@@ -154,7 +170,15 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
                            else reason, trace)
 
     front, evals = Frontier(e), split(e)[0]
+    seen = {}       # state -> (its level's index, the values it names by id)
     for fuel in range(fuel, 0, -1):
+        state = (d, front.snapshot(), tuple((w, id(b)) for w, b in evals))
+        first = seen.setdefault(state, (len(levels), evals))[0]
+        if first < len(levels):
+            period = levels[first:]
+            levels += [dict(period[k % len(period)], fuel=fuel - k)
+                       for k in range(fuel)]
+            break
         vals, pend = split(d)
         p = sum((w for w, _ in vals), ZERO)
         need = p - eps

@@ -154,6 +154,21 @@ def hesitant(q, a) -> Dist:
     return step_fn(lambda: choice(q, now(a), hesitant(q, a)))
 
 
+def hesitant_loop(values, steps: int = 1) -> Dist:
+    """A finite graph of one thunk, whose node delivers the values
+    [(w, a)] and with the rest of the mass steps back to the thunk itself,
+    through ``steps`` levels; ``hesitant_loop([(q, a)])`` runs as
+    ``hesitant(q, a)``."""
+    body = []
+    t = DelayThunk(lambda: body[0])
+    back = Inr(t)
+    for _ in range(steps - 1):
+        back = Inr(DelayThunk(lambda el=back: dirac(el)))
+    rest = 1 - sum(w for w, _ in values)
+    body.append(Dist([(w, Inl(a)) for w, a in values] + [(rest, back)]))
+    return step(t)
+
+
 # --- random delay trees ------------------------------------------------------
 
 _GEN_WEIGHTS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))

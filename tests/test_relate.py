@@ -10,7 +10,7 @@ import pytest
 
 from probfpc.dist import Dist, Inl, choice
 from probfpc.delay import (
-    delay_bind, leqlim_upto, now, probterm_seq, step_fn,
+    delay_bind, leqlim_upto, now, probterm_seq, split, step_fn,
 )
 from probfpc.densem import FoldV
 from probfpc import relate
@@ -23,7 +23,8 @@ from probfpc.typecheck import TypecheckError
 from probfpc.corpus import diverge_term, id_hes, y_comb
 
 from genlib import (
-    geo, hesitant, random_delay, ref_lift_check, ref_max_flow, run_n, step_of,
+    geo, hesitant, hesitant_loop, pooled_delay, random_delay, ref_lift_check,
+    ref_max_flow, run_n, step_of,
 )
 
 NAT = NatT()
@@ -223,6 +224,46 @@ def _chain(trace):
         trace = trace["child"]
 
 
+def test_lift_replay_matches_the_recursive_reference(monkeypatch):
+    # looping graphs against each other at fuel up to 24, so the lifting's
+    # state recurs: the replayed trace is the one the reference builds
+    # level by level, key order included, and every record is its own dict
+    solved = []
+    monkeypatch.setattr(relate, "split", lambda d: solved.append(d) or split(d))
+    rng = random.Random(89)
+    # loops of one to three levels delivering one value or two; against a
+    # right side that has delivered all its mass, a loop that takes its two
+    # values at other rates moves the explored values' weights while d and
+    # the frontier stay the same
+    loops = [hesitant_loop([(q, a)], k) for q in (HALF, Fraction(1, 3))
+             for a in (0, 1) for k in (1, 2, 3)]
+    loops += [hesitant_loop([(Fraction(1, 4), a), (Fraction(1, 8), 1 - a)], k)
+              for a in (0, 1) for k in (1, 2)]
+    rights = loops + [choice(q, now(0), now(1)) for q in (HALF, Fraction(2, 3))]
+    seen = Counter()
+    for i in range(150):
+        d = (pooled_delay(rng), rng.choice(loops))[i % 2]
+        e = (d, pooled_delay(rng), rng.choice(rights))[i % 3]
+        fuel, horizon = rng.randrange(8, 25), rng.randrange(1, 9)
+        eps = rng.choice((0, Fraction(1, 16)))
+        del solved[:]
+        got = lift_check(d, e, eq, fuel, horizon, eps)
+        want = ref_lift_check(d, e, eq, fuel, horizon, eps)
+        assert (got.holds, got.reason, got.trace) == \
+            (want.holds, want.reason, want.trace)
+        assert json.dumps(got.trace) == json.dumps(want.trace)
+        records = list(_chain(got.trace))
+        assert len({id(r) for r in records}) == len(records)
+        # split reads e once and d once per level solved, so the records
+        # past those levels and the fuel leaf are replayed
+        tail = [dict(r, fuel=0, child=None) for r in records[len(solved) - 1:-1]]
+        seen[records[-1]["case"]] += 1
+        seen["replayed"] += bool(tail)
+        seen["replayed, period > 1"] += any(r != tail[0] for r in tail)
+    for case in ("fuel", "no-coupling", "replayed", "replayed, period > 1"):
+        assert seen[case] >= 10, seen
+
+
 def test_lift_runs_no_futile_flows(monkeypatch):
     # the flow onto a hesitant right side is at most its delivered mass, so
     # a level runs one flow, once that mass reaches p - eps, and a horizon
@@ -253,6 +294,21 @@ def test_lift_runs_no_futile_flows(monkeypatch):
         records = [r for probe in v.trace["probes"] for r in _chain(probe["trace"])]
         assert len(calls) == sum(r.get("value_mass", "0") != "0" for r in records)
         assert len(calls) == (len(records) if holds else 1)
+
+
+def test_lift_replay_runs_no_repeated_flows(monkeypatch):
+    # the hesitant identity against the identity comes back to one state
+    # from its second level on, so each probe solves its flow once, not
+    # once per fuel unit, and still chains a record per fuel unit
+    calls = []
+    monkeypatch.setattr(relate, "_max_flow",
+                        lambda *a: calls.append(a) or _max_flow(*a))
+    v = refine_check(id_hes(HALF, NAT), Lam(NAT, Var(0)), RelateCfg(fuel=200))
+    assert v.holds and v.reason == "4 probes passed"
+    assert 0 < len(calls) <= 2 * len(v.trace["probes"])
+    for probe in v.trace["probes"]:
+        assert [r.get("fuel") for r in _chain(probe["trace"])] == \
+            list(range(200, 0, -1)) + [None]
 
 
 def test_lift_bind_lemma():
