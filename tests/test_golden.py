@@ -232,8 +232,8 @@ def requests():
             for a, b in (("fair", "fair"), ("coin_harness", "fair_harness"))
             for fmt in FORMATS]
     # liftings whose state recurs: with period 2 and 37 levels to go when
-    # it first comes back, so the run ends inside a period, and with period
-    # 1 at fuel 200 and 300
+    # it first comes back, so the run ends inside a period, and within the
+    # first three levels at fuel 200 and 300
     out += [["refine", "tmp/hes2.pfpc", "examples/id.pfpc", "--fuel", "40",
              "--format", fmt] for fmt in FORMATS]
     out += [["refine", "examples/%s.pfpc" % a, "examples/%s.pfpc" % a,
