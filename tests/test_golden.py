@@ -129,6 +129,22 @@ with open(os.path.join(EXAMPLES, "id_hes.pfpc"), encoding="utf-8") as _fh:
         "choice 1/2 x (let u = unfold (fold[mu X. Unit] *) in f x)")}
 assert "fold[mu X. Unit]" in HES2_FILES["hes2.pfpc"]
 
+# the fair coin observed at Unit, diverging when it lands on false through
+# diverge.pfpc's loop, so half its mass steps around a cycle of weight-1
+# steps for ever; and two Unit loops that stop at different rates, whose
+# pending thunks recur while their weights never keep one ratio
+with open(os.path.join(EXAMPLES, "diverge.pfpc"), encoding="utf-8") as _fh:
+    _OMEGA = _fh.read().replace("def Y =", "def Yu =").replace(
+        "Y loop *\n", "def omega = Yu loop ;\n")
+with open(os.path.join(EXAMPLES, "fair_harness.pfpc"), encoding="utf-8") as _fh:
+    RECUR_FILES = {"fair_false.pfpc": _OMEGA + _fh.read().replace(
+        "(fn b : Unit + Unit => *) (Y flip *)",
+        "(fn q : Unit + Unit => if q then * else omega *) (Y flip *)")}
+assert "def omega = Yu loop" in RECUR_FILES["fair_false.pfpc"]
+assert "then * else omega *" in RECUR_FILES["fair_false.pfpc"]
+RECUR_FILES["tworate.pfpc"] = "choice 1/2 (%s *) (%s *)\n" % (
+    unit_loop("1/3"), unit_loop("1/5"))
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -240,6 +256,23 @@ def requests():
              "--fuel", "200"] for a in ("fair_harness", "diverge", "geo")]
     out += [["refine", "examples/id_hes.pfpc", "examples/id.pfpc",
              "--fuel", "300", "--format", fmt] for fmt in FORMATS]
+    # termination tables whose frontier comes back to a state it has seen:
+    # up to a dead cycle (the fair coin diverging on false, and the silent
+    # loop whose every pending thunk is on one), or never (geo counts in
+    # Nat, the two-rate loops' weights drift apart, and the walk spreads)
+    out += [["probterm", "tmp/fair_false.pfpc", "--mode", m, "--depth", depth,
+             "--format", fmt]
+            for m, depth in (("op", "1400"), ("den", "160")) for fmt in FORMATS]
+    out += [["probterm", "examples/geo.pfpc", "--mode", m, "--depth", "300"]
+            for m in ("op", "den-steps")]
+    out.append(["probterm", "examples/diverge.pfpc", "--depth", "500"])
+    out += [["probterm", "tmp/tworate.pfpc", "--depth", "200", "--format", fmt]
+            for fmt in FORMATS]
+    out += [
+        ["probterm", "examples/randw2_head.pfpc", "--depth", "600", "--format", "json"],
+        ["compare", "examples/fair_harness.pfpc", "examples/coin_harness.pfpc",
+         "--mode-a", "den", "--eps", "0", "--depth", "600"],
+    ]
     return out
 
 
@@ -249,7 +282,7 @@ def outputs():
         for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES,
                           **ZERO_DEN_FILES, **LEX_FILES, **DUP_FILES,
                           **SHARE_FILES, **UNTYPED_LET_FILES,
-                          **MERGED_FILES, **HES2_FILES}.items():
+                          **MERGED_FILES, **HES2_FILES, **RECUR_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(src)
