@@ -87,7 +87,12 @@ class _ArgParser(argparse.ArgumentParser):
 
 
 def _print_seq(seq, fmt, approx, out, head=""):
-    texts = [exact_str(v) for v in seq]    # before any output: it may fail
+    # before any output, as it may fail; a repeated value object reuses its text
+    texts, prev = [], None
+    for v in seq:
+        if v is not prev:
+            text, prev = exact_str(v), v
+        texts.append(text)
     out.write(head)
     if fmt == "json":
         doc = {"depths": list(range(len(seq))), "probterm": texts}

@@ -25,6 +25,12 @@ coin are.  Only the weights it hands out are built as Fractions, and
 frontier there, which absorbs, renormalises and re-canonicalises every
 level, made refine-deep 1.12x slower.
 
+``probterm_seq`` also stops running levels once the pending weights off the
+dead cycles (thunks that only step around a cycle of weight-1 steps) are c
+times those of an earlier level: a program whose thunks are finitely many
+is a finite Markov chain, so from there each level delivers c times what
+the level one period before did.
+
 Also here: termination-probability sequences, the split of a node into its
 value part and combined continuation, and the bounded limit comparison
 leqlim/eqlim.
@@ -242,6 +248,32 @@ class Frontier:
         den = self._den
         return [(Fraction(n, den), t) for t, n in self._pending.items()]
 
+    def live(self, dead):
+        """The pending thunks off the dead cycles, in order, their
+        numerators and the denominator, or None while one of them is
+        unforced: such a level repeats none before it, as each level forces
+        every thunk pending.  A forced thunk whose forced single weight-1
+        steps lead back to it is on a dead cycle, which joins ``dead``."""
+        ts, ns = [], []
+        for t, n in self._pending.items():
+            if t in dead:
+                continue
+            if t._fn is not None:
+                return None
+            cycle, u = set(), t
+            while u._fn is None and u not in cycle:
+                es = u._val.entries
+                if len(es) != 1 or type(es[0][1]) is not Inr or es[0][0] != 1:
+                    break
+                cycle.add(u)
+                u = es[0][1].val
+            if u is t and cycle:
+                dead |= cycle
+            else:
+                ts.append(t)
+                ns.append(n)
+        return tuple(ts), ns, self._den
+
     def snapshot(self):
         """Everything a level reads, hashable: the delivered numerator, the
         denominator and the pending (thunk, numerator) pairs in order.  A
@@ -252,12 +284,41 @@ class Frontier:
 
 def probterm_seq(d: Dist, n: int) -> tuple:
     """Termination probabilities at depths 0..n, monotone nondecreasing; the
-    frontier's exact-sum check keeps each of them in [0,1]."""
+    frontier's exact-sum check keeps each of them in [0,1].
+
+    A dict keeps, per live thunk tuple (``Frontier.live``), the level last
+    seen with it and its numerators.  When level k's are c times level
+    i's, each later level delivers c times what the level one period
+    (k - i levels) before it delivered, and the rest of the table is filled
+    so, forcing nothing.  This is exact: a forced node never changes, so a
+    level is a fixed linear map; a dead cycle steps only into itself and
+    delivers nothing, so the live weights evolve on their own and alone
+    decide the deliveries; the period forced every node the replay stands
+    for, on the same supports, and passed the exact-sum check, which
+    scaling by c keeps; and c <= 1, as live mass only leaves.  With no live
+    thunk left the table stays constant."""
     f = Frontier(d)
-    out = [f.mass]
-    for _ in range(n):
+    out, seen, dead = [f.mass], {}, set()
+    while len(out) <= n:
+        state = f.live(dead)
+        if state is not None:
+            ts, ns, den = state
+            if not ts:
+                break
+            k = len(out) - 1
+            i, ns0, den0 = seen.get(ts, (k, ns, den))
+            if i < k and all(a * ns0[0] == b * ns[0] for a, b in zip(ns, ns0)):
+                c = Fraction(ns[0] * den0, ns0[0] * den)
+                deltas = [out[j + 1] - out[j] for j in range(i, k)]
+                for m in range(n - k):
+                    x = c * deltas[m]
+                    deltas.append(x)
+                    out.append(out[-1] + x if x else out[-1])
+                break
+            seen[ts] = k, ns, den
         # the mass moves only when the level delivers
         out.append(f.mass if f._level()[1] else out[-1])
+    out += [out[-1]] * (n + 1 - len(out))
     return tuple(out)
 
 

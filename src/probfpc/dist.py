@@ -20,7 +20,9 @@ exactly 1.  Carriers split in two:
 
 `dirac` builds its one entry of weight 1 directly, and `dist_bind` over a
 one-entry node returns the continuation's Dist itself (the unit law): both
-are canonical with mass 1 already.  Everything else canonicalises.
+are canonical with mass 1 already.  So is `choice` of two one-entry sides
+once `canonical` merges its (p, a) and (1-p, b), as p + (1-p) is 1
+exactly.  Everything else canonicalises and checks its sum.
 """
 
 from .rational import ONE, ZERO, as_prob
@@ -144,8 +146,14 @@ def dirac(a) -> Dist:
 
 
 def choice(p, mu: Dist, nu: Dist) -> Dist:
-    """Convex combination p*mu + (1-p)*nu, left entries first."""
+    """Convex combination p*mu + (1-p)*nu, left entries first; of two
+    one-entry sides, built as dirac builds its node."""
     p = as_prob(p)
+    if len(mu.entries) == 1 == len(nu.entries) and type(mu) is Dist is type(nu):
+        d = object.__new__(Dist)
+        object.__setattr__(d, "entries", canonical(
+            [(p, mu.entries[0][1]), (ONE - p, nu.entries[0][1])]))
+        return d
     return Dist([(p * w, v) for w, v in mu.entries]
                 + [((ONE - p) * w, v) for w, v in nu.entries])
 

@@ -7,10 +7,10 @@ numerators, and the loop goes on to the delayed remainder with one unit of
 fuel less.  Fuel 0 accepts the truncated obligation, so Holds at fuel F
 certifies the F-level approximation and Unknown is never a refutation.
 Forcing memoises thunks, so a recursive program's delay graph is finite and
-the lifting's own state (left node, right frontier, explored values) comes
-back; a level is a function of that state, so from a repeated state the
-loop replays the records of the levels since its first occurrence, with
-only the fuel changed, in place of solving them again.
+the lifting's own state (the left node's entries, right frontier, explored
+values) comes back; a level is a function of that state, so from a repeated
+state the loop replays the records of the levels since its first
+occurrence, with only the fuel changed, in place of solving them again.
 
 `logrel_val` is the type-indexed relation between semantic and syntactic
 values: ground types by equality, pairs and sums structurally, recursive
@@ -146,9 +146,11 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     fractionally; this is a sound search, not a complete one.
 
     A level whose state was seen before is not solved again.  The state is
-    d, the right frontier's ``snapshot()`` and the explored values'
-    weights, with d, thunks and values taken by identity.  A level reads
-    only that state, eps, horizon and the cached rel: forcing the same
+    d's entries, the right frontier's ``snapshot()`` and the explored
+    values' weights, with d's elements, thunks and values taken by
+    identity, so a fresh combined continuation of the same entries is the
+    same state.  A level reads only that state, eps, horizon and the
+    cached rel: it reads d only through its entries, forcing the same
     thunks returns the same nodes, and rel answers a pair it has seen as
     before.  So from a repeated state the levels since its first
     occurrence, the period, come again in order, differing only in fuel,
@@ -170,10 +172,11 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
                            else reason, trace)
 
     front, evals = Frontier(e), split(e)[0]
-    seen = {}       # state -> (its level's index, the values it names by id)
+    seen = {}       # state -> (its level's index, what it names by id)
     for fuel in range(fuel, 0, -1):
-        state = (d, front.snapshot(), tuple((w, id(b)) for w, b in evals))
-        first = seen.setdefault(state, (len(levels), evals))[0]
+        state = (tuple((w, id(el)) for w, el in d.entries), front.snapshot(),
+                 tuple((w, id(b)) for w, b in evals))
+        first = seen.setdefault(state, (len(levels), d, evals))[0]
         if first < len(levels):
             period = levels[first:]
             levels += [dict(period[k % len(period)], fuel=fuel - k)

@@ -4,10 +4,11 @@ The random generators are deterministic given the caller's seeded
 ``random.Random``; the suites fix their seeds so failures replay.  The rest
 is what the tests compare the package against and build their programs
 from: the fuelled reduction witnesses, the literal n-fold ``run``, the
-canonical prefix comparison, read-back soundness, the pretty-printer, the
-Edmonds-Karp max-flow on Fractions, the recursive lifting, the
-character-loop lexer, the interpreter's whole-environment memo key, and the
-corpus programs only the tests use.
+termination table level by level, the canonical prefix comparison,
+read-back soundness, the pretty-printer, the Edmonds-Karp max-flow on
+Fractions, the recursive lifting, the character-loop lexer, the
+interpreter's whole-environment memo key, and the corpus programs only the
+tests use.
 """
 
 from collections import deque
@@ -123,6 +124,16 @@ def probterm0(d: Dist) -> Fraction:
                Fraction(0))
 
 
+def ref_probterm_seq(d: Dist, n: int) -> tuple:
+    """``probterm_seq`` without the replay: one frontier level per depth."""
+    f = Frontier(d)
+    out = [f.mass]
+    for _ in range(n):
+        # the mass moves only when the level delivers
+        out.append(f.mass if f.step() else out[-1])
+    return tuple(out)
+
+
 def probterm(n: int, d: Dist) -> Fraction:
     f = Frontier(d)
     for _ in range(n):
@@ -158,13 +169,14 @@ def hesitant_loop(values, steps: int = 1) -> Dist:
     """A finite graph of one thunk, whose node delivers the values
     [(w, a)] and with the rest of the mass steps back to the thunk itself,
     through ``steps`` levels; ``hesitant_loop([(q, a)])`` runs as
-    ``hesitant(q, a)``."""
+    ``hesitant(q, a)``, and ``hesitant_loop([])`` is a cycle of weight-1
+    steps that delivers nothing."""
     body = []
     t = DelayThunk(lambda: body[0])
     back = Inr(t)
     for _ in range(steps - 1):
         back = Inr(DelayThunk(lambda el=back: dirac(el)))
-    rest = 1 - sum(w for w, _ in values)
+    rest = 1 - sum((w for w, _ in values), ZERO)
     body.append(Dist([(w, Inl(a)) for w, a in values] + [(rest, back)]))
     return step(t)
 

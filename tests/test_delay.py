@@ -3,6 +3,7 @@ comparison."""
 
 import io
 import json
+import os
 import random
 from fractions import Fraction
 from math import lcm
@@ -19,12 +20,12 @@ from probfpc.delay import (
 from probfpc.parser import load_file
 from probfpc.rational import ONE
 
-from conftest import example
+from conftest import EXAMPLES, example
 from genlib import (
     OPAQUE, ChoiceCong, Refl, StepElim, WitnessShapeError, check_witness, geo,
-    hesitant, node_eq, pooled_delay, prefix_eq, probterm, probterm0,
-    random_delay, random_witness, run_n, shared_delay, step_of, value_part,
-    witness_for_run, witness_steps,
+    hesitant, hesitant_loop, node_eq, pooled_delay, prefix_eq, probterm,
+    probterm0, random_delay, random_witness, ref_probterm_seq, run_n,
+    shared_delay, step_of, value_part, witness_for_run, witness_steps,
 )
 
 HALF = Fraction(1, 2)
@@ -288,6 +289,71 @@ def test_frontier_paths_are_the_literal_run():
             last = path
         assert probterm_seq(d, 24) == tuple(masses), i
     assert all(counts.values()), counts
+
+
+def replay_cases(rng):
+    """(label, delay tree) pairs whose live state may recur: pooled trees,
+    whose pure step chains can close into dead cycles, trees stepping back
+    into a shared pool, hesitant loops mixed with a loop at another rate or
+    with a silent one, and every catalogue program and example in the three
+    semantics."""
+    for i in range(200):
+        yield "pooled %d" % i, pooled_delay(rng)
+    for i in range(60):
+        yield "shared %d" % i, shared_delay(rng)
+    for i in range(60):
+        vals = [(Fraction(1, 4), 0), (Fraction(1, 8), 1)][:rng.randrange(1, 3)]
+        other = [(rng.choice((Fraction(1, 3), Fraction(1, 5))), 2)][:rng.randrange(2)]
+        yield "loops %d" % i, choice(rng.choice((HALF, Fraction(1, 3))),
+                                     hesitant_loop(vals, rng.randrange(1, 4)),
+                                     hesitant_loop(other, rng.randrange(1, 4)))
+    for name, _ in CATALOGUE:
+        for mode in ("op", "den", "den-steps"):
+            yield "%s %s" % (name, mode), _delay_of(corpus(name), mode)[1]
+    for name in sorted(os.listdir(EXAMPLES)):
+        for mode in ("op", "den", "den-steps"):
+            yield "%s %s" % (name, mode), _delay_of(load_file(example(name)), mode)[1]
+
+
+def test_probterm_replay_is_the_level_loop(monkeypatch):
+    # probterm_seq, which replays a period once the live state recurs, gives
+    # the table of one frontier level per depth; it counts the tables whose
+    # replay fired, whose frontier found a dead cycle, and those where a
+    # tuple of thunks came back with weights of another ratio and ran on
+    states = []
+    live = Frontier.live
+
+    def spy(self, dead):
+        before = len(dead)
+        state = live(self, dead)
+        states.append((state, len(dead) > before))
+        return state
+    monkeypatch.setattr(Frontier, "live", spy)
+    rng = random.Random(62)
+    counts = dict.fromkeys(("replayed", "dead cycle", "ratio rejected"), 0)
+    for label, d in replay_cases(rng):
+        n = rng.randrange(60, 301)
+        del states[:]
+        got = probterm_seq(d, n)
+        assert got == ref_probterm_seq(d, n), label
+        last, fired, rejected = {}, False, False
+        for j, (state, _) in enumerate(states):
+            if state is None:
+                continue
+            ts, ns, _ = state
+            if ts in last:
+                if all(a * last[ts][0] == b * ns[0] for a, b in zip(ns, last[ts])):
+                    # the first proportional recurrence is the last level run
+                    assert j == len(states) - 1, label
+                    fired = True
+                else:
+                    rejected = True
+            last[ts] = ns
+        counts["replayed"] += fired
+        counts["dead cycle"] += any(grew for _, grew in states)
+        counts["ratio rejected"] += rejected
+    assert counts["replayed"] >= 60 and counts["dead cycle"] >= 50 \
+        and counts["ratio rejected"] >= 15, counts
 
 
 def test_frontier_renormalise_is_the_residue_dist():

@@ -214,6 +214,29 @@ def test_dirac_is_the_canonical_one_entry_node():
         assert type(w) is Fraction and w == 1 and v is a
 
 
+def test_two_point_choice_is_the_general_choice():
+    # a choice between one-entry sides builds its node from (p, a) and
+    # (1-p, b) as they are: the general path's entries, in its order, with
+    # its merges into one entry of weight 1 and the very objects it keeps
+    pool = element_pool(random.Random(31))
+    rng = random.Random(32)
+    merged = 0
+    for _ in range(400):
+        a = rng.choice(pool)
+        b = a if rng.randrange(4) == 0 else rng.choice(pool)
+        mu = dirac(a)
+        nu = rng.choice((dirac(b), Dist([(Fraction(1, 3), b), (Fraction(2, 3), b)])))
+        p = rng.choice(PROBS)
+        got = choice(p, mu, nu)
+        want = Dist([(p * w, v) for w, v in mu.entries]
+                    + [((1 - p) * w, v) for w, v in nu.entries])
+        assert type(got) is Dist
+        assert [(type(w), w, id(v)) for w, v in got.entries] == \
+            [(type(w), w, id(v)) for w, v in want.entries]
+        merged += len(got.entries) == 1 and key_of(a) is None
+    assert merged >= 20, merged
+
+
 def test_trusted_dirac_is_immutable():
     d = dirac(0)
     with pytest.raises(AttributeError):

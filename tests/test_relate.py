@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from probfpc.dist import Dist, Inl, choice
+from probfpc.dist import Dist, Inl, Inr, choice
 from probfpc.delay import (
-    delay_bind, leqlim_upto, now, probterm_seq, split, step_fn,
+    DelayThunk, delay_bind, leqlim_upto, now, probterm_seq, split, step_fn,
 )
 from probfpc.densem import FoldV
 from probfpc import relate
@@ -309,6 +309,24 @@ def test_lift_replay_runs_no_repeated_flows(monkeypatch):
     for probe in v.trace["probes"]:
         assert [r.get("fuel") for r in _chain(probe["trace"])] == \
             list(range(200, 0, -1)) + [None]
+
+
+def test_lift_replays_a_fresh_continuation_of_the_same_entries(monkeypatch):
+    # two pending branches whose thunks both force back to the node: each
+    # level's continuation is a fresh node of the same entries, so the
+    # state repeats from the second level and two levels are solved
+    solved = []
+    monkeypatch.setattr(relate, "split", lambda d: solved.append(d) or split(d))
+    body = []
+    t1, t2 = DelayThunk(lambda: body[0]), DelayThunk(lambda: body[0])
+    third = Fraction(1, 3)
+    body.append(Dist([(third, Inr(t1)), (third, Inr(t2)), (third, Inl(0))]))
+    got = lift_check(body[0], body[0], eq, 200, 8, 0)
+    assert len(solved) == 3         # e once, then d at two levels
+    want = ref_lift_check(body[0], body[0], eq, 200, 8, 0)
+    assert got.to_json() == want.to_json()
+    assert [r.get("fuel") for r in _chain(got.trace)] == \
+        list(range(200, 0, -1)) + [None]
 
 
 def test_lift_bind_lemma():
