@@ -311,7 +311,7 @@ def probterm_seq(d: Dist, n: int) -> tuple:
                 c = Fraction(ns[0] * den0, ns0[0] * den)
                 deltas = [out[j + 1] - out[j] for j in range(i, k)]
                 for m in range(n - k):
-                    x = c * deltas[m]
+                    x = deltas[m] and c * deltas[m]
                     deltas.append(x)
                     out.append(out[-1] + x if x else out[-1])
                 break
