@@ -145,6 +145,25 @@ assert "then * else omega *" in RECUR_FILES["fair_false.pfpc"]
 RECUR_FILES["tworate.pfpc"] = "choice 1/2 (%s *) (%s *)\n" % (
     unit_loop("1/3"), unit_loop("1/5"))
 
+# left sides whose levels merge deliveries as a Dist node merges entries:
+# a loop that delivers one closure through two distinct Inl wrappers at
+# every level, so the lifting's state recurs with both wrappers in it, and
+# a loop with two pending branches per level whose children both deliver
+# the argument
+MERGE_FILES = {
+    "closure_loop.pfpc":
+        "def I = fn y : Nat => y ;\n"
+        "def body = fn w : mu X. X -> Unit -> Nat -> Nat => fn n : Unit =>\n"
+        "  (fn g : Nat -> Nat => (fn h : Nat -> Nat =>\n"
+        "     choice 1/3 g (choice 1/2 h ((unfold w) w n))) g) I ;\n"
+        "body (fold[mu X. X -> Unit -> Nat -> Nat] body) *\n",
+    "twin_hes.pfpc":
+        "def body = fn w : mu X. X -> Nat -> Nat => fn x : Nat =>\n"
+        "  choice 1/3 x (choice 1/2 ((unfold w) w x)\n"
+        "                           (let u = unfold (fold[mu X. Unit] *) in x)) ;\n"
+        "fn n : Nat => body (fold[mu X. X -> Nat -> Nat] body) n\n",
+}
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -273,6 +292,12 @@ def requests():
         ["compare", "examples/fair_harness.pfpc", "examples/coin_harness.pfpc",
          "--mode-a", "den", "--eps", "0", "--depth", "600"],
     ]
+    # left sides whose levels deliver one object through two wrappers, or
+    # one numeral through two pending branches
+    out += [["refine", "tmp/closure_loop.pfpc", "tmp/closure_loop.pfpc",
+             "--fuel", "40", "--format", fmt] for fmt in FORMATS]
+    out += [["refine", "tmp/twin_hes.pfpc", "examples/id_hes.pfpc",
+             "--fuel", "40", "--format", fmt] for fmt in FORMATS]
     return out
 
 
@@ -282,7 +307,8 @@ def outputs():
         for name, src in {**BAD_FILES, **VALUE_FILES, **PARSE_FILES,
                           **ZERO_DEN_FILES, **LEX_FILES, **DUP_FILES,
                           **SHARE_FILES, **UNTYPED_LET_FILES,
-                          **MERGED_FILES, **HES2_FILES, **RECUR_FILES}.items():
+                          **MERGED_FILES, **HES2_FILES, **RECUR_FILES,
+                          **MERGE_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(src)
