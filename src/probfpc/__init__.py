@@ -11,8 +11,8 @@ refinements between the two through couplings and a type-indexed relation.
 from .rational import ZERO, ONE, ProbRangeError, as_prob, as_uprob, parse_rat
 from .dist import Dist, Inl, Inr, dirac, choice, dist_bind, dist_map, key_of
 from .delay import (
-    DelayThunk, now, step, step_fn, delay_bind, delay_map, zeta, run,
-    Frontier, probterm_seq, split, continuation, leqlim_upto, eqlim_upto,
+    DelayThunk, now, step, step_fn, delay_bind, delay_map, run, Frontier,
+    probterm_seq, leqlim_upto, eqlim_upto,
 )
 from .syntax import (
     Ty, UnitT, NatT, ProdT, SumT, FnT, MuT, TVarT, render_ty, mu_unfold,

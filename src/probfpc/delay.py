@@ -19,11 +19,7 @@ any other level costs integer products over the forced nodes' rows and one
 gcd.  A node of several entries becomes a row once per frontier, however
 often it is forced again, as the nodes of a finite chain such as the fair
 coin are.  Only the weights it hands out are built as Fractions, and
-``probterm_seq`` builds no deliveries.  The one exception,
-``relate.lift_check``'s left side, steps with ``split`` and
-``continuation``, which forces a lone pending thunk and builds nothing: a
-frontier there, which absorbs, renormalises and re-canonicalises every
-level, made refine-deep 1.12x slower.
+``probterm_seq`` builds no deliveries.
 
 ``probterm_seq`` also stops running levels once the pending weights off the
 dead cycles (thunks that only step around a cycle of weight-1 steps) are c
@@ -31,9 +27,8 @@ times those of an earlier level: a program whose thunks are finitely many
 is a finite Markov chain, so from there each level delivers c times what
 the level one period before did.
 
-Also here: termination-probability sequences, the split of a node into its
-value part and combined continuation, and the bounded limit comparison
-leqlim/eqlim.
+Also here: termination-probability sequences and the bounded limit
+comparison leqlim/eqlim.
 """
 
 from fractions import Fraction
@@ -44,8 +39,8 @@ from .dist import Dist, Inl, Inr, dirac, dist_bind
 
 __all__ = [
     "DelayThunk", "now", "step", "step_fn", "delay_bind",
-    "delay_map", "zeta", "run", "Frontier", "probterm_seq",
-    "split", "continuation", "leqlim_upto", "eqlim_upto",
+    "delay_map", "run", "Frontier", "probterm_seq",
+    "leqlim_upto", "eqlim_upto",
 ]
 
 
@@ -112,14 +107,6 @@ def delay_map(d: Dist, f) -> Dist:
     return delay_bind(d, lambda a: now(f(a)))
 
 
-def zeta(m: Dist) -> DelayThunk:
-    """Collapse a distribution of thunks into one thunk of their convex
-    combination; zeta(dirac t) = t."""
-    if len(m.entries) == 1:
-        return m.entries[0][1]
-    return DelayThunk(lambda: dist_bind(m, lambda t: t.force()))
-
-
 def run(d: Dist) -> Dist:
     """Eliminate one layer of steps in every branch."""
     return dist_bind(d, lambda el: dirac(el) if isinstance(el, Inl)
@@ -144,7 +131,9 @@ class Frontier:
     the first time it is forced and the row is kept, keyed by the node, for
     every later level of this frontier.
 
-    ``step()`` runs a level and hands out its deliveries as Fractions;
+    ``step()`` runs a level and hands out its deliveries, the forced
+    nodes' own ``Inl`` elements with their weights as Fractions, so
+    ``canonical`` merges them as ``Dist`` merges a node's entries;
     ``probterm_seq`` runs levels without building them.  ``renormalise``
     divides the pending weights by a mass, as the lifting does with its
     residue.  Weights leave as ``Fraction``.
@@ -165,7 +154,7 @@ class Frontier:
         return self._num * q.denominator >= q.numerator * self._den
 
     def step(self):
-        """Run one level; returns the level's deliveries [(w, value)]."""
+        """Run one level; returns the level's deliveries [(w, Inl element)]."""
         den, new = self._level()
         return [(Fraction(n, den), a) for n, a in new]
 
@@ -176,7 +165,7 @@ class Frontier:
     def _absorb(self, forced):
         """Take in the nodes forced: [(numerator over the current
         denominator, node)].  Returns the denominator the deliveries are
-        over, before the gcd, and the deliveries [(numerator, value)]."""
+        over, before the gcd, and the deliveries [(numerator, Inl element)]."""
         # a move-only level re-keys the numerators: their sum and gcd stay
         pending = {}
         for n, d in forced:
@@ -212,22 +201,25 @@ class Frontier:
         return den, new
 
     def _row(self, d):
-        """A node as (s, [(numerator over s, value)], [(numerator over s,
-        thunk)]), s the lcm of its weights' denominators; the rows of
-        nodes of several entries are kept."""
+        """A node as (s, [(numerator over s, Inl element)], [(numerator
+        over s, thunk)]), s the lcm of its weights' denominators; the rows
+        of nodes of several entries are kept."""
         es = d.entries
         if len(es) == 1:
             w, el = es[0]
-            one = ((w.numerator, el.val),)
-            return (w.denominator, one, ()) if isinstance(el, Inl) \
-                else (w.denominator, (), one)
+            if isinstance(el, Inl):
+                return w.denominator, ((w.numerator, el),), ()
+            return w.denominator, (), ((w.numerator, el.val),)
         row = self._rows.get(d)
         if row is None:
             s = lcm(*(w.denominator for w, _ in es))
             vals, steps = [], []
             for w, el in es:
-                (vals if isinstance(el, Inl) else steps).append(
-                    (w.numerator * (s // w.denominator), el.val))
+                n = w.numerator * (s // w.denominator)
+                if isinstance(el, Inl):
+                    vals.append((n, el))
+                else:
+                    steps.append((n, el.val))
             row = self._rows[d] = s, vals, steps
         return row
 
@@ -320,23 +312,6 @@ def probterm_seq(d: Dist, n: int) -> tuple:
         out.append(f.mass if f._level()[1] else out[-1])
     out += [out[-1]] * (n + 1 - len(out))
     return tuple(out)
-
-
-def split(d: Dist):
-    """Entries of the node split into values [(w, a)] and pendings [(w, t)]."""
-    vals, pend = [], []
-    for w, el in d.entries:
-        (vals if isinstance(el, Inl) else pend).append((w, el.val))
-    return vals, pend
-
-
-def continuation(pend) -> Dist:
-    """Combined continuation of a node's weighted pendings [(w, t)]: the
-    delay tree of their convex combination, renormalised to mass 1."""
-    if len(pend) == 1:
-        return pend[0][1].force()
-    mass = sum((w for w, _ in pend), ZERO)
-    return zeta(Dist([(w / mass, t) for w, t in pend])).force()
 
 
 def leqlim_upto(f, g, eps) -> bool:

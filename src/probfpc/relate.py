@@ -6,11 +6,12 @@ some run horizon, with the coupling decided by an exact max-flow on integer
 numerators, and the loop goes on to the delayed remainder with one unit of
 fuel less.  Fuel 0 accepts the truncated obligation, so Holds at fuel F
 certifies the F-level approximation and Unknown is never a refutation.
-Forcing memoises thunks, so a recursive program's delay graph is finite and
-the lifting's own state (the left node's entries, right frontier, explored
-values) comes back; a level is a function of that state, so from a repeated
-state the loop replays the records of the levels since its first
-occurrence, with only the fuel changed, in place of solving them again.
+Both sides run level by level on a `Frontier`.  Forcing memoises thunks,
+so a recursive program's delay graph is finite and the lifting's own state
+(the level's values, both frontiers, the explored values) comes back; a
+level is a function of that state, so from a repeated state the loop
+replays the records of the levels since its first occurrence, with only
+the fuel changed, in place of solving them again.
 
 `logrel_val` is the type-indexed relation between semantic and syntactic
 values: ground types by equality, pairs and sums structurally, recursive
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .rational import ZERO, TooLongToPrint, as_uprob, exact_str
-from .delay import Frontier, continuation, split
+from .delay import Frontier
 from .dist import Dist, Inl, Inr, canonical
 from .densem import STANDARD, Interp, FoldV
 from .opsem import Evaluator
@@ -98,7 +99,8 @@ def _max_flow(left, right, rel):
 # --- relational lifting -----------------------------------------------------
 
 class _RelCache:
-    """Memoized relation; pins queried operands so id-keys stay valid."""
+    """Memoized relation on the values of two Inl elements, keyed by the
+    values' identities; pins queried operands so id-keys stay valid."""
     __slots__ = ("fn", "seen")
 
     def __init__(self, fn):
@@ -106,10 +108,10 @@ class _RelCache:
         self.seen = {}
 
     def __call__(self, a, b):
-        key = (id(a), id(b))
+        key = (id(a.val), id(b.val))
         hit = self.seen.get(key)
         if hit is None:
-            hit = (bool(self.fn(a, b)), a, b)
+            hit = (bool(self.fn(a.val, b.val)), a, b)
             self.seen[key] = hit
         return hit[0]
 
@@ -134,29 +136,30 @@ class LiftVerdict:
 def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdict:
     """Bounded check that rel's lifting relates d to e.
 
-    Per level: split d into delivered values (mass p) and pending branches.
-    Search the least m <= horizon such that the values delivered by running
-    e for m levels admit a coupling of flow >= p - eps along rel; no flow
-    runs while the delivered mass, which bounds it, is below p - eps.  What
-    the coupling does not consume of e joins e's pending branches as the
-    residue, and the next level relates d's combined continuation to it
-    (renormalised) with one unit of fuel less.  The eps budget is per
-    level, so it composes additively in fuel.  When e's explored mass
-    cannot split at exactly p, the flow consumption splits explored leaves
-    fractionally; this is a sound search, not a complete one.
+    Both sides run on a ``Frontier``.  Per level: the left side's values
+    are what its level delivered (mass p), as ``Inl`` elements merged as a
+    ``Dist`` node merges its entries; p = 1 leaves nothing pending.  Search
+    the least m <= horizon such that the values delivered by running e for
+    m levels admit a coupling of flow >= p - eps along rel; no flow runs
+    while the delivered mass, which bounds it, is below p - eps.  What the
+    coupling does not consume of e joins e's pending branches as the
+    residue, and the next level relates the left side's pending branches,
+    renormalised by 1 - p and run one level, to it (renormalised) with one
+    unit of fuel less.  The eps budget is per level, so it composes
+    additively in fuel.  When e's explored mass cannot split at exactly p,
+    the flow consumption splits explored leaves fractionally; this is a
+    sound search, not a complete one.
 
     A level whose state was seen before is not solved again.  The state is
-    d's entries, the right frontier's ``snapshot()`` and the explored
-    values' weights, with d's elements, thunks and values taken by
-    identity, so a fresh combined continuation of the same entries is the
-    same state.  A level reads only that state, eps, horizon and the
-    cached rel: it reads d only through its entries, forcing the same
-    thunks returns the same nodes, and rel answers a pair it has seen as
-    before.  So from a repeated state the levels since its first
-    occurrence, the period, come again in order, differing only in fuel,
-    and none of them can exit early, as none did the first time.  The loop
-    appends one copy of the period's records per remaining fuel unit and
-    leaves as fuel runs out, with the trace it would have built.
+    the level's values, both frontiers' ``snapshot()`` and the explored
+    values, each weight with its element by identity.  A level reads only
+    that state, eps, horizon and the cached rel: forcing the same thunks
+    returns the same nodes, and rel answers a pair it has seen as before.
+    So from a repeated state the levels since its first occurrence, the
+    period, come again in order, differing only in fuel, and none of them
+    can exit early, as none did the first time.  The loop appends one copy
+    of the period's records per remaining fuel unit and leaves as fuel runs
+    out, with the trace it would have built.
     """
     eps = as_uprob(eps)
     # the horizon search asks about the same pairs at every m, and rel may
@@ -171,19 +174,20 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
         return LiftVerdict(holds, "per-level couplings found" if holds and levels
                            else reason, trace)
 
-    front, evals = Frontier(e), split(e)[0]
+    left, front = Frontier(d), Frontier(e)
+    vals, evals = ([(w, el) for w, el in x.entries if isinstance(el, Inl)]
+                   for x in (d, e))
     seen = {}       # state -> (its level's index, what it names by id)
     for fuel in range(fuel, 0, -1):
-        state = (tuple((w, id(el)) for w, el in d.entries), front.snapshot(),
-                 tuple((w, id(b)) for w, b in evals))
-        first = seen.setdefault(state, (len(levels), d, evals))[0]
+        state = (tuple((w, id(a)) for w, a in vals), left.snapshot(),
+                 front.snapshot(), tuple((w, id(b)) for w, b in evals))
+        first = seen.setdefault(state, (len(levels), vals, evals))[0]
         if first < len(levels):
             period = levels[first:]
             levels += [dict(period[k % len(period)], fuel=fuel - k)
                        for k in range(fuel)]
             break
-        vals, pend = split(d)
-        p = sum((w for w, _ in vals), ZERO)
+        p = left.mass
         need = p - eps
         m, flowval, flow = 0, ZERO, {}
         while p > 0:
@@ -204,23 +208,23 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
                     "best_flow": exact_str(flowval), "horizon": horizon,
                     "eps": exact_str(eps)})
             evals = canonical([*evals, *new])
-        level = {"case": "mixed" if (p > 0 and pend) else
-                         ("value-only" if not pend else "delayed-only"),
+        level = {"case": "value-only" if p == 1 else
+                         ("mixed" if p > 0 else "delayed-only"),
                  "fuel": fuel, "m": m, "value_mass": exact_str(p),
                  "flow": exact_str(flowval),
                  "coupled_pairs": len(flow)}
-        if not pend:
+        if p == 1:
             return done(True, "value part coupled", level)
-        left = [w for w, _ in evals]
+        rest = [w for w, _ in evals]
         for (_, j), f in flow.items():
-            left[j] -= f
-        # the residue weighs 1 - flow > 0: the flow is at most p, and p < 1
-        # since pend is not empty
+            rest[j] -= f
+        # the residue weighs 1 - flow > 0: the flow is at most p < 1
         rmass = 1 - flowval
         front.renormalise(rmass)
-        evals = [(w / rmass, b) for w, (_, b) in zip(left, evals) if w > 0]
+        evals = [(w / rmass, b) for w, (_, b) in zip(rest, evals) if w > 0]
         levels.append(level)
-        d = continuation(pend)
+        left.renormalise(1 - p)
+        vals = canonical(left.step())
     return done(True, "fuel exhausted; remaining obligation accepted",
                 {"case": "fuel"})
 

@@ -4,6 +4,7 @@ The random generators are deterministic given the caller's seeded
 ``random.Random``; the suites fix their seeds so failures replay.  The rest
 is what the tests compare the package against and build their programs
 from: the fuelled reduction witnesses, the literal n-fold ``run``, the
+split of a node into its value part and combined continuation, the
 termination table level by level, the canonical prefix comparison,
 read-back soundness, the pretty-printer, the Edmonds-Karp max-flow on
 Fractions, the recursive lifting, the character-loop lexer, the
@@ -14,10 +15,11 @@ tests use.
 from collections import deque
 from fractions import Fraction
 
-from probfpc.dist import Dist, Inl, Inr, canonical, choice, dirac, key_of
+from probfpc.dist import (
+    Dist, Inl, Inr, canonical, choice, dirac, dist_bind, key_of,
+)
 from probfpc.delay import (
-    DelayThunk, Frontier, continuation, delay_map, now, run, split, step,
-    step_fn,
+    DelayThunk, Frontier, delay_map, now, run, step, step_fn,
 )
 from probfpc.densem import STANDARD, STEP_FAITHFUL, Interp
 from probfpc.opsem import Evaluator
@@ -119,6 +121,37 @@ def run_n(d: Dist, n: int) -> Dist:
     return d
 
 
+def split(d: Dist):
+    """Entries of the node split into values [(w, a)] and pendings [(w, t)]."""
+    vals, pend = [], []
+    for w, el in d.entries:
+        (vals if isinstance(el, Inl) else pend).append((w, el.val))
+    return vals, pend
+
+
+def zeta(m: Dist) -> DelayThunk:
+    """Collapse a distribution of thunks into one thunk of their convex
+    combination; zeta(dirac t) = t."""
+    if len(m.entries) == 1:
+        return m.entries[0][1]
+    return DelayThunk(lambda: dist_bind(m, lambda t: t.force()))
+
+
+def continuation(pend) -> Dist:
+    """Combined continuation of a node's weighted pendings [(w, t)]: the
+    delay tree of their convex combination, renormalised to mass 1."""
+    if len(pend) == 1:
+        return pend[0][1].force()
+    mass = sum((w for w, _ in pend), ZERO)
+    return zeta(Dist([(w / mass, t) for w, t in pend])).force()
+
+
+def value_entries(d: Dist):
+    """The node's value entries [(w, Inl element)], in order: what a
+    frontier's level hands out for it."""
+    return [(w, el) for w, el in d.entries if isinstance(el, Inl)]
+
+
 def probterm0(d: Dist) -> Fraction:
     return sum((w for w, el in d.entries if isinstance(el, Inl)),
                Fraction(0))
@@ -143,12 +176,13 @@ def probterm(n: int, d: Dist) -> Fraction:
 
 def value_part(d: Dist, n: int):
     """Mass delivered within n runs, together with the delivered weighted
-    values (weights unnormalized), merged by key as one Dist merges them."""
+    values (weights unnormalized), their Inl entries merged as one Dist
+    merges them."""
     f = Frontier(d)
-    vals = split(d)[0]
+    els = value_entries(d)
     for _ in range(n):
-        vals = canonical([*vals, *f.step()])
-    return f.mass, tuple(vals)
+        els = canonical([*els, *f.step()])
+    return f.mass, tuple((w, el.val) for w, el in els)
 
 
 def geo(p, n: int = 0) -> Dist:
@@ -178,6 +212,20 @@ def hesitant_loop(values, steps: int = 1) -> Dist:
         back = Inr(DelayThunk(lambda el=back: dirac(el)))
     rest = 1 - sum((w for w, _ in values), ZERO)
     body.append(Dist([(w, Inl(a)) for w, a in values] + [(rest, back)]))
+    return step(t)
+
+
+def twin_loop(a, q=Fraction(1, 3)) -> Dist:
+    """A finite graph of one thunk, whose node delivers a with probability
+    q and splits the rest over two pending branches: one steps back to the
+    thunk, the other to a node that delivers a through an Inl of its own.
+    So each run of a level from the second on delivers a from two
+    children, which ``canonical`` merges by key."""
+    body = []
+    t = DelayThunk(lambda: body[0])
+    other = DelayThunk(lambda: now(a))
+    half = (1 - q) / 2
+    body.append(Dist([(q, Inl(a)), (half, Inr(t)), (half, Inr(other))]))
     return step(t)
 
 
@@ -850,7 +898,9 @@ def ref_lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps):
     """`relate.lift_check` as it read when it called itself once per level:
     the same search, verdicts and trace, with the right side's values and
     residue pendings read off the literal m-fold run, as
-    split(run_n(e, m))[0] and split(run_n(e, m))[1]."""
+    split(run_n(e, m))[0] and split(run_n(e, m))[1].  The residue keeps
+    each value left over in its own Inl element, as a Dist of the run's
+    entries would, so an unkeyed value merges with its later deliveries."""
     eps = as_uprob(eps)
     if fuel <= 0:
         return LiftVerdict(True, "fuel exhausted; remaining obligation accepted",
@@ -887,8 +937,9 @@ def ref_lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps):
     consumed = {}
     for (_, j), f in flow.items():
         consumed[j] = consumed.get(j, ZERO) + f
-    resid = [(w - consumed.get(j, ZERO), Inl(b))
-             for j, (w, b) in enumerate(evals) if w - consumed.get(j, ZERO) > 0]
+    resid = [(w - consumed.get(j, ZERO), el)
+             for j, (w, el) in enumerate(value_entries(run_n(e, m)))
+             if w - consumed.get(j, ZERO) > 0]
     resid += [(w, Inr(t)) for w, t in split(run_n(e, m))[1]]
     rmass = sum((w for w, _ in resid), ZERO)
     if rmass == 0:

@@ -15,7 +15,7 @@ from probfpc.corpus import CATALOGUE, corpus
 from probfpc.dist import Dist, Inl, Inr, canonical, choice, dirac, key_of
 from probfpc.delay import (
     DelayThunk, Frontier, delay_bind, delay_map, eqlim_upto,
-    leqlim_upto, now, probterm_seq, run, split, step, zeta,
+    leqlim_upto, now, probterm_seq, run, step,
 )
 from probfpc.parser import load_file
 from probfpc.rational import ONE
@@ -25,7 +25,8 @@ from genlib import (
     OPAQUE, ChoiceCong, Refl, StepElim, WitnessShapeError, check_witness, geo,
     hesitant, hesitant_loop, node_eq, pooled_delay, prefix_eq, probterm,
     probterm0, random_delay, random_witness, ref_probterm_seq, run_n,
-    shared_delay, step_of, value_part, witness_for_run, witness_steps,
+    shared_delay, split, step_of, value_entries, value_part, witness_for_run,
+    witness_steps, zeta,
 )
 
 HALF = Fraction(1, 2)
@@ -173,15 +174,19 @@ def test_frontier_probterm_is_literal_probterm():
 
 
 def test_frontier_values_are_the_literal_value_part():
-    # canonical of split(d)[0] plus each level's deliveries is the literal
-    # value part: in order, weight for weight, and the very objects run keeps,
-    # up to the level where the literal run first holds an unkeyed value
+    # canonical of d's value entries plus each level's deliveries is the
+    # literal value part: in order, weight for weight, and the very Inl
+    # elements run keeps, up to the level where the literal run first holds
+    # an unkeyed value
     compared = 0
     for label, d in frontier_cases():
-        f = Frontier(d)
-        got = split(d)[0]
-        for m, (vals, _) in enumerate(literal_levels(d)):
-            if any(key_of(a) is None for _, a in vals):
+        f, literal = Frontier(d), d
+        got = value_entries(d)
+        for m in range(FRONTIER_DEPTH + 1):
+            if m:
+                literal = run(literal)
+            vals = value_entries(literal)
+            if any(key_of(el) is None for _, el in vals):
                 break
             if m:
                 got = canonical([*got, *f.step()])
@@ -194,10 +199,13 @@ def test_frontier_values_are_the_literal_value_part():
 
 def test_frontier_folds_keyed_values_only():
     # keyed values are folded by canonical; the frontier itself delivers
-    # unkeyed ones as they come
+    # unkeyed ones as they come, as the node's own Inl element
     a = OPAQUE[0]
-    f = Frontier(step_of(now(a)))
-    assert f.step() == [(1, a)] and f.mass == 1
+    node = now(a)
+    f = Frontier(step_of(node))
+    got = f.step()
+    assert got == [(1, Inl(a))] and got[0][1] is node.entries[0][1] \
+        and f.mass == 1
 
 
 def test_frontier_pending_mass_per_thunk_is_literal():
@@ -265,14 +273,14 @@ def test_frontier_paths_are_the_literal_run():
     rng = random.Random(62)
     for i in range(200):
         d = literal = pooled_delay(rng)
-        f, got, seen, last = Frontier(d), split(d)[0], set(), None
+        f, got, seen, last = Frontier(d), value_entries(d), set(), None
         masses = [f.mass]
         for m in range(1, 25):
             nodes = [t.force() for _, t in f.pendings()]
             path, den = level_path(nodes, seen), f._den
             got = canonical([*got, *f.step()])
             literal = run(literal)
-            vals, pend = split(literal)
+            vals, pend = value_entries(literal), split(literal)[1]
             want = {}
             for w, t in pend:
                 want[t] = want.get(t, 0) + w
@@ -382,15 +390,15 @@ def test_frontier_renormalise_is_the_residue_dist():
 def test_frontier_merges_cancelling_weights():
     f = Frontier(cancelling_delay(CANCELLING[0]))
     assert f.mass == HALF and [w for w, _ in f.pendings()] == [HALF]
-    assert f.step() == [(Fraction(1, 4), 1)] and f._den == 4
-    assert f.step() == [(Fraction(1, 4), -1)] and f.mass == 1 and f._den == 1
+    assert f.step() == [(Fraction(1, 4), Inl(1))] and f._den == 4
+    assert f.step() == [(Fraction(1, 4), Inl(-1))] and f.mass == 1 and f._den == 1
 
 
 def test_frontier_step_returns_the_level_deliveries():
     f = Frontier(choice(Fraction(1, 3), step_of(now(0)), step_of(step_of(now(1)))))
     assert f.mass == 0 and len(f.pendings()) == 2
-    assert f.step() == [(Fraction(1, 3), 0)] and f.mass == Fraction(1, 3)
-    assert f.step() == [(Fraction(2, 3), 1)] and f.pendings() == []
+    assert f.step() == [(Fraction(1, 3), Inl(0))] and f.mass == Fraction(1, 3)
+    assert f.step() == [(Fraction(2, 3), Inl(1))] and f.pendings() == []
     assert f.step() == [] and f.mass == 1
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from probfpc.dist import Dist, Inl, Inr, choice
 from probfpc.delay import (
-    DelayThunk, delay_bind, leqlim_upto, now, probterm_seq, split, step_fn,
+    DelayThunk, Frontier, delay_bind, leqlim_upto, now, probterm_seq, step_fn,
 )
 from probfpc.densem import FoldV
 from probfpc import relate
@@ -23,8 +23,8 @@ from probfpc.typecheck import TypecheckError
 from probfpc.corpus import diverge_term, id_hes, y_comb
 
 from genlib import (
-    geo, hesitant, hesitant_loop, pooled_delay, random_delay, ref_lift_check,
-    ref_max_flow, run_n, step_of,
+    OPAQUE, geo, hesitant, hesitant_loop, pooled_delay, random_delay,
+    ref_lift_check, ref_max_flow, run_n, step_of, twin_loop,
 )
 
 NAT = NatT()
@@ -224,12 +224,21 @@ def _chain(trace):
         trace = trace["child"]
 
 
+def _count_solved(monkeypatch):
+    """The list a Frontier.mass spy appends to: lift_check reads the left
+    side's delivered mass once per level it solves, and nowhere else."""
+    solved = []
+    mass = Frontier.mass.fget
+    monkeypatch.setattr(Frontier, "mass",
+                        property(lambda f: solved.append(f) or mass(f)))
+    return solved
+
+
 def test_lift_replay_matches_the_recursive_reference(monkeypatch):
     # looping graphs against each other at fuel up to 24, so the lifting's
     # state recurs: the replayed trace is the one the reference builds
     # level by level, key order included, and every record is its own dict
-    solved = []
-    monkeypatch.setattr(relate, "split", lambda d: solved.append(d) or split(d))
+    solved = _count_solved(monkeypatch)
     rng = random.Random(89)
     # loops of one to three levels delivering one value or two; against a
     # right side that has delivered all its mass, a loop that takes its two
@@ -240,27 +249,45 @@ def test_lift_replay_matches_the_recursive_reference(monkeypatch):
     loops += [hesitant_loop([(Fraction(1, 4), a), (Fraction(1, 8), 1 - a)], k)
               for a in (0, 1) for k in (1, 2)]
     rights = loops + [choice(q, now(0), now(1)) for q in (HALF, Fraction(2, 3))]
-    seen = Counter()
+    cases = []
     for i in range(150):
         d = (pooled_delay(rng), rng.choice(loops))[i % 2]
         e = (d, pooled_delay(rng), rng.choice(rights))[i % 3]
+        cases.append((d, e))
+    # left sides whose levels deliver one Opaque object through two Inl
+    # wrappers, or one keyed value from two pending branches: a level's
+    # values merge as a Dist node merges its entries, by element
+    a = OPAQUE[0]
+    opaque = [hesitant_loop([(Fraction(1, 4), a), (Fraction(1, 8), a)], k)
+              for k in (1, 2)]
+    lone = [hesitant_loop([(q, a)], k) for q in (Fraction(3, 8), HALF)
+            for k in (1, 2)]
+    for d in opaque:
+        cases += [(d, d)] + [(d, e) for e in opaque + lone]
+    for d in (twin_loop(0), twin_loop(1, Fraction(1, 5))):
+        cases += [(d, d)] + [(d, e) for e in loops]
+    seen = Counter()
+    for d, e in cases:
         fuel, horizon = rng.randrange(8, 25), rng.randrange(1, 9)
         eps = rng.choice((0, Fraction(1, 16)))
         del solved[:]
         got = lift_check(d, e, eq, fuel, horizon, eps)
+        n_solved = len(solved)
         want = ref_lift_check(d, e, eq, fuel, horizon, eps)
         assert (got.holds, got.reason, got.trace) == \
             (want.holds, want.reason, want.trace)
         assert json.dumps(got.trace) == json.dumps(want.trace)
         records = list(_chain(got.trace))
         assert len({id(r) for r in records}) == len(records)
-        # split reads e once and d once per level solved, so the records
-        # past those levels and the fuel leaf are replayed
-        tail = [dict(r, fuel=0, child=None) for r in records[len(solved) - 1:-1]]
+        # the records past the levels solved and the fuel leaf are replayed
+        tail = [dict(r, fuel=0, child=None) for r in records[n_solved:-1]]
         seen[records[-1]["case"]] += 1
         seen["replayed"] += bool(tail)
         seen["replayed, period > 1"] += any(r != tail[0] for r in tail)
-    for case in ("fuel", "no-coupling", "replayed", "replayed, period > 1"):
+        seen["two wrappers coupled"] += d in opaque and any(
+            r.get("coupled_pairs", 0) >= 2 for r in records)
+    for case in ("fuel", "no-coupling", "replayed", "replayed, period > 1",
+                 "two wrappers coupled"):
         assert seen[case] >= 10, seen
 
 
@@ -315,14 +342,13 @@ def test_lift_replays_a_fresh_continuation_of_the_same_entries(monkeypatch):
     # two pending branches whose thunks both force back to the node: each
     # level's continuation is a fresh node of the same entries, so the
     # state repeats from the second level and two levels are solved
-    solved = []
-    monkeypatch.setattr(relate, "split", lambda d: solved.append(d) or split(d))
+    solved = _count_solved(monkeypatch)
     body = []
     t1, t2 = DelayThunk(lambda: body[0]), DelayThunk(lambda: body[0])
     third = Fraction(1, 3)
     body.append(Dist([(third, Inr(t1)), (third, Inr(t2)), (third, Inl(0))]))
     got = lift_check(body[0], body[0], eq, 200, 8, 0)
-    assert len(solved) == 3         # e once, then d at two levels
+    assert len(solved) == 2         # two levels solved
     want = ref_lift_check(body[0], body[0], eq, 200, 8, 0)
     assert got.to_json() == want.to_json()
     assert [r.get("fuel") for r in _chain(got.trace)] == \
