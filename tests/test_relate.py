@@ -340,7 +340,7 @@ def test_lift_replay_runs_no_repeated_flows(monkeypatch):
 
 def test_lift_replays_a_fresh_continuation_of_the_same_entries(monkeypatch):
     # two pending branches whose thunks both force back to the node: each
-    # level's continuation is a fresh node of the same entries, so the
+    # level's combined continuation is the node's entries again, so the
     # state repeats from the second level and two levels are solved
     solved = _count_solved(monkeypatch)
     body = []
