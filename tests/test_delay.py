@@ -185,11 +185,10 @@ def test_frontier_values_are_the_literal_value_part():
         for m in range(FRONTIER_DEPTH + 1):
             if m:
                 literal = run(literal)
+                got = canonical([*got, *f.step()])
             vals = value_entries(literal)
             if any(key_of(el) is None for _, el in vals):
                 break
-            if m:
-                got = canonical([*got, *f.step()])
             assert [w for w, _ in got] == [w for w, _ in vals], (label, m)
             assert all(a is b for (_, a), (_, b) in zip(got, vals)), (label, m)
             assert f.mass == sum((w for w, _ in vals), Fraction(0)), (label, m)
@@ -391,7 +390,8 @@ def test_frontier_merges_cancelling_weights():
     f = Frontier(cancelling_delay(CANCELLING[0]))
     assert f.mass == HALF and [w for w, _ in f.pendings()] == [HALF]
     assert f.step() == [(Fraction(1, 4), Inl(1))] and f._den == 4
-    assert f.step() == [(Fraction(1, 4), Inl(-1))] and f.mass == 1 and f._den == 1
+    assert f.step() == [(Fraction(1, 4), Inl(-1))] and f.mass == 1 \
+        and f._den == 1
 
 
 def test_frontier_step_returns_the_level_deliveries():
