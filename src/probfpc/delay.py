@@ -6,7 +6,9 @@ paper's D(A + |>L A).  Thunks are memoized, so every finite prefix is a
 finite tree and repeated observation is stable.  The equational quotient
 on trees is realized operationally rather than by construction: keyed
 value entries merge canonically inside each Dist node, and pending entries
-stay formal.
+stay formal, merging only where the element is one object.  ``delay_bind`` builds
+one step node per source thunk, so a pending branch reached twice binds to
+one entry.
 
 ``run`` is the paper's one-layer elimination.  The "run n levels and
 look" loops go through ``Frontier`` instead: run is the identity on
@@ -16,9 +18,9 @@ termination tables cost time linear in depth.  Its weights are integer
 numerators over one least common denominator, keyed by thunk.  A level of
 single weight-1 steps that reach distinct thunks only moves numerators;
 any other level costs integer products over the forced nodes' rows and one
-gcd.  A node of several entries becomes a row once per frontier, however
-often it is forced again, as the nodes of a finite chain such as the fair
-coin are.  Only the weights it hands out are built as Fractions, and
+gcd.  Every node becomes a row once per frontier, however often it is
+forced again, as the nodes of a finite chain such as the fair coin are.
+Only the weights it hands out are built as Fractions, and
 ``probterm_seq`` builds no deliveries.
 
 ``probterm_seq`` also stops running levels once the pending weights off the
@@ -79,26 +81,23 @@ def delay_bind(d: Dist, f) -> Dist:
     """Kleisli extension; value leaves are substituted immediately, pending
     branches defer the recursive bind inside a thunk.
 
-    One wrapper thunk is built per source thunk and reused across the whole
-    traversal, so binding preserves the sharing of the input tree.  Branches
-    that rejoin keep rejoining after the bind, and node widths stay bounded
-    where they were bounded before.  The memo pins its keys alive so object
-    ids cannot be reused while the result can still be forced.
+    The step node of a source thunk is built on its first visit and
+    returned on every later one, keyed by the thunk itself, so binding
+    preserves the sharing of the input tree: branches that rejoin keep
+    rejoining after the bind, one node with two entries pending on one
+    thunk binds to one entry, and node widths stay bounded where they were
+    bounded before.
     """
     memo = {}
-
-    def wrap(t):
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[0]
-        w = DelayThunk(lambda: dist_bind(t.force(), ext))
-        memo[id(t)] = (w, t)
-        return w
 
     def ext(el):
         if isinstance(el, Inl):
             return f(el.val)
-        return dirac(Inr(wrap(el.val)))
+        t = el.val
+        node = memo.get(t)
+        if node is None:
+            node = memo[t] = step_fn(lambda: dist_bind(t.force(), ext))
+        return node
 
     return dist_bind(d, ext)
 
@@ -127,9 +126,9 @@ class Frontier:
     level scales the denominator by the lcm of the forced nodes' weight
     denominators, checks that delivered plus pending mass is exactly 1, as
     ``Dist`` does, and divides every numerator and the denominator by their
-    gcd.  A node of several entries is read as an integer row (``_row``)
-    the first time it is forced and the row is kept, keyed by the node, for
-    every later level of this frontier.
+    gcd.  Every node it forces is read as an integer row (``_row``) the
+    first time and the row is kept, keyed by the node, for every later
+    level of this frontier.
 
     ``step()`` runs a level and hands out its deliveries, the forced
     nodes' own ``Inl`` elements with their weights as Fractions, so
@@ -202,16 +201,11 @@ class Frontier:
 
     def _row(self, d):
         """A node as (s, [(numerator over s, Inl element)], [(numerator
-        over s, thunk)]), s the lcm of its weights' denominators; the rows
-        of nodes of several entries are kept."""
-        es = d.entries
-        if len(es) == 1:
-            w, el = es[0]
-            if isinstance(el, Inl):
-                return w.denominator, ((w.numerator, el),), ()
-            return w.denominator, (), ((w.numerator, el.val),)
+        over s, thunk)]), s the lcm of its weights' denominators, read the
+        first time this frontier forces the node and kept."""
         row = self._rows.get(d)
         if row is None:
+            es = d.entries
             s = lcm(*(w.denominator for w, _ in es))
             vals, steps = [], []
             for w, el in es:
@@ -234,11 +228,6 @@ class Frontier:
         g = gcd(den, *ns)
         self._pending = {t: n // g for t, n in zip(self._pending, ns)}
         self._num, self._den = (den - sum(ns)) // g, den // g
-
-    def pendings(self):
-        """Pending thunks [(w, t)] in first-occurrence order."""
-        den = self._den
-        return [(Fraction(n, den), t) for t, n in self._pending.items()]
 
     def live(self, dead):
         """The pending thunks off the dead cycles, in order, their

@@ -90,9 +90,10 @@ def key_of(x):
 def canonical(entries):
     """Merge keyed entries (sorted block first), keep unkeyed formal entries
     in first-occurrence order, merging only identical objects."""
-    keyed = {}
-    unkeyed = {}      # id(elem) -> index into order list
-    order = []        # list of [weight, elem]
+    # unkeyed by id: Inl/Inr compare structurally, so keying by the element
+    # would merge two wrappers of one closure, which stay two entries (the
+    # golden closure2 and closure_loop rows)
+    keyed, unkeyed = {}, {}
     for w, v in entries:
         # the sign of a weight is its numerator's: an int comparison,
         # cheaper than comparing the Fraction itself
@@ -106,15 +107,12 @@ def canonical(entries):
                 keyed[k][0] += w
             else:
                 keyed[k] = [w, v]
+        elif id(v) in unkeyed:
+            unkeyed[id(v)][0] += w
         else:
-            i = unkeyed.get(id(v))
-            if i is None:
-                unkeyed[id(v)] = len(order)
-                order.append([w, v])
-            else:
-                order[i][0] += w
+            unkeyed[id(v)] = [w, v]
     out = [(w, v) for _, (w, v) in sorted(keyed.items(), key=lambda kv: kv[0])]
-    out.extend((w, v) for w, v in order)
+    out.extend((w, v) for w, v in unkeyed.values())
     return tuple(out)
 
 

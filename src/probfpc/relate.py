@@ -100,7 +100,9 @@ def _max_flow(left, right, rel):
 
 class _RelCache:
     """Memoized relation on the values of two Inl elements, keyed by the
-    values' identities; pins queried operands so id-keys stay valid."""
+    value pair.  rel is a function of its arguments up to ==: semantic
+    ground values and syntactic values compare structurally, closures and
+    ``FoldV`` cells by identity, and the dict holds its keys."""
     __slots__ = ("fn", "seen")
 
     def __init__(self, fn):
@@ -108,12 +110,11 @@ class _RelCache:
         self.seen = {}
 
     def __call__(self, a, b):
-        key = (id(a.val), id(b.val))
+        key = a.val, b.val
         hit = self.seen.get(key)
         if hit is None:
-            hit = (bool(self.fn(a.val, b.val)), a, b)
-            self.seen[key] = hit
-        return hit[0]
+            hit = self.seen[key] = bool(self.fn(*key))
+        return hit
 
 
 class LiftVerdict:
@@ -154,7 +155,8 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     the level's values, both frontiers' ``snapshot()`` and the explored
     values, each weight with its element by identity.  A level reads only
     that state, eps, horizon and the cached rel: forcing the same thunks
-    returns the same nodes, and rel answers a pair it has seen as before.
+    returns the same nodes, and rel, cached by the value pair, answers a
+    pair equal to one it has seen as before.
     So from a repeated state the levels since its first occurrence, the
     period, come again in order, differing only in fuel, and none of them
     can exit early, as none did the first time.  The loop appends one copy
@@ -163,7 +165,7 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     """
     eps = as_uprob(eps)
     # the horizon search asks about the same pairs at every m, and rel may
-    # itself run nested checks, so answers are cached per pair identity
+    # itself run nested checks, so answers are cached per value pair
     rel = _RelCache(rel)
     levels = []
 
@@ -179,6 +181,8 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
                    for x in (d, e))
     seen = {}       # state -> (its level's index, what it names by id)
     for fuel in range(fuel, 0, -1):
+        # elements by id, as canonical keeps them: two Inl wrappers of one
+        # closure are equal but stay two entries
         state = (tuple((w, id(a)) for w, a in vals), left.snapshot(),
                  front.snapshot(), tuple((w, id(b)) for w, b in evals))
         first = seen.setdefault(state, (len(levels), vals, evals))[0]

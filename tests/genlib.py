@@ -627,13 +627,18 @@ class EnvKeyInterp(Interp):
         return t, env
 
 
+def pendings(f: Frontier) -> list:
+    """A frontier's pending thunks [(w, t)] in first-occurrence order."""
+    return [(Fraction(n, f._den), t) for t, n in f._pending.items()]
+
+
 def frontier_widths(d: Dist, n: int) -> list:
     """Pending thunks on the frontier at depths 0..n, merged by identity."""
     f = Frontier(d)
-    out = [len(f.pendings())]
+    out = [len(pendings(f))]
     for _ in range(n):
         f.step()
-        out.append(len(f.pendings()))
+        out.append(len(pendings(f)))
     return out
 
 

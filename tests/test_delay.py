@@ -23,10 +23,10 @@ from probfpc.rational import ONE
 from conftest import EXAMPLES, example
 from genlib import (
     OPAQUE, ChoiceCong, Refl, StepElim, WitnessShapeError, check_witness, geo,
-    hesitant, hesitant_loop, node_eq, pooled_delay, prefix_eq, probterm,
-    probterm0, random_delay, random_witness, ref_probterm_seq, run_n,
-    shared_delay, split, step_of, value_entries, value_part, witness_for_run,
-    witness_steps, zeta,
+    hesitant, hesitant_loop, node_eq, pendings, pooled_delay, prefix_eq,
+    probterm, probterm0, random_delay, random_witness, ref_probterm_seq,
+    run_n, shared_delay, split, step_of, value_entries, value_part,
+    witness_for_run, witness_steps, zeta,
 )
 
 HALF = Fraction(1, 2)
@@ -216,14 +216,14 @@ def test_frontier_pending_mass_per_thunk_is_literal():
             want = {}
             for w, t in pend:
                 want[id(t)] = want.get(id(t), Fraction(0)) + w
-            got = f.pendings()
+            got = pendings(f)
             # one entry per thunk, in the order run first reaches them
             assert [id(t) for _, t in got] == list(want), (label, m)
             assert [w for w, _ in got] == list(want.values()), (label, m)
 
 
 def least_den(f):
-    return lcm(f.mass.denominator, *(w.denominator for w, _ in f.pendings()))
+    return lcm(f.mass.denominator, *(w.denominator for w, _ in pendings(f)))
 
 
 def test_frontier_denominator_stays_least():
@@ -275,7 +275,7 @@ def test_frontier_paths_are_the_literal_run():
         f, got, seen, last = Frontier(d), value_entries(d), set(), None
         masses = [f.mass]
         for m in range(1, 25):
-            nodes = [t.force() for _, t in f.pendings()]
+            nodes = [t.force() for _, t in pendings(f)]
             path, den = level_path(nodes, seen), f._den
             got = canonical([*got, *f.step()])
             literal = run(literal)
@@ -285,7 +285,7 @@ def test_frontier_paths_are_the_literal_run():
                 want[t] = want.get(t, 0) + w
             assert list(got) == vals, (i, m)
             assert f.mass == sum((w for w, _ in vals), Fraction(0)), (i, m)
-            assert f.pendings() == [(w, t) for t, w in want.items()], (i, m)
+            assert pendings(f) == [(w, t) for t, w in want.items()], (i, m)
             assert f._den == least_den(f), (i, m)
             masses.append(f.mass)
             counts[path] += 1
@@ -372,7 +372,7 @@ def test_frontier_renormalise_is_the_residue_dist():
         f = Frontier(d)
         for _ in range(rng.randrange(4)):
             f.step()
-        pend = f.pendings()
+        pend = pendings(f)
         x = f.mass * rng.choice((0, Fraction(1, 3), 1))
         rmass = x + sum(w for w, _ in pend)
         if rmass == 0:
@@ -380,7 +380,7 @@ def test_frontier_renormalise_is_the_residue_dist():
         want = Frontier(Dist([(x / rmass, Inl("left over"))]
                              + [(w / rmass, Inr(t)) for w, t in pend]))
         f.renormalise(rmass)
-        assert f.pendings() == want.pendings(), label
+        assert pendings(f) == pendings(want), label
         assert (f.mass, f._den) == (want.mass, least_den(f)), label
         assert f.reaches(f.mass) and not f.reaches(f.mass + Fraction(1, 10 ** 9))
         assert [w for w, _ in f.step()] == [w for w, _ in want.step()], label
@@ -388,7 +388,7 @@ def test_frontier_renormalise_is_the_residue_dist():
 
 def test_frontier_merges_cancelling_weights():
     f = Frontier(cancelling_delay(CANCELLING[0]))
-    assert f.mass == HALF and [w for w, _ in f.pendings()] == [HALF]
+    assert f.mass == HALF and [w for w, _ in pendings(f)] == [HALF]
     assert f.step() == [(Fraction(1, 4), Inl(1))] and f._den == 4
     assert f.step() == [(Fraction(1, 4), Inl(-1))] and f.mass == 1 \
         and f._den == 1
@@ -396,9 +396,9 @@ def test_frontier_merges_cancelling_weights():
 
 def test_frontier_step_returns_the_level_deliveries():
     f = Frontier(choice(Fraction(1, 3), step_of(now(0)), step_of(step_of(now(1)))))
-    assert f.mass == 0 and len(f.pendings()) == 2
+    assert f.mass == 0 and len(pendings(f)) == 2
     assert f.step() == [(Fraction(1, 3), Inl(0))] and f.mass == Fraction(1, 3)
-    assert f.step() == [(Fraction(2, 3), Inl(1))] and f.pendings() == []
+    assert f.step() == [(Fraction(2, 3), Inl(1))] and pendings(f) == []
     assert f.step() == [] and f.mass == 1
 
 
@@ -512,6 +512,21 @@ def test_bind_preserves_sharing():
         assert len(cur.entries) <= 120
         cur = run(cur)
     assert probterm0(cur) > HALF
+
+
+def test_bind_builds_one_node_per_source_thunk():
+    # a branch mixed with itself is that branch: two entries pending on one
+    # thunk bind to one entry, and a source thunk reached from two branches
+    # of one bind yields one step node
+    t = DelayThunk(lambda: now(1))
+    d = delay_bind(Dist([(HALF, Inr(t)), (HALF, Inr(t))]), lambda a: now(a + 1))
+    assert len(d.entries) == 1 and d.entries[0][0] == 1
+    assert run(d).entries == ((ONE, Inl(2)),)
+    u = DelayThunk(lambda: now(0))
+    a, b = DelayThunk(lambda: step(u)), DelayThunk(lambda: step(u))
+    e = delay_bind(choice(HALF, step(a), step(b)), lambda x: now(x + 1))
+    (_, left), (_, right) = e.entries
+    assert left.val.force() is right.val.force()
 
 
 # --- witnesses --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The package imports, and every module's export list names real objects
-that something in `src/` uses.
+that something in `src/` uses, down to the public methods of exported
+classes.
 
 A deletion that leaves a stale name in `__all__` fails here rather than in
 a user's `from probfpc.<module> import *`; so does a public name that only
@@ -61,6 +62,21 @@ def _uses(tree):
     return used
 
 
+def _attr_uses(tree):
+    """Attribute names and string constants (``getattr`` looks a name up by
+    one) in a module, leaving out those inside a function of the same name."""
+    used, todo = set(), [(tree, None)]
+    while todo:
+        node, own = todo.pop()
+        own = node.name if isinstance(node, ast.FunctionDef) else own
+        name = (node.attr if isinstance(node, ast.Attribute) else
+                node.value if isinstance(node, ast.Constant) else None)
+        if isinstance(name, str) and name != own:
+            used.add(name)
+        todo.extend((c, own) for c in ast.iter_child_nodes(node))
+    return used
+
+
 def _trees():
     """The parsed source of every module, by name."""
     src = importlib.util.find_spec("probfpc").submodule_search_locations[0]
@@ -74,9 +90,11 @@ def _trees():
 def test_public_names_have_a_caller_in_src():
     # code only the tests use lives in tests/: each exported name needs a
     # use in src/ outside its own definition and __init__.py, in its own
-    # module or in one that imports it from there
+    # module or in one that imports it from there, and each public method
+    # of an exported class an attribute or a string in src/ naming it
     trees = _trees()
     uses = {m: _uses(t) for m, t in trees.items()}
+    attrs = set().union(*map(_attr_uses, trees.values()))
     imports = {m: {(n.module, a.name) for n in ast.walk(t)
                    if isinstance(n, ast.ImportFrom) for a in n.names}
                for m, t in trees.items()}
@@ -90,6 +108,10 @@ def test_public_names_have_a_caller_in_src():
                        and (m == module or (module, name) in imports[m])]
             if not callers and "%s.%s" % (module, name) not in NO_CALLER_NEEDED:
                 unused.append("%s.%s" % (module, name))
+        unused += ["%s.%s.%s" % (module, c.name, f.name) for c in tree.body
+                   if isinstance(c, ast.ClassDef) and c.name in exported
+                   for f in c.body if isinstance(f, ast.FunctionDef)
+                   and not f.name.startswith("_") and f.name not in attrs]
     assert not unused, "exported but never used in src/: %s" % unused
 
 
