@@ -6,9 +6,9 @@ paper's D(A + |>L A).  Thunks are memoized, so every finite prefix is a
 finite tree and repeated observation is stable.  The equational quotient
 on trees is realized operationally rather than by construction: keyed
 value entries merge canonically inside each Dist node, and pending entries
-stay formal, merging only where the element is one object.  ``delay_bind`` builds
-one step node per source thunk, so a pending branch reached twice binds to
-one entry.
+stay formal, merging only where the element is one object.
+``delay_bind`` builds one step node per source thunk, so a pending branch
+reached twice binds to one entry.
 
 ``run`` is the paper's one-layer elimination.  The "run n levels and
 look" loops go through ``Frontier`` instead: run is the identity on
