@@ -519,7 +519,8 @@ def test_bind_builds_one_node_per_source_thunk():
     # thunk bind to one entry, and a source thunk reached from two branches
     # of one bind yields one step node
     t = DelayThunk(lambda: now(1))
-    d = delay_bind(Dist([(HALF, Inr(t)), (HALF, Inr(t))]), lambda a: now(a + 1))
+    d = delay_bind(Dist([(HALF, Inr(t)), (HALF, Inr(t))]),
+                   lambda a: now(a + 1))
     assert len(d.entries) == 1 and d.entries[0][0] == 1
     assert run(d).entries == ((ONE, Inl(2)),)
     u = DelayThunk(lambda: now(0))

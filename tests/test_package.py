@@ -64,7 +64,8 @@ def _uses(tree):
 
 def _attr_uses(tree):
     """Attribute names and string constants (``getattr`` looks a name up by
-    one) in a module, leaving out those inside a function of the same name."""
+    one) in a module, leaving out those inside a function of the same name:
+    recursion is not a caller."""
     used, todo = set(), [(tree, None)]
     while todo:
         node, own = todo.pop()
