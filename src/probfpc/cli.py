@@ -187,6 +187,10 @@ def _rat(text):
         raise argparse.ArgumentTypeError("eps must be >= 0")
     if v > 1:
         raise argparse.ArgumentTypeError("eps must be <= 1")
+    try:
+        exact_str(v)            # compare and refine print it
+    except TooLongToPrint as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return v
 
 

@@ -20,17 +20,12 @@ single weight-1 steps that reach distinct thunks only moves numerators;
 any other level costs integer products over the forced nodes' rows and one
 gcd.  Every node becomes a row once per frontier, however often it is
 forced again, as the nodes of a finite chain such as the fair coin are.
-Only the weights it hands out are built as Fractions, and
-``probterm_seq`` builds no deliveries.
 
-``probterm_seq`` also stops running levels once the pending weights off the
-dead cycles (thunks that only step around a cycle of weight-1 steps) are c
-times those of an earlier level: a program whose thunks are finitely many
-is a finite Markov chain, so from there each level delivers c times what
-the level one period before did.
+A program with finitely many thunks is a finite Markov chain, and
+``Frontier.recurrence`` finds where its live state recurs up to a factor,
+from which ``probterm_seq`` fills the rest of its table.
 
-Also here: termination-probability sequences and the bounded limit
-comparison leqlim/eqlim.
+Also here: the bounded limit comparison leqlim/eqlim.
 """
 
 from fractions import Fraction
@@ -133,14 +128,17 @@ class Frontier:
     ``step()`` runs a level and hands out its deliveries, the forced
     nodes' own ``Inl`` elements with their weights as Fractions, so
     ``canonical`` merges them as ``Dist`` merges a node's entries;
-    ``probterm_seq`` runs levels without building them.  ``renormalise``
+    ``probterm_seq`` runs levels without building them.  Levels count
+    from 0 however they run, for ``recurrence``.  ``renormalise``
     divides the pending weights by a mass, as the lifting does with its
     residue.  Weights leave as ``Fraction``.
     """
-    __slots__ = ("_num", "_den", "_pending", "_rows")
+    __slots__ = ("_num", "_den", "_pending", "_rows", "_levels", "_dead",
+                 "_seen")
 
     def __init__(self, d: Dist):
         self._num, self._den, self._pending, self._rows = 0, 1, {}, {}
+        self._levels, self._dead, self._seen = 0, set(), {}
         self._absorb(((1, d),))
 
     @property
@@ -159,6 +157,7 @@ class Frontier:
 
     def _level(self):
         """Force each pending thunk once, in order, and take the nodes in."""
+        self._levels += 1
         return self._absorb([(n, t.force()) for t, n in self._pending.items()])
 
     def _absorb(self, forced):
@@ -255,6 +254,31 @@ class Frontier:
                 ns.append(n)
         return tuple(ts), ns, self._den
 
+    def recurrence(self):
+        """(i, c) when the live state before the next level, level k (the
+        thunks of ``live`` in order and their weights), is c times the one
+        before level i < k; else None, and the state is kept for later
+        levels to match.  No live thunk left is c = 0, once that recurs.
+
+        Until a ``renormalise``, each level from k on delivers in ``step()``
+        the same ``Inl`` elements, by identity and in order, as the level
+        one period (k - i levels) before it, weights times c.  This is
+        exact: a forced node never changes, so a level is a fixed linear
+        map; a dead cycle steps only into itself and delivers nothing, so
+        the live weights evolve on their own and alone decide the
+        deliveries; the period forced every node a later level forces, on
+        the same supports, and passed the exact-sum check, which scaling by
+        c keeps; and c <= 1, as live mass only leaves."""
+        state = self.live(self._dead)
+        if state is not None:
+            ts, ns, den = state
+            k = self._levels
+            i, ns0, den0 = self._seen.get(ts, (k, ns, den))
+            if i < k and all(a * ns0[0] == b * ns[0] for a, b in zip(ns, ns0)):
+                return i, Fraction(ns[0] * den0, ns0[0] * den) if ns else ZERO
+            self._seen[ts] = k, ns, den
+        return None
+
     def snapshot(self):
         """Everything a level reads, hashable: the delivered numerator, the
         denominator and the pending (thunk, numerator) pairs in order.  A
@@ -265,41 +289,24 @@ class Frontier:
 
 def probterm_seq(d: Dist, n: int) -> tuple:
     """Termination probabilities at depths 0..n, monotone nondecreasing; the
-    frontier's exact-sum check keeps each of them in [0,1].
-
-    A dict keeps, per live thunk tuple (``Frontier.live``), the level last
-    seen with it and its numerators.  When level k's are c times level
-    i's, each later level delivers c times what the level one period
-    (k - i levels) before it delivered, and the rest of the table is filled
-    so, forcing nothing.  This is exact: a forced node never changes, so a
-    level is a fixed linear map; a dead cycle steps only into itself and
-    delivers nothing, so the live weights evolve on their own and alone
-    decide the deliveries; the period forced every node the replay stands
-    for, on the same supports, and passed the exact-sum check, which
-    scaling by c keeps; and c <= 1, as live mass only leaves.  With no live
-    thunk left the table stays constant."""
+    frontier's exact-sum check keeps each of them in [0,1].  Once
+    ``Frontier.recurrence`` reports (i, c), the rest of the table is filled
+    from the period's deltas times c, forcing nothing."""
     f = Frontier(d)
-    out, seen, dead = [f.mass], {}, set()
+    out = [f.mass]
     while len(out) <= n:
-        state = f.live(dead)
-        if state is not None:
-            ts, ns, den = state
-            if not ts:
-                break
-            k = len(out) - 1
-            i, ns0, den0 = seen.get(ts, (k, ns, den))
-            if i < k and all(a * ns0[0] == b * ns[0] for a, b in zip(ns, ns0)):
-                c = Fraction(ns[0] * den0, ns0[0] * den)
-                deltas = [out[j + 1] - out[j] for j in range(i, k)]
-                for m in range(n - k):
-                    x = deltas[m] and c * deltas[m]
-                    deltas.append(x)
-                    out.append(out[-1] + x if x else out[-1])
-                break
-            seen[ts] = k, ns, den
+        found = f.recurrence()
+        if found is not None:
+            i, c = found
+            # zero as the int 0: its truth tests below call no Fraction code
+            deltas = [out[j + 1] - out[j] or 0 for j in range(i, len(out) - 1)]
+            for m in range(n + 1 - len(out)):
+                x = deltas[m] and c * deltas[m]
+                deltas.append(x)
+                out.append(out[-1] + x if x else out[-1])
+            break
         # the mass moves only when the level delivers
         out.append(f.mass if f._level()[1] else out[-1])
-    out += [out[-1]] * (n + 1 - len(out))
     return tuple(out)
 
 

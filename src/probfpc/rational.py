@@ -11,6 +11,7 @@ Two validated ranges appear in signatures:
 * UProb  - the closed interval [0,1]; masses and termination probabilities.
 """
 
+import re
 from fractions import Fraction
 
 __all__ = ["ZERO", "ONE", "ProbRangeError", "TooLongToPrint", "exact_str",
@@ -66,8 +67,11 @@ def as_uprob(x) -> Fraction:
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse "p/q" or a decimal literal ("0.25" -> 1/4) exactly."""
+    """Parse "p/q" or a decimal literal ("0.25" -> 1/4) exactly, without
+    Fraction's exponents (it builds 10^N for 1e-N) and digit underscores."""
     try:
+        if not re.fullmatch(r"\s*[-+]?(\d+(/\d+|\.\d*)?|\.\d+)\s*", text):
+            raise ValueError("not p/q or a decimal")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError("not a rational literal: %r (%s)" % (text, e))

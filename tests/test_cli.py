@@ -379,13 +379,19 @@ def test_negative_tolerance_rejected():
 
 
 def test_tolerance_above_one_rejected():
+    # and, before any work, an eps that is no rational literal or that
+    # cannot be printed: 1/10^4300, whose denominator has 4,301 digits
     geo, ident = example("geo.pfpc"), example("id.pfpc")
-    for argv in (["compare", geo, geo, "--eps", "2"],
-                 ["refine", ident, ident, "--eps", "3/2"]):
-        for fmt in ("table", "json"):
-            code, out, err = run(argv + ["--format", fmt])
-            assert (code, out) == (1, "")
-            assert err == "probfpc: argument --eps: eps must be <= 1\n"
+    tiny = "0." + "0" * 4299 + "1"
+    for eps, msg in (("2", "eps must be <= 1"), ("3/2", "eps must be <= 1"),
+                     ("1e-3", "not a rational: '1e-3'"),
+                     (tiny, "exact value too long to print: 4302 digits")):
+        for argv in (["compare", geo, geo, "--eps", eps],
+                     ["refine", ident, ident, "--eps", eps]):
+            for fmt in ("table", "json"):
+                code, out, err = run(argv + ["--format", fmt])
+                assert (code, out) == (1, "")
+                assert err == "probfpc: argument --eps: %s\n" % msg
 
 
 def test_negative_budgets_rejected():

@@ -363,6 +363,67 @@ def test_probterm_replay_is_the_level_loop(monkeypatch):
         and counts["ratio rejected"] >= 15, counts
 
 
+def first_report(f, levels):
+    """Step f through step(), asking its recurrence before each level, until
+    it reports or levels levels have run: the report (or None) and each
+    level's deliveries."""
+    delivered = []
+    while len(delivered) < levels:
+        report = f.recurrence()
+        if report is not None:
+            return report, delivered
+        delivered.append(f.step())
+    return None, delivered
+
+
+def test_recurrence_reports_a_hesitant_loops_period():
+    # the loop's thunk is back every `steps` levels with its weight times
+    # the mass that stays; it is first seen forced before level `steps`
+    for values in ([(Fraction(1, 4), 0)], [(Fraction(1, 3), 0), (Fraction(1, 6), 1)]):
+        for steps in range(1, 5):
+            report, delivered = first_report(Frontier(hesitant_loop(values, steps)), 50)
+            assert report == (steps, 1 - sum(w for w, _ in values)), (values, steps)
+            assert len(delivered) == 2 * steps, (values, steps)
+
+
+def test_recurrence_rejects_loops_at_two_rates():
+    # both thunks are back every level, their weights in a new ratio each time
+    d = choice(HALF, hesitant_loop([(Fraction(1, 3), 0)]),
+               hesitant_loop([(Fraction(1, 5), 1)]))
+    report, delivered = first_report(Frontier(d), 200)
+    assert report is None and len(delivered) == 200
+
+
+def test_recurrence_reports_no_live_thunk_as_0():
+    # the silent program's pending thunks all end on dead cycles; the empty
+    # live state is reported the level after it is first seen
+    for mode in ("op", "den", "den-steps"):
+        report, delivered = first_report(
+            Frontier(_delay_of(corpus("diverge"), mode)[1]), 50)
+        assert report == (len(delivered) - 1, 0) and not any(delivered), mode
+
+
+def test_recurrence_reports_meet_the_delivery_contract():
+    # after the report (i, c) before level k, each level from k on delivers
+    # the Inl elements of the level k - i before it, by identity and in
+    # order, with weights times c: checked for two periods
+    reports = levels = 0
+    for label, d in replay_cases(random.Random(62)):
+        f = Frontier(d)
+        report, delivered = first_report(f, 300)
+        if report is None:
+            continue
+        (i, c), k = report, len(delivered)
+        for m in range(2 * (k - i)):
+            got, want = f.step(), delivered[i + m]
+            assert [(w, id(a)) for w, a in got] == \
+                [(c * w, id(a)) for w, a in want], (label, m)
+            delivered.append(got)
+        reports += 1
+        levels += 2 * (k - i)
+    assert reports >= 300 and levels >= 1400, (reports, levels)
+
+
 def test_frontier_renormalise_is_the_residue_dist():
     # the lifting's residue keeps part x of the delivered mass and every
     # pending thunk; renormalised in place, the frontier is the one built

@@ -127,6 +127,18 @@ def test_indented_json_goes_through_one_writer():
     assert not calls, "indented json.dump(s) outside cli._dumps: %s" % calls
 
 
+def test_live_state_is_read_inside_frontier():
+    # Frontier.recurrence owns the recurrence test, its seen states and
+    # dead cycles; a call to live() elsewhere would grow a second one
+    calls = ["%s.py:%d" % (module, n.lineno)
+             for module, tree in _trees().items() for n in ast.walk(tree)
+             if isinstance(n, ast.Call)
+             and ast.unparse(n.func).rpartition(".")[2] == "live"
+             and not any(isinstance(c, ast.ClassDef) and c.name == "Frontier"
+                         and n in ast.walk(c) for c in tree.body)]
+    assert not calls, "Frontier.live called outside Frontier: %s" % calls
+
+
 def test_no_private_imports_across_modules():
     # an underscore name is its module's own business; a module that needs
     # another's private name should own it, or the name should be public.
