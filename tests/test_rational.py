@@ -57,18 +57,12 @@ def test_parse_render_round_trip():
     for _ in range(200):
         x = Fraction(rng.randrange(0, 100), rng.randrange(1, 100))
         assert parse_rat(str(x)) == x
-    with pytest.raises(ValueError):
-        parse_rat("one half")
-    with pytest.raises(ValueError):
-        parse_rat("1/0")
     assert parse_rat("+3") == 3 and parse_rat(".5") == parse_rat("1/2")
     assert parse_rat("-1/2") == Fraction(-1, 2) and parse_rat("2.") == 2
-
-
-def test_exponents_and_underscores_are_not_rational_literals():
-    # Fraction takes both; the documented grammar is "p/q" or a decimal
-    for text in ("1e-3", "1.5E2", "2e1", "1_0/3", "1/1_0", "0.2_5"):
+    # Fraction also takes exponents and digit-group underscores; the
+    # documented grammar is "p/q" or a decimal
+    for text in ("one half", "1/0", "1e-3", "1.5E2", "2e1", "1_0/3", "1/1_0",
+                 "0.2_5"):
         with pytest.raises(ValueError) as e:
             parse_rat(text)
-        assert str(e.value) == \
-            "not a rational literal: %r (not p/q or a decimal)" % text
+        assert str(e.value).startswith("not a rational literal: %r (" % text)
