@@ -22,8 +22,10 @@ gcd.  Every node becomes a row once per frontier, however often it is
 forced again, as the nodes of a finite chain such as the fair coin are.
 
 A program with finitely many thunks is a finite Markov chain, and
-``Frontier.recurrence`` finds where its live state recurs up to a factor,
-from which ``probterm_seq`` fills the rest of its table.
+``Frontier.recurrence`` finds where its live state recurs up to a factor.
+From there ``probterm_seq`` fills the rest of its table, and
+``Frontier.advance``, which runs the lifting's horizon search, computes
+the levels it would run from the period's log, forcing nothing.
 
 Also here: the bounded limit comparison leqlim/eqlim.
 """
@@ -127,19 +129,28 @@ class Frontier:
 
     ``step()`` runs a level and hands out its deliveries, the forced
     nodes' own ``Inl`` elements with their weights as Fractions, so
-    ``canonical`` merges them as ``Dist`` merges a node's entries;
-    ``probterm_seq`` runs levels without building them.  Levels count
-    from 0 however they run, for ``recurrence``.  ``renormalise``
+    ``canonical`` merges them as ``Dist`` merges a node's entries; it logs
+    them with the state before the level.  ``advance`` steps up to a
+    target mass, and past a ``recurrence`` computes the levels from that
+    log.  ``probterm_seq`` runs levels without building them.  Levels
+    count from 0 however they run, for ``recurrence``.  ``renormalise``
     divides the pending weights by a mass, as the lifting does with its
-    residue.  Weights leave as ``Fraction``.
+    residue, and starts the count, the states seen and the log afresh.
+    Weights leave as ``Fraction``.
     """
-    __slots__ = ("_num", "_den", "_pending", "_rows", "_levels", "_dead",
-                 "_seen")
+    __slots__ = ("_num", "_den", "_pending", "_rows", "_dead", "_levels",
+                 "_seen", "_log", "_period")
 
     def __init__(self, d: Dist):
         self._num, self._den, self._pending, self._rows = 0, 1, {}, {}
-        self._levels, self._dead, self._seen = 0, set(), {}
+        self._dead = set()
+        self._restart()
         self._absorb(((1, d),))
+
+    def _restart(self):
+        """Count levels from 0 again, forgetting the states seen and the
+        levels logged: they hold only until a ``renormalise``."""
+        self._levels, self._seen, self._log, self._period = 0, {}, [], None
 
     @property
     def mass(self) -> Fraction:
@@ -151,9 +162,96 @@ class Frontier:
         return self._num * q.denominator >= q.numerator * self._den
 
     def step(self):
-        """Run one level; returns the level's deliveries [(w, Inl element)]."""
+        """Run one level; returns the level's deliveries [(w, Inl element)],
+        and logs them with the ``snapshot()`` before the level."""
+        before = self.snapshot()
         den, new = self._level()
-        return [(Fraction(n, den), a) for n, a in new]
+        new = [(Fraction(n, den), a) for n, a in new]
+        self._log.append((before, new))
+        return new
+
+    def advance(self, q, limit):
+        """Run levels until one that delivers brings the delivered mass to
+        the Fraction q, or limit levels have run.  Returns how many ran and
+        their deliveries [(w, Inl element)], merged by element identity in
+        first-occurrence order.
+
+        Each level is stepped after asking ``recurrence``, until that
+        reports (i, c) with no pending thunk on a dead cycle.  From then
+        on every level is a logged one times a power of c, so ``_jump``
+        runs the rest, and every later call, without forcing."""
+        n, out = 0, {}
+        while n < limit:
+            if self._period is None:
+                found = self.recurrence()
+                if found is not None and self._dead.isdisjoint(self._pending):
+                    self._period = (*found, self._levels,
+                                    Fraction(self._num, self._den))
+            if self._period is not None:
+                n += self._jump(q, limit - n, out)
+                break
+            new = self.step()
+            n += 1
+            _merge(out, new)
+            if new and self.reaches(q):
+                break
+        return n, [(w, a) for w, a in out.values()]
+
+    def _jump(self, q, limit, out):
+        """``advance`` past a recurrence, forcing nothing: finds the levels
+        to run from the period's masses and powers of c, merges their
+        deliveries into out and sets the state they leave.  Returns the
+        number of levels run.
+
+        With the period logged at levels i..k-1 (r levels) and D delivered
+        before level k, level k + s delivers c**(s // r + 1) times what
+        level i + s % r did, and the pending weights before it are as many
+        times those before level i + s % r; the delivered mass is the rest
+        of 1.  So s levels from k deliver F(s) = M G(s // r) plus c**(s //
+        r + 1) times the first s % r levels' masses, where M is the
+        period's mass and G(J) = c + ... + c**J = (c - c**(J+1)) / (1 - c).
+        M > 0 only if 0 < c < 1, as live mass leaves only by delivery, and
+        F stays below its bound M c / (1 - c)."""
+        i, c, k, base = self._period
+        period, r, s0 = self._log[i:k], k - i, self._levels - k
+        ms = [sum((w for w, _ in new), ZERO) for _, new in period]
+        total, y = sum(ms, ZERO), q - base
+        n = limit
+        if total and y * (1 - c) < total * c:
+            # F(J r) >= y exactly when c**J <= t = 1 - y (1 - c) / (M c)
+            t = 1 - y * (1 - c) / (total * c)
+            a, b = c.numerator, c.denominator
+            j, x, z = 1, a * t.denominator, b * t.numerator
+            while x > z and j * r < s0 + limit:
+                j, x, z = j + 1, x * a, z * b
+            if x <= z:
+                # the least s with F(s) >= y, then the first level from
+                # there, after the ones run, that delivers
+                cj = c ** j
+                s, acc = (j - 1) * r, total * (c - cj) / (1 - c)
+                while acc < y:
+                    acc += cj * ms[s % r]
+                    s += 1
+                s = max(s, s0 + 1)
+                while not ms[(s - 1) % r]:
+                    s += 1
+                n = min(limit, s - s0)
+        s1 = s0 + n
+        for first in range(s0, s0 + min(n, r)):
+            new = period[first % r][1]
+            if new:     # levels first, first + r, ... before s1
+                e, times = first // r + 1, (s1 - 1 - first) // r + 1
+                g = (c ** e - c ** (e + times)) / (1 - c)
+                _merge(out, [(w * g, el) for w, el in new])
+        (_, den, items), e = period[s1 % r][0], s1 // r + 1
+        x = c.numerator ** e
+        den *= c.denominator ** e
+        pending = {t: m * x for t, m in items}
+        g = gcd(den, *pending.values())
+        self._num = (den - sum(pending.values())) // g
+        self._den, self._levels = den // g, self._levels + n
+        self._pending = {t: m // g for t, m in pending.items()}
+        return n
 
     def _level(self):
         """Force each pending thunk once, in order, and take the nodes in."""
@@ -220,13 +318,15 @@ class Frontier:
         """Divide the pending weights by mass and count the rest of 1 as
         delivered: the lifting's residue.  Over D = lcm(den, mass's
         denominator) mass is R/D, so the pending numerators over D stay and
-        the denominator becomes R."""
+        the denominator becomes R.  A recurrence never spans this scaling:
+        levels count from 0 again, and the states seen and the log go."""
         k = mass.denominator // gcd(mass.denominator, self._den)
         den = mass.numerator * (self._den * k // mass.denominator)
         ns = [n * k for n in self._pending.values()]
         g = gcd(den, *ns)
         self._pending = {t: n // g for t, n in zip(self._pending, ns)}
         self._num, self._den = (den - sum(ns)) // g, den // g
+        self._restart()
 
     def live(self, dead):
         """The pending thunks off the dead cycles, in order, their
@@ -268,7 +368,11 @@ class Frontier:
         the live weights evolve on their own and alone decide the
         deliveries; the period forced every node a later level forces, on
         the same supports, and passed the exact-sum check, which scaling by
-        c keeps; and c <= 1, as live mass only leaves."""
+        c keeps; and c <= 1, as live mass only leaves between two
+        ``renormalise`` calls.  When no pending thunk is on a dead cycle,
+        the whole pending state before each level from k on is c times the
+        one a period before, as a dead cycle's weight never leaves it:
+        ``advance`` relies on that."""
         state = self.live(self._dead)
         if state is not None:
             ts, ns, den = state
@@ -285,6 +389,16 @@ class Frontier:
         thunk hashes and compares by identity, and the tuple keeps it
         alive; the kept rows are a function of the nodes forced."""
         return self._num, self._den, tuple(self._pending.items())
+
+
+def _merge(out, new):
+    """Add the deliveries new into out, {id(element): [w, element]}."""
+    for w, a in new:
+        x = out.get(id(a))
+        if x is None:
+            out[id(a)] = [w, a]
+        else:
+            x[0] += w
 
 
 def probterm_seq(d: Dist, n: int) -> tuple:

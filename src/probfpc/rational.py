@@ -68,9 +68,11 @@ def as_uprob(x) -> Fraction:
 
 def parse_rat(text: str) -> Fraction:
     """Parse "p/q" or a decimal literal ("0.25" -> 1/4) exactly, without
-    Fraction's exponents (it builds 10^N for 1e-N) and digit underscores."""
+    Fraction's exponents (it builds 10^N for 1e-N) and digit underscores.
+    Digits are ASCII, as in the lexer: ``\\d`` and Fraction take any
+    Unicode digit."""
     try:
-        if not re.fullmatch(r"\s*[-+]?(\d+(/\d+|\.\d*)?|\.\d+)\s*", text):
+        if not re.fullmatch(r"\s*[-+]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*", text):
             raise ValueError("not p/q or a decimal")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:

@@ -7,11 +7,13 @@ numerators, and the loop goes on to the delayed remainder with one unit of
 fuel less.  Fuel 0 accepts the truncated obligation, so Holds at fuel F
 certifies the F-level approximation and Unknown is never a refutation.
 Both sides run level by level on a `Frontier`.  Forcing memoises thunks,
-so a recursive program's delay graph is finite and the lifting's own state
-(the level's values, both frontiers, the explored values) comes back; a
-level is a function of that state, so from a repeated state the loop
-replays the records of the levels since its first occurrence, with only
-the fuel changed, in place of solving them again.
+so a recursive program's delay graph is finite and states come back.  The
+horizon search's levels come back up to a factor, and `Frontier.advance`
+jumps over them.  The lifting's own state (the level's values, both
+frontiers, the explored values) comes back too; a level is a function of
+that state, so from a repeated state the loop replays the records of the
+levels since its first occurrence, with only the fuel changed, in place of
+solving them again.
 
 `logrel_val` is the type-indexed relation between semantic and syntactic
 values: ground types by equality, pairs and sums structurally, recursive
@@ -142,14 +144,16 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     ``Dist`` node merges its entries; p = 1 leaves nothing pending.  Search
     the least m <= horizon such that the values delivered by running e for
     m levels admit a coupling of flow >= p - eps along rel; no flow runs
-    while the delivered mass, which bounds it, is below p - eps.  What the
-    coupling does not consume of e joins e's pending branches as the
-    residue, and the next level relates the left side's pending branches,
-    renormalised by 1 - p and run one level, to it (renormalised) with one
-    unit of fuel less.  The eps budget is per level, so it composes
-    additively in fuel.  When e's explored mass cannot split at exactly p,
-    the flow consumption splits explored leaves fractionally; this is a
-    sound search, not a complete one.
+    while the delivered mass, which bounds it, is below p - eps.  So e's
+    ``Frontier.advance`` runs the levels up to the next flow, and jumps
+    over them once e's frontier recurs.  What the coupling does not
+    consume of e joins e's pending branches as the residue, and the next
+    level relates the left side's pending branches, renormalised by 1 - p
+    and run one level, to it (renormalised) with one unit of fuel less.
+    The eps budget is per level, so it composes additively in fuel.  When
+    e's explored mass cannot split at exactly p, the flow consumption
+    splits explored leaves fractionally; this is a sound search, not a
+    complete one.
 
     A level whose state was seen before is not solved again.  The state is
     the level's values, both frontiers' ``snapshot()`` and the explored
@@ -199,11 +203,10 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
                 flowval, flow = _max_flow(vals, evals, rel)
                 if flowval >= need:
                     break
-            # a level that delivers nothing leaves the flow as it was
-            new = None
-            while not new and m < horizon:
-                m += 1
-                new = front.step()
+            # a level that delivers nothing leaves the flow as it was, and
+            # the flow reaches need no sooner than the delivered mass does
+            ran, new = front.advance(need, horizon - m)
+            m += ran
             if not new:
                 if not front.reaches(need):     # no flow ran on these values
                     flowval = _max_flow(vals, evals, rel)[0]

@@ -385,6 +385,7 @@ def test_tolerance_above_one_rejected():
     tiny = "0." + "0" * 4299 + "1"
     for eps, msg in (("2", "eps must be <= 1"), ("3/2", "eps must be <= 1"),
                      ("1e-3", "not a rational: '1e-3'"),
+                     ("\u0660.\u0665", "not a rational: '\u0660.\u0665'"),
                      (tiny, "exact value too long to print: 4302 digits")):
         for argv in (["compare", geo, geo, "--eps", eps],
                      ["refine", ident, ident, "--eps", eps]):

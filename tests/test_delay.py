@@ -18,15 +18,15 @@ from probfpc.delay import (
     leqlim_upto, now, probterm_seq, run, step,
 )
 from probfpc.parser import load_file
-from probfpc.rational import ONE
+from probfpc.rational import ONE, ZERO
 
 from conftest import EXAMPLES, example
 from genlib import (
     OPAQUE, ChoiceCong, Refl, StepElim, WitnessShapeError, check_witness, geo,
     hesitant, hesitant_loop, node_eq, pendings, pooled_delay, prefix_eq,
     probterm, probterm0, random_delay, random_witness, ref_probterm_seq,
-    run_n, shared_delay, split, step_of, value_entries, value_part,
-    witness_for_run, witness_steps, zeta,
+    run_n, shared_delay, split, step_of, twin_loop, value_entries,
+    value_part, witness_for_run, witness_steps, zeta,
 )
 
 HALF = Fraction(1, 2)
@@ -422,6 +422,84 @@ def test_recurrence_reports_meet_the_delivery_contract():
         reports += 1
         levels += 2 * (k - i)
     assert reports >= 300 and levels >= 1400, (reports, levels)
+
+
+def stepped_advance(f, q, limit):
+    """``Frontier.advance`` one ``step()`` at a time, never jumping."""
+    n, out = 0, []
+    while n < limit:
+        new = f.step()
+        n += 1
+        out += new
+        if new and f.reaches(q):
+            break
+    return n, out
+
+
+def advance_cases():
+    """replay_cases, hesitant loops of 1-3 steps with one value or two, twin
+    loops, and a hesitant loop beside a silent one, whose report comes
+    with a dead cycle pending."""
+    yield from replay_cases(random.Random(62))
+    for values in ([(Fraction(1, 4), 0)], [(Fraction(1, 3), 0), (Fraction(1, 6), 1)]):
+        for steps in (1, 2, 3):
+            yield "hesitant %d %d" % (len(values), steps), hesitant_loop(values, steps)
+    yield "twin", twin_loop(0)
+    yield "twin 1/5", twin_loop(1, Fraction(1, 5))
+    yield "beside a dead cycle", choice(HALF, hesitant_loop([(Fraction(1, 4), 0)]),
+                                        hesitant_loop([]))
+
+
+def test_advance_jumps_as_stepping_does(monkeypatch):
+    # from the first recurrence() report on, advance() forces nothing unless
+    # a dead cycle is pending, and a second frontier of the same tree,
+    # stepped one level at a time, runs as many levels, ends in the same
+    # snapshot() and delivers what canonical merges into the same entries.
+    # The first call stops at a delivering level that is also its limit;
+    # three more follow it, so they start inside a period
+    forced = []
+    level = Frontier._level
+    monkeypatch.setattr(Frontier, "_level", lambda f: forced.append(f) or level(f))
+    rng = random.Random(63)
+    counts = dict.fromkeys(("jumped", "dead cycle", "stopped at q", "at the limit"), 0)
+    for label, d in advance_cases():
+        f = Frontier(d)
+        report, delivered = first_report(f, 300)
+        if report is None:
+            continue
+        k = len(delivered)
+        r, dead = k - report[0], not f._dead.isdisjoint(f._pending)
+        g = Frontier(d)
+        for _ in range(k):
+            g.step()
+        # the masses after 0, 1, ... levels from k, stepping
+        ref = Frontier(d)
+        for _ in range(k):
+            ref.step()
+        masses = [ref.mass]
+        for _ in range(3 * r + 10):
+            ref.step()
+            masses.append(ref.mass)
+        grew = [j for j in range(1, len(masses)) if masses[j] > masses[j - 1]]
+        calls = [(masses[j], j) for j in rng.sample(grew, min(1, len(grew)))]
+        for _ in range(3):
+            q = rng.choice((ZERO, ONE, rng.choice(masses),
+                            (rng.choice(masses) + rng.choice(masses)) / 2))
+            calls.append((q, rng.choice((1, r, r + 1, 2 * r + 3, 50, 500))))
+        for m, (q, limit) in enumerate(calls):
+            del forced[:]
+            n, got = f.advance(q, limit)
+            assert len(forced) == (n if dead else 0), label
+            m_want, want = stepped_advance(g, q, limit)
+            assert (n, f.snapshot()) == (m_want, g.snapshot()), (label, m, q, limit)
+            assert len({id(a) for _, a in got}) == len(got), label
+            assert [(w, id(a)) for w, a in canonical(got)] == \
+                [(w, id(a)) for w, a in canonical(want)], (label, m, q, limit)
+            counts["jumped" if not dead else "dead cycle"] += 1
+            counts["stopped at q"] += n < limit
+            counts["at the limit"] += m == 0 and n == limit and f.reaches(q)
+    assert counts["jumped"] >= 700 and counts["dead cycle"] >= 250 \
+        and counts["stopped at q"] >= 150 and counts["at the limit"] >= 250, counts
 
 
 def test_frontier_renormalise_is_the_residue_dist():

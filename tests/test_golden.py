@@ -298,6 +298,15 @@ def requests():
              "--fuel", "40", "--format", fmt] for fmt in FORMATS]
     out += [["refine", "tmp/twin_hes.pfpc", "examples/id_hes.pfpc",
              "--fuel", "40", "--format", fmt] for fmt in FORMATS]
+    # horizon searches whose right frontier recurs after a few levels: at
+    # eps 0 the hesitant identity never delivers all of its mass, so the
+    # search ends at the horizon with its best flow there; at eps 2^-100 it
+    # delivers enough after 601 levels
+    out += [["refine", "examples/id.pfpc", "examples/id_hes.pfpc", "--eps", eps,
+             "--horizon", h, "--format", fmt]
+            for eps, h in (("0", "3000"),
+                           ("1/1267650600228229401496703205376", "1024"))
+            for fmt in FORMATS]
     return out
 
 

@@ -59,10 +59,10 @@ def test_parse_render_round_trip():
         assert parse_rat(str(x)) == x
     assert parse_rat("+3") == 3 and parse_rat(".5") == parse_rat("1/2")
     assert parse_rat("-1/2") == Fraction(-1, 2) and parse_rat("2.") == 2
-    # Fraction also takes exponents and digit-group underscores; the
-    # documented grammar is "p/q" or a decimal
+    # Fraction also takes exponents, digit-group underscores and non-ASCII
+    # digits; the documented grammar is "p/q" or a decimal in ASCII digits
     for text in ("one half", "1/0", "1e-3", "1.5E2", "2e1", "1_0/3", "1/1_0",
-                 "0.2_5"):
+                 "0.2_5", "\u0660.\u0665", "\u0661/\u0663"):
         with pytest.raises(ValueError) as e:
             parse_rat(text)
         assert str(e.value).startswith("not a rational literal: %r (" % text)

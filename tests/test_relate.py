@@ -10,7 +10,8 @@ import pytest
 
 from probfpc.dist import Dist, Inl, Inr, choice
 from probfpc.delay import (
-    DelayThunk, Frontier, delay_bind, leqlim_upto, now, probterm_seq, step_fn,
+    DelayThunk, Frontier, delay_bind, leqlim_upto, now, probterm_seq, run,
+    step_fn,
 )
 from probfpc.densem import FoldV
 from probfpc import relate
@@ -22,6 +23,7 @@ from probfpc.parser import parse_term, parse_ty
 from probfpc.typecheck import TypecheckError
 from probfpc.corpus import diverge_term, id_hes, y_comb
 
+import genlib
 from genlib import (
     OPAQUE, geo, hesitant, hesitant_loop, pooled_delay, random_delay,
     ref_lift_check, ref_max_flow, run_n, step_of, twin_loop,
@@ -353,6 +355,64 @@ def test_lift_replays_a_fresh_continuation_of_the_same_entries(monkeypatch):
     assert got.to_json() == want.to_json()
     assert [r.get("fuel") for r in _chain(got.trace)] == \
         list(range(200, 0, -1)) + [None]
+
+
+def test_lift_jumps_match_the_recursive_reference(monkeypatch):
+    # horizons long enough for the right frontier's live state to recur,
+    # so its search jumps over the recurring levels: the verdict, the
+    # reason and the whole trace, key order included, are the reference's
+    jumps = []
+    jump = Frontier._jump
+    monkeypatch.setattr(Frontier, "_jump", lambda f, *a: jumps.append(f) or jump(f, *a))
+    # the reference reads split(run_n(e, m)) afresh at each m; the m-fold
+    # run is the run of the (m-1)-fold one, kept, so a horizon costs it m
+    # runs and not m^2 / 2
+    runs = {}
+
+    def run_n(d, n):
+        if n == 0:
+            return d
+        if (d, n) not in runs:
+            runs[d, n] = run(run_n(d, n - 1))
+        return runs[d, n]
+    monkeypatch.setattr(genlib, "run_n", run_n)
+    rng = random.Random(91)
+    loops = [hesitant_loop([(q, a)], k) for q in (HALF, Fraction(1, 3), Fraction(1, 5))
+             for a in (0, 1) for k in (1, 2, 3)]
+    loops += [hesitant_loop([(Fraction(1, 4), a), (Fraction(1, 8), 1 - a)], k)
+              for a in (0, 1) for k in (1, 2)]
+    loops += [twin_loop(0), twin_loop(1, Fraction(1, 5))]
+    points = [now(0), now(1)] + [choice(q, now(0), now(1))
+                                 for q in (HALF, Fraction(2, 3))]
+    leaves = Counter()
+    for i in range(300):
+        d = (rng.choice(loops), rng.choice(points), pooled_delay(rng))[i % 3]
+        e = (rng.choice(loops), pooled_delay(rng))[i % 4 == 3]
+        fuel, horizon = rng.randrange(1, 12), rng.randrange(16, 160)
+        eps = rng.choice((0, Fraction(1, 16), Fraction(1, 1024), Fraction(1, 2 ** 40)))
+        got = lift_check(d, e, eq, fuel, horizon, eps)
+        want = ref_lift_check(d, e, eq, fuel, horizon, eps)
+        assert (got.holds, got.reason, got.trace) == \
+            (want.holds, want.reason, want.trace), i
+        assert json.dumps(got.trace) == json.dumps(want.trace), i
+        leaves[_leaf(got.trace)[0]["case"]] += 1
+        runs.clear()
+    assert len(jumps) >= 5000 and leaves["no-coupling"] >= 150 \
+        and leaves["fuel"] >= 70 and leaves["value-only"] >= 5, (len(jumps), leaves)
+
+
+def test_lift_search_forces_few_levels(monkeypatch):
+    # the hesitant identity at 1/24 needs hundreds of levels per probe to
+    # deliver 1 - 1/1024 of its mass; its frontier recurs within a few, and
+    # the search jumps the rest
+    forced = []
+    level = Frontier._level
+    monkeypatch.setattr(Frontier, "_level", lambda f: forced.append(f) or level(f))
+    v = refine_check(Lam(NAT, Var(0)), id_hes(Fraction(1, 24), NAT),
+                     RelateCfg(horizon=1024))
+    assert v.holds and v.reason == "4 probes passed"
+    assert all(probe["trace"]["m"] > 900 for probe in v.trace["probes"])
+    assert len(forced) <= 100, len(forced)
 
 
 def test_lift_bind_lemma():
