@@ -23,7 +23,7 @@ from .delay import eqlim_upto, probterm_seq
 from .densem import STANDARD, STEP_FAITHFUL, Interp
 from .opsem import Evaluator
 from .parser import ParseError, load_file
-from .rational import TooLongToPrint, exact_str, parse_rat
+from .rational import TooLongToPrint, exact_str, parse_nat, parse_rat
 from .relate import RelateCfg, refine_check
 from .syntax import UnitT, render_ty
 from .typecheck import TypecheckError, elaborate
@@ -195,13 +195,13 @@ def _rat(text):
 
 
 def _nat(text):
+    """A budget in ASCII digits, read by ``parse_nat``."""
     try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("not an integer: %r" % text)
-    if v < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return v
+        return parse_nat(text)
+    except ValueError as e:
+        negative = text[:1] == "-" and text[1:].isascii() and text[1:].isdigit()
+        raise argparse.ArgumentTypeError("must be >= 0" if negative else str(e).replace(
+            "not a natural", "not an integer")) from None
 
 
 def _add_common(sp, depth=True, approx=False):

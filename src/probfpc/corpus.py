@@ -10,7 +10,7 @@ arguments in parentheses, e.g. "geo", "geo(2/3)", "id_hes(15/16,Nat)".
 """
 
 from .parser import parse_term, parse_ty
-from .rational import as_prob, parse_rat
+from .rational import as_prob, parse_nat, parse_rat
 from .syntax import (
     Ty, UnitT, NatT, FnT, MuT, TVarT, mu_unfold, render_ty, BOOL_T,
     Term, App, Num, Star, Lam, Var,
@@ -138,16 +138,6 @@ def randw2_fn() -> Term:
 
 # --- catalogue ----------------------------------------------------------------
 
-_DIGITS = "0123456789"      # str.isdigit() also admits digits int() rejects
-
-
-def _nat(text):
-    """A natural argument, spelt as the lexer reads numerals: ASCII digits."""
-    if not text or text.strip(_DIGITS):
-        raise ValueError("not a natural: %r" % text)
-    return int(text)
-
-
 # name -> (blurb, builder); a builder takes its arguments as text, each with
 # a default, so its parameters give both the arity and the usage line
 _ENTRIES = {
@@ -158,9 +148,9 @@ _ENTRIES = {
     "fair_from": ("fair coin from a biased one, Unit -> Unit + Unit",
                   lambda p="1/3": fair_from(parse_rat(p))),
     "randw": ("lazy random walk from n",
-              lambda n="2": App(randw_fn(), Num(_nat(n)))),
+              lambda n="2": App(randw_fn(), Num(parse_nat(n)))),
     "randw2": ("lazy two-step random walk from n",
-               lambda n="2": App(randw2_fn(), Num(_nat(n)))),
+               lambda n="2": App(randw2_fn(), Num(parse_nat(n)))),
     "everysnd": ("every second element of a lazy list", everysnd_term),
     "lazylist-ops": ("head (cons 3 nil-tail), exercising the list vocabulary",
                      lambda: parse_term("hd (%s 3 (fn u : Unit => %s))" % (_CONS, _NIL),

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .rational import ONE, ZERO, as_uprob
-from .dist import Dist, Inl, Inr, dirac, dist_bind
+from .dist import Dist, Inl, Inr, canonical, dirac, dist_bind
 
 __all__ = [
     "DelayThunk", "now", "step", "step_fn", "delay_bind",
@@ -122,21 +122,21 @@ class Frontier:
     denominator and skips the exact-sum check and the gcd.  Any other
     level scales the denominator by the lcm of the forced nodes' weight
     denominators, checks that delivered plus pending mass is exactly 1, as
-    ``Dist`` does, and divides every numerator and the denominator by their
-    gcd.  Every node it forces is read as an integer row (``_row``) the
-    first time and the row is kept, keyed by the node, for every later
-    level of this frontier.
+    ``Dist`` does, and ends in ``_set``, which divides every numerator and
+    the denominator by their gcd; every change of state but a move does.
+    Every node it forces is read as an integer row (``_row``) the first
+    time and the row is kept, keyed by the node, for every later level.
 
     ``step()`` runs a level and hands out its deliveries, the forced
     nodes' own ``Inl`` elements with their weights as Fractions, so
     ``canonical`` merges them as ``Dist`` merges a node's entries; it logs
     them with the state before the level.  ``advance`` steps up to a
-    target mass, and past a ``recurrence`` computes the levels from that
-    log.  ``probterm_seq`` runs levels without building them.  Levels
-    count from 0 however they run, for ``recurrence``.  ``renormalise``
-    divides the pending weights by a mass, as the lifting does with its
-    residue, and starts the count, the states seen and the log afresh.
-    Weights leave as ``Fraction``.
+    target mass, past a ``recurrence`` computes the levels from that log,
+    and returns ``canonical`` of the deliveries.  ``probterm_seq`` runs
+    levels without building them.  Levels count from 0 however they run,
+    for ``recurrence``.  ``renormalise`` divides the pending weights by a
+    mass, as the lifting does with its residue, and starts the count, the
+    states seen and the log afresh.  Weights leave as ``Fraction``.
     """
     __slots__ = ("_num", "_den", "_pending", "_rows", "_dead", "_levels",
                  "_seen", "_log", "_period")
@@ -173,14 +173,14 @@ class Frontier:
     def advance(self, q, limit):
         """Run levels until one that delivers brings the delivered mass to
         the Fraction q, or limit levels have run.  Returns how many ran and
-        their deliveries [(w, Inl element)], merged by element identity in
-        first-occurrence order.
+        ``canonical`` of their deliveries [(w, Inl element)], which merges
+        an unkeyed element only with itself.
 
         Each level is stepped after asking ``recurrence``, until that
         reports (i, c) with no pending thunk on a dead cycle.  From then
         on every level is a logged one times a power of c, so ``_jump``
         runs the rest, and every later call, without forcing."""
-        n, out = 0, {}
+        n, out = 0, []
         while n < limit:
             if self._period is None:
                 found = self.recurrence()
@@ -192,16 +192,16 @@ class Frontier:
                 break
             new = self.step()
             n += 1
-            _merge(out, new)
+            out += new
             if new and self.reaches(q):
                 break
-        return n, [(w, a) for w, a in out.values()]
+        return n, canonical(out)
 
     def _jump(self, q, limit, out):
         """``advance`` past a recurrence, forcing nothing: finds the levels
-        to run from the period's masses and powers of c, merges their
-        deliveries into out and sets the state they leave.  Returns the
-        number of levels run.
+        to run from the period's masses and powers of c, appends their
+        deliveries to the list out and sets the state they leave.  Returns
+        the number of levels run.
 
         With the period logged at levels i..k-1 (r levels) and D delivered
         before level k, level k + s delivers c**(s // r + 1) times what
@@ -242,15 +242,11 @@ class Frontier:
             if new:     # levels first, first + r, ... before s1
                 e, times = first // r + 1, (s1 - 1 - first) // r + 1
                 g = (c ** e - c ** (e + times)) / (1 - c)
-                _merge(out, [(w * g, el) for w, el in new])
+                out.extend((w * g, el) for w, el in new)
         (_, den, items), e = period[s1 % r][0], s1 // r + 1
         x = c.numerator ** e
-        den *= c.denominator ** e
-        pending = {t: m * x for t, m in items}
-        g = gcd(den, *pending.values())
-        self._num = (den - sum(pending.values())) // g
-        self._den, self._levels = den // g, self._levels + n
-        self._pending = {t: m // g for t, m in pending.items()}
+        self._set(den * c.denominator ** e, {t: m * x for t, m in items})
+        self._levels += n
         return n
 
     def _level(self):
@@ -290,11 +286,16 @@ class Frontier:
         if sum(pending.values(), num) != den:
             raise ValueError("distribution weights sum to %s, not 1"
                              % Fraction(sum(pending.values(), num), den))
-        g = gcd(den, num, *pending.values())
-        if g > 1:
-            pending = {t: n // g for t, n in pending.items()}
-        self._num, self._den, self._pending = num // g, den // g, pending
+        self._set(den, pending)
         return den, new
+
+    def _set(self, den, pending):
+        """The state of pending numerators {thunk: n} over den, the rest of
+        den delivered, divided by their gcd."""
+        g = gcd(den, *pending.values())
+        self._num = (den - sum(pending.values())) // g
+        self._den = den // g
+        self._pending = {t: n // g for t, n in pending.items()} if g > 1 else pending
 
     def _row(self, d):
         """A node as (s, [(numerator over s, Inl element)], [(numerator
@@ -317,15 +318,13 @@ class Frontier:
     def renormalise(self, mass):
         """Divide the pending weights by mass and count the rest of 1 as
         delivered: the lifting's residue.  Over D = lcm(den, mass's
-        denominator) mass is R/D, so the pending numerators over D stay and
-        the denominator becomes R.  A recurrence never spans this scaling:
-        levels count from 0 again, and the states seen and the log go."""
+        denominator) mass is R/D, so the pending numerators over D stay,
+        now over R, and ``_set`` reduces them.  A recurrence never spans
+        this scaling: levels count from 0 again, and the states seen and
+        the log go."""
         k = mass.denominator // gcd(mass.denominator, self._den)
         den = mass.numerator * (self._den * k // mass.denominator)
-        ns = [n * k for n in self._pending.values()]
-        g = gcd(den, *ns)
-        self._pending = {t: n // g for t, n in zip(self._pending, ns)}
-        self._num, self._den = (den - sum(ns)) // g, den // g
+        self._set(den, {t: n * k for t, n in self._pending.items()})
         self._restart()
 
     def live(self, dead):
@@ -389,16 +388,6 @@ class Frontier:
         thunk hashes and compares by identity, and the tuple keeps it
         alive; the kept rows are a function of the nodes forced."""
         return self._num, self._den, tuple(self._pending.items())
-
-
-def _merge(out, new):
-    """Add the deliveries new into out, {id(element): [w, element]}."""
-    for w, a in new:
-        x = out.get(id(a))
-        if x is None:
-            out[id(a)] = [w, a]
-        else:
-            x[0] += w
 
 
 def probterm_seq(d: Dist, n: int) -> tuple:

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 __all__ = ["ZERO", "ONE", "ProbRangeError", "TooLongToPrint", "exact_str",
-           "as_prob", "as_uprob", "parse_rat"]
+           "as_prob", "as_uprob", "parse_nat", "parse_rat"]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,6 +64,18 @@ def as_uprob(x) -> Fraction:
     if not (0 <= p <= 1):
         raise ProbRangeError("probability must satisfy 0 <= p <= 1, got %s" % p)
     return p
+
+
+def parse_nat(text: str) -> int:
+    """Parse a natural in ASCII digits, as the lexer reads a numeral: no
+    sign, space, digit-group underscore or other Unicode digit, which int()
+    would also take, and no more than the 4,300 digits int() converts."""
+    if not text or text.strip("0123456789"):
+        raise ValueError("not a natural: %r" % text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("numeral too long: %d digits" % len(text)) from None
 
 
 def parse_rat(text: str) -> Fraction:

@@ -26,6 +26,7 @@ at their common type.
 
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .rational import ZERO, TooLongToPrint, as_uprob, exact_str
@@ -100,25 +101,6 @@ def _max_flow(left, right, rel):
 
 # --- relational lifting -----------------------------------------------------
 
-class _RelCache:
-    """Memoized relation on the values of two Inl elements, keyed by the
-    value pair.  rel is a function of its arguments up to ==: semantic
-    ground values and syntactic values compare structurally, closures and
-    ``FoldV`` cells by identity, and the dict holds its keys."""
-    __slots__ = ("fn", "seen")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.seen = {}
-
-    def __call__(self, a, b):
-        key = a.val, b.val
-        hit = self.seen.get(key)
-        if hit is None:
-            hit = self.seen[key] = bool(self.fn(*key))
-        return hit
-
-
 class LiftVerdict:
     """Holds carries the per-level trace; Unknown names the budget that ran
     out.  Unknown never refutes: it means the bounded search saw nothing."""
@@ -158,10 +140,10 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     A level whose state was seen before is not solved again.  The state is
     the level's values, both frontiers' ``snapshot()`` and the explored
     values, each weight with its element by identity.  A level reads only
-    that state, eps, horizon and the cached rel: forcing the same thunks
-    returns the same nodes, and rel, cached by the value pair, answers a
-    pair equal to one it has seen as before.
-    So from a repeated state the levels since its first occurrence, the
+    that state, eps, horizon and rel, cached by the value pair with
+    ``functools.cache``: forcing the same thunks returns the same nodes,
+    and the cache answers a pair equal to one it has seen as before.  So
+    from a repeated state the levels since its first occurrence, the
     period, come again in order, differing only in fuel, and none of them
     can exit early, as none did the first time.  The loop appends one copy
     of the period's records per remaining fuel unit and leaves as fuel runs
@@ -169,8 +151,11 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     """
     eps = as_uprob(eps)
     # the horizon search asks about the same pairs at every m, and rel may
-    # itself run nested checks, so answers are cached per value pair
-    rel = _RelCache(rel)
+    # run nested checks, so answers are cached per value pair: rel is a
+    # function of its arguments up to ==, closures and ``FoldV`` cells
+    # compare by identity, and the cache keeps its keys alive
+    known = cache(rel)
+    rel = lambda a, b: known(a.val, b.val)
     levels = []
 
     def done(holds, reason, trace):

@@ -902,10 +902,11 @@ def ref_max_flow(left, right, rel):
 def ref_lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps):
     """`relate.lift_check` as it read when it called itself once per level:
     the same search, verdicts and trace, with the right side's values and
-    residue pendings read off the literal m-fold run, as
-    split(run_n(e, m))[0] and split(run_n(e, m))[1].  The residue keeps
-    each value left over in its own Inl element, as a Dist of the run's
-    entries would, so an unkeyed value merges with its later deliveries."""
+    residue pendings read off the literal m-fold run, as split(runs[m])[0]
+    and split(runs[m])[1].  Each call builds runs[m] once, as the run of
+    runs[m - 1], so a horizon of m costs m runs.  The residue keeps each
+    value left over in its own Inl element, as a Dist of the run's entries
+    would, so an unkeyed value merges with its later deliveries."""
     eps = as_uprob(eps)
     if fuel <= 0:
         return LiftVerdict(True, "fuel exhausted; remaining obligation accepted",
@@ -913,6 +914,7 @@ def ref_lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps):
     vals, pend = split(d)
     p = sum((w for w, _ in vals), ZERO)
     evals = split(e)[0]
+    runs = [e]
     m, flowval, flow = 0, ZERO, {}
     if p > 0:
         best = ZERO
@@ -926,7 +928,8 @@ def ref_lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps):
             grew = False
             while not grew and m < horizon:
                 m += 1
-                evals = split(run_n(e, m))[0]
+                runs.append(run(runs[-1]))
+                evals = split(runs[m])[0]
                 grew = sum((w for w, _ in evals), ZERO) > before
             if not grew:
                 return LiftVerdict(
@@ -943,9 +946,9 @@ def ref_lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps):
     for (_, j), f in flow.items():
         consumed[j] = consumed.get(j, ZERO) + f
     resid = [(w - consumed.get(j, ZERO), el)
-             for j, (w, el) in enumerate(value_entries(run_n(e, m)))
+             for j, (w, el) in enumerate(value_entries(runs[m]))
              if w - consumed.get(j, ZERO) > 0]
-    resid += [(w, Inr(t)) for w, t in split(run_n(e, m))[1]]
+    resid += [(w, Inr(t)) for w, t in split(runs[m])[1]]
     rmass = sum((w for w, _ in resid), ZERO)
     if rmass == 0:
         return LiftVerdict(False, "right side exhausted before left",

@@ -410,6 +410,32 @@ def test_negative_budgets_rejected():
     assert code == 0
 
 
+def test_budgets_and_walk_starts_are_ascii_digits():
+    # one reader, rational.parse_nat, for budgets and catalogue numerals:
+    # int() also takes other scripts' digits, signs, spaces and underscores
+    coin = example("coin_harness.pfpc")
+    for text in ("\u0663", "1_0", "+2", " 3 ", "-", ""):
+        for argv in (["examples", "run", "geo", "--depth", text],
+                     ["probterm", coin, "--depth", text],
+                     ["refine", coin, coin, "--fuel", text],
+                     ["refine", coin, coin, "--horizon", text]):
+            assert run(argv) == (1, "", "probfpc: argument %s: not an integer: %r\n"
+                                 % (argv[-2], text)), argv
+    # past the 4,300 digits int() converts, as the lexer says of a numeral
+    huge = "9" * 5000
+    assert run(["examples", "run", "geo", "--depth", huge]) == \
+        (1, "", "probfpc: argument --depth: numeral too long: 5000 digits\n")
+    assert run(["refine", coin, coin, "--fuel", "-" + huge]) == \
+        (1, "", "probfpc: argument --fuel: must be >= 0\n")
+    for name in ("randw(%s)" % huge, "randw2(%s)" % huge):
+        assert run(["examples", "run", name, "--depth", "2"]) == \
+            (1, "", "probfpc: %s: numeral too long: 5000 digits\n" % name)
+    # 4,300 digits still read, and leading zeros are digits
+    code, out, _ = run(["examples", "run", "randw(%s)" % ("0" * 4299 + "3"),
+                        "--depth", "007"])
+    assert (code, out.splitlines()[-1]) == (0, "    7  0")
+
+
 def test_usage_errors_exit_1_with_prefix():
     for argv in ([], ["bogus"], ["check"], ["probterm", example("geo.pfpc"), "--mode", "x"],
                  ["check", example("geo.pfpc"), "--nosuch"]):

@@ -6,7 +6,8 @@ unchanged.  A deliberate output change regenerates it with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_outputs.txt
 
-and names the rows that changed, and why, in CHANGES.md.
+and names the rows that changed, and why, in CHANGES.md.  The script
+needs no pytest.
 
 Arguments are written with two placeholders, `examples/` for the shipped
 programs and `tmp/` for the inputs written below; labels keep the
@@ -21,11 +22,12 @@ import tempfile
 from probfpc.cli import main
 from probfpc.corpus import CATALOGUE
 
-from conftest import EXAMPLES
 from genlib import unit_loop, walk_force_src
 
-TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                     "golden_outputs.txt")
+# the directories conftest names, found here: conftest imports pytest
+TESTS = os.path.dirname(os.path.abspath(__file__))
+EXAMPLES = os.path.join(os.path.dirname(TESTS), "examples")
+TABLE = os.path.join(TESTS, "golden_outputs.txt")
 MODES = ("op", "den", "den-steps")
 FORMATS = ("table", "json")
 

@@ -10,8 +10,7 @@ import pytest
 
 from probfpc.dist import Dist, Inl, Inr, choice
 from probfpc.delay import (
-    DelayThunk, Frontier, delay_bind, leqlim_upto, now, probterm_seq, run,
-    step_fn,
+    DelayThunk, Frontier, delay_bind, leqlim_upto, now, probterm_seq, step_fn,
 )
 from probfpc.densem import FoldV
 from probfpc import relate
@@ -23,7 +22,6 @@ from probfpc.parser import parse_term, parse_ty
 from probfpc.typecheck import TypecheckError
 from probfpc.corpus import diverge_term, id_hes, y_comb
 
-import genlib
 from genlib import (
     OPAQUE, geo, hesitant, hesitant_loop, pooled_delay, random_delay,
     ref_lift_check, ref_max_flow, run_n, step_of, twin_loop,
@@ -364,18 +362,6 @@ def test_lift_jumps_match_the_recursive_reference(monkeypatch):
     jumps = []
     jump = Frontier._jump
     monkeypatch.setattr(Frontier, "_jump", lambda f, *a: jumps.append(f) or jump(f, *a))
-    # the reference reads split(run_n(e, m)) afresh at each m; the m-fold
-    # run is the run of the (m-1)-fold one, kept, so a horizon costs it m
-    # runs and not m^2 / 2
-    runs = {}
-
-    def run_n(d, n):
-        if n == 0:
-            return d
-        if (d, n) not in runs:
-            runs[d, n] = run(run_n(d, n - 1))
-        return runs[d, n]
-    monkeypatch.setattr(genlib, "run_n", run_n)
     rng = random.Random(91)
     loops = [hesitant_loop([(q, a)], k) for q in (HALF, Fraction(1, 3), Fraction(1, 5))
              for a in (0, 1) for k in (1, 2, 3)]
@@ -396,9 +382,30 @@ def test_lift_jumps_match_the_recursive_reference(monkeypatch):
             (want.holds, want.reason, want.trace), i
         assert json.dumps(got.trace) == json.dumps(want.trace), i
         leaves[_leaf(got.trace)[0]["case"]] += 1
-        runs.clear()
     assert len(jumps) >= 5000 and leaves["no-coupling"] >= 150 \
         and leaves["fuel"] >= 70 and leaves["value-only"] >= 5, (len(jumps), leaves)
+
+
+def test_lift_asks_rel_once_per_value_pair(monkeypatch):
+    # the horizon search runs a flow at each m where the delivered mass
+    # reaches the need, and every flow asks about each pair of values: 45
+    # asks about 2 pairs here.  rel may itself run nested checks, so it
+    # runs once per distinct pair
+    asks = []
+    flow = relate._max_flow
+    monkeypatch.setattr(relate, "_max_flow", lambda left, right, rel: flow(
+        left, right, lambda a, b: asks.append((a.val, b.val)) or rel(a, b)))
+    calls = Counter()
+
+    def rel(a, b):
+        calls[a, b] += 1
+        return a == b
+    d = choice(HALF, now(0), step_fn(lambda: now(0)))
+    e = choice(HALF, now(1), hesitant(Fraction(1, 4), 0))
+    v = lift_check(d, e, rel, 1, 64, Fraction(1, 1024))
+    assert v.holds and v.trace["m"] == 22
+    assert set(asks) == set(calls) == {(0, 0), (0, 1)} and len(asks) >= 40, asks
+    assert set(calls.values()) == {1}, calls
 
 
 def test_lift_search_forces_few_levels(monkeypatch):
