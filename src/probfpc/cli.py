@@ -181,8 +181,10 @@ def cmd_examples(args, out):
 def _rat(text):
     try:
         v = parse_rat(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("not a rational: %r" % text)
+    except ValueError as e:     # a numeral too long says so, as in _nat
+        msg = str(e)
+        raise argparse.ArgumentTypeError(msg if msg.startswith("numeral")
+                                         else "not a rational: %r" % text) from None
     if v < 0:
         raise argparse.ArgumentTypeError("eps must be >= 0")
     if v > 1:

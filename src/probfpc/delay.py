@@ -24,8 +24,8 @@ forced again, as the nodes of a finite chain such as the fair coin are.
 A program with finitely many thunks is a finite Markov chain, and
 ``Frontier.recurrence`` finds where its live state recurs up to a factor.
 From there ``probterm_seq`` fills the rest of its table, and
-``Frontier.advance``, which runs the lifting's horizon search, computes
-the levels it would run from the period's log, forcing nothing.
+``Frontier.advance``, which runs the lifting's horizon search, skips the
+whole periods that cannot end the search, forcing nothing.
 
 Also here: the bounded limit comparison leqlim/eqlim.
 """
@@ -129,14 +129,14 @@ class Frontier:
 
     ``step()`` runs a level and hands out its deliveries, the forced
     nodes' own ``Inl`` elements with their weights as Fractions, so
-    ``canonical`` merges them as ``Dist`` merges a node's entries; it logs
-    them with the state before the level.  ``advance`` steps up to a
-    target mass, past a ``recurrence`` computes the levels from that log,
-    and returns ``canonical`` of the deliveries.  ``probterm_seq`` runs
-    levels without building them.  Levels count from 0 however they run,
-    for ``recurrence``.  ``renormalise`` divides the pending weights by a
-    mass, as the lifting does with its residue, and starts the count, the
-    states seen and the log afresh.  Weights leave as ``Fraction``.
+    ``canonical`` merges them as ``Dist`` merges a node's entries, and logs
+    them.  ``advance`` steps up to a target mass, skipping whole periods
+    past a ``recurrence``, and returns ``canonical`` of the deliveries.
+    ``probterm_seq`` runs levels without building them.  Levels count from
+    0 however they run, for ``recurrence``.  ``renormalise`` divides the
+    pending weights by a mass, as the lifting does with its residue, and
+    starts the count, the states seen and the log afresh.  Weights leave
+    as ``Fraction``.
     """
     __slots__ = ("_num", "_den", "_pending", "_rows", "_dead", "_levels",
                  "_seen", "_log", "_period")
@@ -162,12 +162,10 @@ class Frontier:
         return self._num * q.denominator >= q.numerator * self._den
 
     def step(self):
-        """Run one level; returns the level's deliveries [(w, Inl element)],
-        and logs them with the ``snapshot()`` before the level."""
-        before = self.snapshot()
+        """Run one level; logs and returns its deliveries [(w, Inl element)]."""
         den, new = self._level()
         new = [(Fraction(n, den), a) for n, a in new]
-        self._log.append((before, new))
+        self._log.append(new)
         return new
 
     def advance(self, q, limit):
@@ -177,19 +175,22 @@ class Frontier:
         an unkeyed element only with itself.
 
         Each level is stepped after asking ``recurrence``, until that
-        reports (i, c) with no pending thunk on a dead cycle.  From then
-        on every level is a logged one times a power of c, so ``_jump``
-        runs the rest, and every later call, without forcing."""
+        reports (i, c) with no pending thunk on a dead cycle.  From then on
+        ``_skip`` runs whole periods at each period boundary, and the levels
+        up to the first boundary and after the last skip are stepped, on
+        thunks already forced: at most 2 (k - i) - 1 of them per call."""
         n, out = 0, []
         while n < limit:
             if self._period is None:
                 found = self.recurrence()
                 if found is not None and self._dead.isdisjoint(self._pending):
-                    self._period = (*found, self._levels,
-                                    Fraction(self._num, self._den))
+                    self._period = (*found, self._levels, 1 - self.mass)
             if self._period is not None:
-                n += self._jump(q, limit - n, out)
-                break
+                i, _, k, _ = self._period
+                if (self._levels - k) % (k - i) == 0:
+                    n += self._skip(q, limit - n, out)
+                    if n == limit:
+                        break
             new = self.step()
             n += 1
             out += new
@@ -197,57 +198,38 @@ class Frontier:
                 break
         return n, canonical(out)
 
-    def _jump(self, q, limit, out):
-        """``advance`` past a recurrence, forcing nothing: finds the levels
-        to run from the period's masses and powers of c, appends their
-        deliveries to the list out and sets the state they leave.  Returns
-        the number of levels run.
+    def _skip(self, q, limit, out):
+        """From a period boundary, run the most whole periods, within limit
+        levels, that cannot end ``advance``'s search, forcing nothing:
+        appends their deliveries to the list out, sets the state they leave
+        and returns the number of levels run.
 
-        With the period logged at levels i..k-1 (r levels) and D delivered
-        before level k, level k + s delivers c**(s // r + 1) times what
-        level i + s % r did, and the pending weights before it are as many
-        times those before level i + s % r; the delivered mass is the rest
-        of 1.  So s levels from k deliver F(s) = M G(s // r) plus c**(s //
-        r + 1) times the first s % r levels' masses, where M is the
-        period's mass and G(J) = c + ... + c**J = (c - c**(J+1)) / (1 - c).
-        M > 0 only if 0 < c < 1, as live mass leaves only by delivery, and
-        F stays below its bound M c / (1 - c)."""
-        i, c, k, base = self._period
-        period, r, s0 = self._log[i:k], k - i, self._levels - k
-        ms = [sum((w for w, _ in new), ZERO) for _, new in period]
-        total, y = sum(ms, ZERO), q - base
-        n = limit
-        if total and y * (1 - c) < total * c:
-            # F(J r) >= y exactly when c**J <= t = 1 - y (1 - c) / (M c)
-            t = 1 - y * (1 - c) / (total * c)
-            a, b = c.numerator, c.denominator
-            j, x, z = 1, a * t.denominator, b * t.numerator
-            while x > z and j * r < s0 + limit:
-                j, x, z = j + 1, x * a, z * b
-            if x <= z:
-                # the least s with F(s) >= y, then the first level from
-                # there, after the ones run, that delivers
-                cj = c ** j
-                s, acc = (j - 1) * r, total * (c - cj) / (1 - c)
-                while acc < y:
-                    acc += cj * ms[s % r]
-                    s += 1
-                s = max(s, s0 + 1)
-                while not ms[(s - 1) % r]:
-                    s += 1
-                n = min(limit, s - s0)
-        s1 = s0 + n
-        for first in range(s0, s0 + min(n, r)):
-            new = period[first % r][1]
-            if new:     # levels first, first + r, ... before s1
-                e, times = first // r + 1, (s1 - 1 - first) // r + 1
-                g = (c ** e - c ** (e + times)) / (1 - c)
-                out.extend((w * g, el) for w, el in new)
-        (_, den, items), e = period[s1 % r][0], s1 // r + 1
-        x = c.numerator ** e
-        self._set(den * c.denominator ** e, {t: m * x for t, m in items})
-        self._levels += n
-        return n
+        Each boundary's pending state is c times the one before.  So from x
+        pending now, j periods leave the pending numerators times c**j and
+        1 - x c**j delivered, and deliver the period's (levels i..k-1)
+        deliveries times (x / p) (c + ... + c**j), p pending before level
+        k.  A period ends the search only if the mass after it reaches q,
+        which none can when c = 1, nothing is pending or q >= 1."""
+        i, c, k, p = self._period
+        r, x = k - i, 1 - self.mass
+        j = most = limit // r
+        if c < 1 and x and q < 1:
+            # j + 1 periods leave less than q delivered while x c**(j+1) > 1 - q
+            y, a, b = 1 - q, c.numerator, c.denominator
+            j, u, v = 0, x.numerator * y.denominator, y.numerator * x.denominator
+            while j < most and u * a > v * b:
+                j, u, v = j + 1, u * a, v * b
+        if j:
+            period = self._log[i:k]
+            if any(period):     # then 0 < c < 1 and p > 0
+                g = x / p * (c - c ** (j + 1)) / (1 - c)
+                for new in period:
+                    out.extend((w * g, el) for w, el in new)
+            e = c ** j
+            self._set(self._den * e.denominator,
+                      {t: n * e.numerator for t, n in self._pending.items()})
+            self._levels += j * r
+        return j * r
 
     def _level(self):
         """Force each pending thunk once, in order, and take the nodes in."""

@@ -246,12 +246,14 @@ class _Parser:
             d = self.peek()
             if d.kind != "num":
                 raise _expected("a denominator", d)
-            self.next()
+            self.eat_nat()      # a numeral too long is an error at d
             text = "%s/%s" % (text, d.text)
         try:
             return parse_rat(text)
-        except ValueError:
-            raise ParseError("bad probability %r" % text, t.line, t.col) from None
+        except ValueError as e:     # or at t
+            msg = str(e)
+            raise ParseError(msg if msg.startswith("numeral") else
+                             "bad probability %r" % text, t.line, t.col) from None
 
     def app(self, env, defs):
         t = self.prefix(env, defs)

@@ -82,7 +82,9 @@ def parse_rat(text: str) -> Fraction:
     """Parse "p/q" or a decimal literal ("0.25" -> 1/4) exactly, without
     Fraction's exponents (it builds 10^N for 1e-N) and digit underscores.
     Digits are ASCII, as in the lexer: ``\\d`` and Fraction take any
-    Unicode digit."""
+    Unicode digit.  Each run of them is read by ``parse_nat`` first."""
+    for digits in re.findall("[0-9]+", text):
+        parse_nat(digits)
     try:
         if not re.fullmatch(r"\s*[-+]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*", text):
             raise ValueError("not p/q or a decimal")

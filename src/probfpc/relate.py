@@ -9,11 +9,11 @@ certifies the F-level approximation and Unknown is never a refutation.
 Both sides run level by level on a `Frontier`.  Forcing memoises thunks,
 so a recursive program's delay graph is finite and states come back.  The
 horizon search's levels come back up to a factor, and `Frontier.advance`
-jumps over them.  The lifting's own state (the level's values, both
-frontiers, the explored values) comes back too; a level is a function of
-that state, so from a repeated state the loop replays the records of the
-levels since its first occurrence, with only the fuel changed, in place of
-solving them again.
+skips their whole periods.  The lifting's own state (the level's values,
+both frontiers, the explored values) comes back too; a level is a
+function of that state, so from a repeated state the loop replays the
+records of the levels since its first occurrence, with only the fuel
+changed, in place of solving them again.
 
 `logrel_val` is the type-indexed relation between semantic and syntactic
 values: ground types by equality, pairs and sums structurally, recursive
@@ -127,13 +127,13 @@ def lift_check(d: Dist, e: Dist, rel, fuel: int, horizon: int, eps) -> LiftVerdi
     the least m <= horizon such that the values delivered by running e for
     m levels admit a coupling of flow >= p - eps along rel; no flow runs
     while the delivered mass, which bounds it, is below p - eps.  So e's
-    ``Frontier.advance`` runs the levels up to the next flow, and jumps
-    over them once e's frontier recurs.  What the coupling does not
-    consume of e joins e's pending branches as the residue, and the next
-    level relates the left side's pending branches, renormalised by 1 - p
-    and run one level, to it (renormalised) with one unit of fuel less.
-    The eps budget is per level, so it composes additively in fuel.  When
-    e's explored mass cannot split at exactly p, the flow consumption
+    ``Frontier.advance`` runs the levels up to the next flow, skipping
+    whole periods of them once e's frontier recurs.  What the coupling
+    does not consume of e joins e's pending branches as the residue, and
+    the next level relates the left side's pending branches, renormalised
+    by 1 - p and run one level, to it (renormalised) with one unit of fuel
+    less.  The eps budget is per level, so it composes additively in fuel.
+    When e's explored mass cannot split at exactly p, the flow consumption
     splits explored leaves fractionally; this is a sound search, not a
     complete one.
 

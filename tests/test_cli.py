@@ -436,6 +436,23 @@ def test_budgets_and_walk_starts_are_ascii_digits():
     assert (code, out.splitlines()[-1]) == (0, "    7  0")
 
 
+def test_rational_numerals_past_4300_digits_are_too_long(tmp_path):
+    # a catalogue weight, --eps and a choice weight in a file, each with a
+    # run of 5,000 digits, say so as a budget or a Nat numeral does
+    huge = "9" * 5000
+    for name in ("geo(1/%s)" % huge, "geo(0.%s)" % huge):
+        assert run(["examples", "run", name, "--depth", "2"]) == \
+            (1, "", "probfpc: %s: numeral too long: 5000 digits\n" % name)
+    geo = example("geo.pfpc")
+    assert run(["compare", geo, geo, "--eps", "1/" + huge]) == \
+        (1, "", "probfpc: argument --eps: numeral too long: 5000 digits\n")
+    for weight, col in (("1/" + huge, 10), ("0." + huge, 8), (huge + "/3", 8)):
+        f = tmp_path / "long.pfpc"
+        f.write_text("choice %s * *\n" % weight)
+        assert run(["check", str(f)]) == \
+            (1, "", "probfpc: line 1, col %d: numeral too long: 5000 digits\n" % col)
+
+
 def test_usage_errors_exit_1_with_prefix():
     for argv in ([], ["bogus"], ["check"], ["probterm", example("geo.pfpc"), "--mode", "x"],
                  ["check", example("geo.pfpc"), "--nosuch"]):

@@ -436,30 +436,43 @@ def stepped_advance(f, q, limit):
     return n, out
 
 
+def split_loop():
+    """choice(1/2, now(0), step(t)), where t steps to u and v with weight
+    1/2 each and u and v step back to t: a live cycle that keeps its mass,
+    so its recurrence reports (2, 1), with no thunk on a dead cycle."""
+    t = DelayThunk(lambda: choice(HALF, step(u), step(v)))
+    u, v = (DelayThunk(lambda: step(t)) for _ in range(2))
+    return choice(HALF, now(0), step(t))
+
+
 def advance_cases():
     """replay_cases, hesitant loops of 1-3 steps with one value or two, twin
-    loops, and a hesitant loop beside a silent one, whose report comes
-    with a dead cycle pending."""
+    loops, a live cycle that keeps its mass, and a hesitant loop beside a
+    silent one, whose report comes with a dead cycle pending."""
     yield from replay_cases(random.Random(62))
     for values in ([(Fraction(1, 4), 0)], [(Fraction(1, 3), 0), (Fraction(1, 6), 1)]):
         for steps in (1, 2, 3):
             yield "hesitant %d %d" % (len(values), steps), hesitant_loop(values, steps)
     yield "twin", twin_loop(0)
     yield "twin 1/5", twin_loop(1, Fraction(1, 5))
+    yield "split loop", split_loop()
     yield "beside a dead cycle", choice(HALF, hesitant_loop([(Fraction(1, 4), 0)]),
                                         hesitant_loop([]))
 
 
 def test_advance_jumps_as_stepping_does(monkeypatch):
-    # from the first recurrence() report on, advance() forces nothing unless
-    # a dead cycle is pending, and a second frontier of the same tree,
-    # stepped one level at a time, runs as many levels, ends in the same
-    # snapshot() and delivers what canonical merges into the same entries.
-    # The first call stops at a delivering level that is also its limit;
-    # three more follow it, so they start inside a period
+    # from the first recurrence() report on, with no dead cycle pending,
+    # advance() steps at most 2r - 1 levels per call, on thunks already
+    # forced, and skips the whole periods between; with one pending it
+    # steps every level.  A second frontier of the same tree, stepped one
+    # level at a time, runs as many levels, ends in the same snapshot()
+    # and delivers what canonical merges into the same entries.  The first
+    # call stops at a delivering level that is also its limit; three more
+    # follow it, so they start inside a period
     forced = []
     level = Frontier._level
-    monkeypatch.setattr(Frontier, "_level", lambda f: forced.append(f) or level(f))
+    monkeypatch.setattr(Frontier, "_level", lambda f: forced.append(
+        any(t._fn is not None for t in f._pending)) or level(f))
     rng = random.Random(63)
     counts = dict.fromkeys(("jumped", "dead cycle", "stopped at q", "at the limit"), 0)
     for label, d in advance_cases():
@@ -489,7 +502,8 @@ def test_advance_jumps_as_stepping_does(monkeypatch):
         for m, (q, limit) in enumerate(calls):
             del forced[:]
             n, got = f.advance(q, limit)
-            assert len(forced) == (n if dead else 0), label
+            assert (len(forced) == n) if dead else \
+                (len(forced) <= 2 * r - 1 and not any(forced)), label
             m_want, want = stepped_advance(g, q, limit)
             assert (n, f.snapshot()) == (m_want, g.snapshot()), (label, m, q, limit)
             assert len({id(a) for _, a in got}) == len(got), label

@@ -357,11 +357,12 @@ def test_lift_replays_a_fresh_continuation_of_the_same_entries(monkeypatch):
 
 def test_lift_jumps_match_the_recursive_reference(monkeypatch):
     # horizons long enough for the right frontier's live state to recur,
-    # so its search jumps over the recurring levels: the verdict, the
-    # reason and the whole trace, key order included, are the reference's
-    jumps = []
-    jump = Frontier._jump
-    monkeypatch.setattr(Frontier, "_jump", lambda f, *a: jumps.append(f) or jump(f, *a))
+    # so its search skips whole recurring periods: the verdict, the reason
+    # and the whole trace, key order included, are the reference's
+    skips = []      # the levels each _skip call ran
+    skip = Frontier._skip
+    monkeypatch.setattr(Frontier, "_skip",
+                        lambda f, *a: skips.append(skip(f, *a)) or skips[-1])
     rng = random.Random(91)
     loops = [hesitant_loop([(q, a)], k) for q in (HALF, Fraction(1, 3), Fraction(1, 5))
              for a in (0, 1) for k in (1, 2, 3)]
@@ -382,8 +383,10 @@ def test_lift_jumps_match_the_recursive_reference(monkeypatch):
             (want.holds, want.reason, want.trace), i
         assert json.dumps(got.trace) == json.dumps(want.trace), i
         leaves[_leaf(got.trace)[0]["case"]] += 1
-    assert len(jumps) >= 5000 and leaves["no-coupling"] >= 150 \
-        and leaves["fuel"] >= 70 and leaves["value-only"] >= 5, (len(jumps), leaves)
+    skipped = sum(n > 0 for n in skips)
+    assert skipped >= 120 and leaves["no-coupling"] >= 150 \
+        and leaves["fuel"] >= 70 and leaves["value-only"] >= 5, \
+        (skipped, len(skips), leaves)
 
 
 def test_lift_asks_rel_once_per_value_pair(monkeypatch):
@@ -411,7 +414,8 @@ def test_lift_asks_rel_once_per_value_pair(monkeypatch):
 def test_lift_search_forces_few_levels(monkeypatch):
     # the hesitant identity at 1/24 needs hundreds of levels per probe to
     # deliver 1 - 1/1024 of its mass; its frontier recurs within a few, and
-    # the search jumps the rest
+    # the search skips whole periods of the rest, stepping the levels
+    # around them
     forced = []
     level = Frontier._level
     monkeypatch.setattr(Frontier, "_level", lambda f: forced.append(f) or level(f))
