@@ -17,9 +17,8 @@ carries only the pending thunks from level to level, which makes
 termination tables cost time linear in depth.  Its weights are integer
 numerators over one least common denominator, keyed by thunk.  A level of
 single weight-1 steps that reach distinct thunks only moves numerators;
-any other level costs integer products over the forced nodes' rows and one
-gcd.  Every node becomes a row once per frontier, however often it is
-forced again, as the nodes of a finite chain such as the fair coin are.
+any other level costs integer products over the forced nodes' entries and
+one gcd.
 
 A program with finitely many thunks is a finite Markov chain, and
 ``Frontier.recurrence`` finds where its live state recurs up to a factor.
@@ -124,8 +123,6 @@ class Frontier:
     denominators, checks that delivered plus pending mass is exactly 1, as
     ``Dist`` does, and ends in ``_set``, which divides every numerator and
     the denominator by their gcd; every change of state but a move does.
-    Every node it forces is read as an integer row (``_row``) the first
-    time and the row is kept, keyed by the node, for every later level.
 
     ``step()`` runs a level and hands out its deliveries, the forced
     nodes' own ``Inl`` elements with their weights as Fractions, so
@@ -138,11 +135,11 @@ class Frontier:
     starts the count, the states seen and the log afresh.  Weights leave
     as ``Fraction``.
     """
-    __slots__ = ("_num", "_den", "_pending", "_rows", "_dead", "_levels",
-                 "_seen", "_log", "_period")
+    __slots__ = ("_num", "_den", "_pending", "_dead", "_levels", "_seen",
+                 "_log", "_period")
 
     def __init__(self, d: Dist):
-        self._num, self._den, self._pending, self._rows = 0, 1, {}, {}
+        self._num, self._den, self._pending = 0, 1, {}
         self._dead = set()
         self._restart()
         self._absorb(((1, d),))
@@ -255,16 +252,16 @@ class Frontier:
         else:
             self._pending = pending
             return self._den, ()
-        rows = [self._row(d) for _, d in forced]
-        scale = lcm(*{s for s, _, _ in rows})
+        scale = lcm(*{w.denominator for _, d in forced for w, _ in d.entries})
         num, den, pending, new = self._num * scale, self._den * scale, {}, []
-        for (n, _), (s, vals, steps) in zip(forced, rows):
-            n *= scale // s
-            for m, a in vals:
-                num += n * m
-                new.append((n * m, a))
-            for m, t in steps:
-                pending[t] = pending.get(t, 0) + n * m
+        for n, d in forced:
+            for w, el in d.entries:
+                m = n * w.numerator * (scale // w.denominator)
+                if type(el) is Inl:
+                    num += m
+                    new.append((m, el))
+                else:
+                    pending[el.val] = pending.get(el.val, 0) + m
         if sum(pending.values(), num) != den:
             raise ValueError("distribution weights sum to %s, not 1"
                              % Fraction(sum(pending.values(), num), den))
@@ -278,24 +275,6 @@ class Frontier:
         self._num = (den - sum(pending.values())) // g
         self._den = den // g
         self._pending = {t: n // g for t, n in pending.items()} if g > 1 else pending
-
-    def _row(self, d):
-        """A node as (s, [(numerator over s, Inl element)], [(numerator
-        over s, thunk)]), s the lcm of its weights' denominators, read the
-        first time this frontier forces the node and kept."""
-        row = self._rows.get(d)
-        if row is None:
-            es = d.entries
-            s = lcm(*(w.denominator for w, _ in es))
-            vals, steps = [], []
-            for w, el in es:
-                n = w.numerator * (s // w.denominator)
-                if isinstance(el, Inl):
-                    vals.append((n, el))
-                else:
-                    steps.append((n, el.val))
-            row = self._rows[d] = s, vals, steps
-        return row
 
     def renormalise(self, mass):
         """Divide the pending weights by mass and count the rest of 1 as
@@ -368,7 +347,7 @@ class Frontier:
         """Everything a level reads, hashable: the delivered numerator, the
         denominator and the pending (thunk, numerator) pairs in order.  A
         thunk hashes and compares by identity, and the tuple keeps it
-        alive; the kept rows are a function of the nodes forced."""
+        alive."""
         return self._num, self._den, tuple(self._pending.items())
 
 

@@ -22,7 +22,7 @@ from `--` to end of line.  Whitespace is space, tab, CR and newline.
 import re
 from collections import namedtuple
 
-from .rational import parse_rat, ProbRangeError
+from .rational import parse_nat, parse_rat, ProbRangeError
 from .syntax import (
     UnitT, NatT, ProdT, SumT, FnT, MuT, TVarT,
     Term, Star, Num, Var, Suc, Pred, Ifz, Pair, Fst, Snd,
@@ -136,10 +136,9 @@ class _Parser:
             raise _expected("a numeral", t)
         self.next()
         try:
-            return int(t.text)
-        except ValueError:      # more digits than int() converts
-            raise ParseError("numeral too long: %d digits" % len(t.text),
-                             t.line, t.col) from None
+            return parse_nat(t.text)
+        except ValueError as e:     # more digits than int() converts
+            raise ParseError(str(e), t.line, t.col) from None
 
     # --- programs ---
 

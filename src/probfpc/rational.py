@@ -89,6 +89,9 @@ def parse_rat(text: str) -> Fraction:
         if not re.fullmatch(r"\s*[-+]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*", text):
             raise ValueError("not p/q or a decimal")
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError("not a rational literal: %r (%s)" % (text, e))
+    except ZeroDivisionError:   # its own text is "Fraction(1, 0)"
+        why = "zero denominator"
+    except ValueError as e:
+        why = e
+    raise ValueError("not a rational literal: %r (%s)" % (text, why))
 

@@ -453,6 +453,18 @@ def test_rational_numerals_past_4300_digits_are_too_long(tmp_path):
             (1, "", "probfpc: line 1, col %d: numeral too long: 5000 digits\n" % col)
 
 
+def test_zero_denominator_messages(tmp_path):
+    # a catalogue weight names the zero denominator, not Python's Fraction(1, 0)
+    for name, text in (("geo(1/0)", "1/0"), ("geo(1/00)", "1/00"), ("geo(0/0)", "0/0")):
+        assert run(["examples", "run", name]) == (1, "", (
+            "probfpc: %s: not a rational literal: %r (zero denominator)\n" % (name, text)))
+    assert run(["refine", example("id_hes.pfpc"), example("id.pfpc"), "--eps", "1/0"]) == \
+        (1, "", "probfpc: argument --eps: not a rational: '1/0'\n")
+    f = tmp_path / "zero_den.pfpc"
+    f.write_text("choice 1/0 0 1\n")
+    assert run(["check", str(f)]) == (1, "", "probfpc: line 1, col 8: bad probability '1/0'\n")
+
+
 def test_usage_errors_exit_1_with_prefix():
     for argv in ([], ["bogus"], ["check"], ["probterm", example("geo.pfpc"), "--mode", "x"],
                  ["check", example("geo.pfpc"), "--nosuch"]):
