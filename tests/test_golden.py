@@ -166,6 +166,32 @@ MERGE_FILES = {
         "fn n : Nat => body (fold[mu X. X -> Nat -> Nat] body) n\n",
 }
 
+# messages no other row reaches: the type checks that typecheck._agree
+# makes, and the parser's missing name, probability and denominator
+AGREE_FILES = {
+    "agree_choice.pfpc": "choice 1/2 * 0\n",
+    "agree_ifz.pfpc": "ifz 0 then * else 1\n",
+    "agree_case.pfpc": "case inl[Nat + Unit] 0 of { inl x => x ; inr y => y }\n",
+    "agree_arg.pfpc": "(fn x : Nat => x) *\n",
+    "agree_inl.pfpc": "inl[Nat + Unit] *\n",
+    "agree_fold.pfpc": "fold[(mu X. Nat)] *\n",
+    "no_name.pfpc": "fn : Nat => 0\n",
+    "no_prob.pfpc": "choice * 0 1\n",
+    "no_den.pfpc": "choice 1/ * 0 1\n",
+}
+
+# functions of a sum and of a product, so a refine probes them with
+# injections and pairs: a case against its choice 1/2 twin, and the first
+# projection against itself and against the second
+_CASE = "case x of { inl n => suc n ; inr u => 0 }"
+PROBE_FILES = {
+    "sum_case.pfpc": "fn x : Nat + Unit => %s\n" % _CASE,
+    "sum_case_twin.pfpc": "fn x : Nat + Unit => choice 1/2 (%s) (%s)\n"
+                          % (_CASE, _CASE),
+    "prod_fst.pfpc": "fn p : Nat * Nat => fst p\n",
+    "prod_snd.pfpc": "fn p : Nat * Nat => snd p\n",
+}
+
 
 def requests():
     """Every pinned command line, as argv lists with placeholders."""
@@ -309,6 +335,13 @@ def requests():
             for eps, h in (("0", "3000"),
                            ("1/1267650600228229401496703205376", "1024"))
             for fmt in FORMATS]
+    out += [["check", "tmp/" + name] for name in AGREE_FILES]
+    out.append(["examples", "run", "id_hes(1/2,Nat Nat)"])
+    out += [["refine", "tmp/%s.pfpc" % a, "tmp/%s.pfpc" % b, "--format", fmt]
+            for a, b in (("sum_case", "sum_case_twin"),
+                         ("sum_case_twin", "sum_case"),
+                         ("prod_fst", "prod_fst"), ("prod_fst", "prod_snd"))
+            for fmt in FORMATS]
     return out
 
 
@@ -319,7 +352,8 @@ def outputs():
                           **ZERO_DEN_FILES, **LEX_FILES, **DUP_FILES,
                           **SHARE_FILES, **UNTYPED_LET_FILES,
                           **MERGED_FILES, **HES2_FILES, **RECUR_FILES,
-                          **MERGE_FILES}.items():
+                          **MERGE_FILES, **AGREE_FILES,
+                          **PROBE_FILES}.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(src)

@@ -162,6 +162,23 @@ def test_application_of_non_function_rejected():
         elaborate(parse_term("* *"))
 
 
+def test_annotation_with_a_free_type_variable_rejected():
+    # the parser binds every type variable it reads, so only a term built
+    # in the library reaches this check
+    with pytest.raises(TypecheckError,
+                       match=r"^injection annotation has unbound type"
+                             r" variables: X\?0 \+ Unit$"):
+        elaborate(Inj("l", Star(), SumT(TVarT(0), UnitT())))
+
+
+def test_untyped_binder_outside_a_let_rejected():
+    # the parser gives every binder but a let's a type
+    assert elaborate(App(Lam(None, Var(0)), Num(1))) == NAT
+    with pytest.raises(TypecheckError,
+                       match="^lambda binder needs a type annotation here$"):
+        elaborate(Lam(None, Var(0)))
+
+
 def test_elaboration_is_deterministic():
     rng = random.Random(52)
     for _ in range(200):
