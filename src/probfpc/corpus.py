@@ -113,27 +113,25 @@ def everysnd_term() -> Term:
     return App(y_comb(LAZY_LIST, LAZY_LIST), helper)
 
 
+def _walk(move) -> Term:
+    """Lazy random walk from n: list n, stop at zero, else run move."""
+    helper = parse_term(
+        "fn g : Nat -> %s => fn n : Nat => %s n (fn y : Unit =>"
+        " ifz n then %s else (%s))" % (_LL, _CONS, _NIL, move))
+    return App(y_comb(NatT(), LAZY_LIST), helper)
+
+
 def randw_fn() -> Term:
     """Lazy symmetric random walk: list the position, stop at zero, else
     step down or up with probability 1/2 each."""
-    helper = parse_term(
-        "fn g : Nat -> %s => fn n : Nat =>"
-        " %s n (fn y : Unit =>"
-        " ifz n then %s else (choice 1/2 (g (pred n)) (g (suc n))))"
-        % (_LL, _CONS, _NIL))
-    return App(y_comb(NatT(), LAZY_LIST), helper)
+    return _walk("choice 1/2 (g (pred n)) (g (suc n))")
 
 
 def randw2_fn() -> Term:
     """Lazy random walk with the two-step increments: stay with probability
     1/2, else move by two either way."""
-    helper = parse_term(
-        "fn g : Nat -> %s => fn n : Nat =>"
-        " %s n (fn y : Unit =>"
-        " ifz n then %s else"
-        " (choice 1/2 (g n) (choice 1/2 (g (pred (pred n))) (g (suc (suc n))))))"
-        % (_LL, _CONS, _NIL))
-    return App(y_comb(NatT(), LAZY_LIST), helper)
+    return _walk("choice 1/2 (g n)"
+                 " (choice 1/2 (g (pred (pred n))) (g (suc (suc n))))")
 
 
 # --- catalogue ----------------------------------------------------------------

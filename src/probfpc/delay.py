@@ -202,8 +202,8 @@ class Frontier:
         and returns the number of levels run.
 
         Each boundary's pending state is c times the one before.  So from x
-        pending now, j periods leave the pending numerators times c**j and
-        1 - x c**j delivered, and deliver the period's (levels i..k-1)
+        pending now, j periods ``_scale`` the pending weights by c**j and
+        leave 1 - x c**j delivered, and deliver the period's (levels i..k-1)
         deliveries times (x / p) (c + ... + c**j), p pending before level
         k.  A period ends the search only if the mass after it reaches q,
         which none can when c = 1, nothing is pending or q >= 1."""
@@ -222,9 +222,7 @@ class Frontier:
                 g = x / p * (c - c ** (j + 1)) / (1 - c)
                 for new in period:
                     out.extend((w * g, el) for w, el in new)
-            e = c ** j
-            self._set(self._den * e.denominator,
-                      {t: n * e.numerator for t, n in self._pending.items()})
+            self._scale(c ** j)
             self._levels += j * r
         return j * r
 
@@ -276,16 +274,17 @@ class Frontier:
         self._den = den // g
         self._pending = {t: n // g for t, n in pending.items()} if g > 1 else pending
 
+    def _scale(self, r):
+        """The pending weights times the Fraction r, the rest of 1 delivered."""
+        self._set(self._den * r.denominator,
+                  {t: n * r.numerator for t, n in self._pending.items()})
+
     def renormalise(self, mass):
-        """Divide the pending weights by mass and count the rest of 1 as
-        delivered: the lifting's residue.  Over D = lcm(den, mass's
-        denominator) mass is R/D, so the pending numerators over D stay,
-        now over R, and ``_set`` reduces them.  A recurrence never spans
-        this scaling: levels count from 0 again, and the states seen and
-        the log go."""
-        k = mass.denominator // gcd(mass.denominator, self._den)
-        den = mass.numerator * (self._den * k // mass.denominator)
-        self._set(den, {t: n * k for t, n in self._pending.items()})
+        """Divide the pending weights by mass, ``_scale(1 / mass)``, and
+        count the rest of 1 as delivered: the lifting's residue.  A
+        recurrence never spans this scaling: levels count from 0 again, and
+        the states seen and the log go."""
+        self._scale(1 / mass)
         self._restart()
 
     def live(self, dead):

@@ -69,13 +69,13 @@ def as_uprob(x) -> Fraction:
 def parse_nat(text: str) -> int:
     """Parse a natural in ASCII digits, as the lexer reads a numeral: no
     sign, space, digit-group underscore or other Unicode digit, which int()
-    would also take, and no more than the 4,300 digits int() converts."""
+    would also take, and no more than 4,300 digits, leading zeros
+    included, whatever limit the interpreter sets on int()."""
     if not text or text.strip("0123456789"):
         raise ValueError("not a natural: %r" % text)
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("numeral too long: %d digits" % len(text)) from None
+    if len(text) > 4300:
+        raise ValueError("numeral too long: %d digits" % len(text))
+    return int(text)
 
 
 def parse_rat(text: str) -> Fraction:

@@ -239,23 +239,21 @@ PROBE_CAP = 4       # most probes per argument type
 
 
 def default_probes(ty):
-    """Related (semantic, syntactic) argument pairs for a probe at this
-    type: numerals 0..3 at Nat (ints against `Num`), the unit (`()` against
-    `Star`), both booleans, and componentwise products (2-tuples against
-    `Pair`) and sums (`Inl`/`Inr` against `Inj`) of those, capped at
-    PROBE_CAP.  The semantic sides are plain data that sort by `key_of`."""
+    """Closed value terms to probe a function at this argument type:
+    numerals 0..3 at Nat, the unit, both booleans, and componentwise
+    products and sums of those, capped at PROBE_CAP; ``logrel_val`` reads
+    each one's semantic side as ``cfg.interp.val`` of it."""
     if isinstance(ty, NatT):
-        return tuple((k, Num(k)) for k in range(PROBE_CAP))
+        return tuple(Num(k) for k in range(PROBE_CAP))
     if isinstance(ty, UnitT):
-        return (((), Star()),)
+        return (Star(),)
     if isinstance(ty, SumT):
-        out = [(Inl(v), Inj("l", V, ty)) for v, V in default_probes(ty.a)]
-        out += [(Inr(v), Inj("r", V, ty)) for v, V in default_probes(ty.b)]
+        out = [Inj("l", V, ty) for V in default_probes(ty.a)]
+        out += [Inj("r", V, ty) for V in default_probes(ty.b)]
         return tuple(out[:PROBE_CAP])
     if isinstance(ty, ProdT):
-        out = [((va, vb), Pair(Va, Vb))
-               for va, Va in default_probes(ty.a)
-               for vb, Vb in default_probes(ty.b)]
+        out = [Pair(Va, Vb) for Va in default_probes(ty.a)
+               for Vb in default_probes(ty.b)]
         return tuple(out[:PROBE_CAP])
     return ()
 
@@ -312,8 +310,8 @@ def logrel_val(ty, v, V, cfg: RelateCfg, _fuel=None) -> LiftVerdict:
         body = V.body
         res_ty = ty.b
         checks = []
-        for w, W in probes:
-            d = v(w)
+        for W in probes:
+            d = v(cfg.interp.val(W))
             e = cfg.evaluator.eval(subst(body, W))
             r = lift_check(d, e,
                            lambda x, Y: logrel_val(res_ty, x, Y, cfg).holds,

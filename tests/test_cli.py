@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import probfpc
 from probfpc.cli import MODES, _dumps, main
 from probfpc.corpus import CATALOGUE
 
@@ -434,6 +437,31 @@ def test_budgets_and_walk_starts_are_ascii_digits():
     code, out, _ = run(["examples", "run", "randw(%s)" % ("0" * 4299 + "3"),
                         "--depth", "007"])
     assert (code, out.splitlines()[-1]) == (0, "    7  0")
+
+
+def test_numerals_past_4300_digits_whatever_int_converts(tmp_path):
+    # parse_nat owns the bound: with int()'s own limit switched off by the
+    # environment, a file's numeral, a catalogue argument and a budget of
+    # 5,000 digits are still too long
+    huge = "9" * 5000
+    f = tmp_path / "long.pfpc"
+    f.write_text(huge + "\n")
+    src = os.path.dirname(os.path.dirname(probfpc.__file__))
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    name = "randw(%s)" % huge
+    for argv, err in (
+            (["check", str(f)], "line 1, col 1: numeral too long"),
+            (["examples", "run", name, "--depth", "1"],
+             "%s: numeral too long" % name),
+            (["refine", example("id_hes.pfpc"), example("id.pfpc"),
+              "--horizon", huge], "argument --horizon: numeral too long")):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from probfpc.cli import main;"
+             " sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (1, "", "probfpc: %s: 5000 digits\n" % err), argv[:2]
 
 
 def test_rational_numerals_past_4300_digits_are_too_long(tmp_path):

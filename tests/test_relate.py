@@ -502,7 +502,7 @@ def test_logrel_sum_tag_mismatch():
 
 
 def test_default_probes_shapes():
-    assert [V.n for _, V in default_probes(NAT)] == [0, 1, 2, 3]
+    assert [V.n for V in default_probes(NAT)] == [0, 1, 2, 3]
     assert len(default_probes(UnitT())) == 1
     assert len(default_probes(BOOL_T)) == 2
     assert len(default_probes(parse_ty("Nat * Nat"))) == 4
